@@ -52,7 +52,9 @@
 
 use hindex_baseline::{AuthorTable, CashTable, FullStore};
 use hindex_bench::workloads::{hh_corpus, zipf_counts};
-use hindex_common::{AggregateEstimator, CashRegisterEstimator, Delta, Epsilon, Estimate, IncrementalHIndex};
+use hindex_common::{
+    AggregateEstimator, CashRegisterEstimator, Delta, Engine, Epsilon, Estimate, IncrementalHIndex,
+};
 use hindex_core::{
     CashRegisterHIndex, CashRegisterParams, ExponentialHistogram, HeavyHitters,
     HeavyHittersParams, RandomOrderEstimator, RandomOrderParams, ShiftingWindow,

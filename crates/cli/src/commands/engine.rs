@@ -1,11 +1,9 @@
 //! `hindex engine`: sharded parallel ingestion of a cash-register
 //! stream, optionally supervised with deterministic fault injection.
 //!
-//! Both engine policies run through **one generic driver** written
-//! against the [`Engine`] trait; the plain [`ShardedEngine`] and the
-//! self-healing [`SupervisedEngine`] differ only in construction and
-//! two policy hooks (read-plane access, which the trait — living below
-//! the engine crate — cannot name).
+//! The fail-hard [`ShardedEngine`] and the self-healing
+//! [`SupervisedEngine`] are two names of one engine type, [`Shards`],
+//! so **one driver** runs both; they differ only in construction.
 
 use crate::args::Parsed;
 use crate::io::read_updates;
@@ -15,8 +13,8 @@ use hindex_common::{
 };
 use hindex_core::{CashRegisterHIndex, CashRegisterParams};
 use hindex_engine::{
-    BatchIngest, EngineConfig, EngineError, FaultPlan, QueryReport, ReadHandle, ShardedEngine,
-    SupervisedEngine, SupervisorConfig,
+    BatchIngest, EngineConfig, FaultPlan, QueryReport, ShardedEngine, Shards, SupervisedEngine,
+    SupervisorConfig,
 };
 use hindex_obs::EngineObserver;
 use rand::rngs::StdRng;
@@ -38,9 +36,9 @@ const PUBLISH_WAIT_MS: u64 = 5_000;
 /// [`SupervisedEngine`]: micro-checkpoints, bounded replay, and
 /// restart-from-checkpoint on worker death — the printed `digest` is
 /// bit-comparable with a fault-free run's. With `--publish-interval N`
-/// the engine carries a lock-free read plane and the report is
-/// answered from its final published view (`--fresh on` forces the
-/// synchronous merge instead); either way the digest is bit-identical.
+/// the engine carries a read plane and the report is answered from
+/// its final published view (`--fresh on` forces the synchronous
+/// merge instead); either way the digest is bit-identical.
 ///
 /// # Errors
 ///
@@ -154,7 +152,7 @@ pub fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
     ));
     if outcome.scratch > 0 || policy.is_some() {
         out.push_str(&format!(
-            "space     : {} words (+ {} replay scratch)\n",
+            "space     : {} words (+ {} recovery scratch)\n",
             report.space_words, outcome.scratch
         ));
     } else {
@@ -192,7 +190,8 @@ struct Outcome {
     /// Frame digest of the answering state: the final published view
     /// when the read plane answered, the synchronous merge otherwise.
     digest: u64,
-    /// Replay-log scratch words at the end of the stream.
+    /// Recovery scratch words (replay logs + retained frames) at the
+    /// end of the stream.
     scratch: usize,
     /// Shards whose updates are lost for good.
     dead: Vec<usize>,
@@ -200,10 +199,9 @@ struct Outcome {
     elapsed: std::time::Duration,
 }
 
-/// Constructs the requested policy around `prototype` and hands it to
-/// the generic driver; `name` renders the algorithm line from the
-/// final merged estimator. The only policy-specific code left in this
-/// file.
+/// Constructs the requested engine around `prototype` and hands it to
+/// the driver; `name` renders the algorithm line from the final merged
+/// estimator. The only code here that tells the two names apart.
 fn launch<E>(
     config: EngineConfig,
     policy: Option<&(SupervisorConfig, FaultPlan, String)>,
@@ -237,33 +235,16 @@ where
     Ok((name(&merged), outcome))
 }
 
-/// Policy hooks the unified driver needs beyond the [`Engine`] verb
-/// set: the trait lives below the engine crate and cannot name
-/// [`ReadHandle`], so read-plane access enters through this adapter.
-trait Drivable<E>:
-    Engine<(u64, u64), Output = E, Error = EngineError, Report = QueryReport> + SpaceUsage
-{
-    /// Handle onto the read plane, when one was configured.
-    fn handle(&self) -> Option<ReadHandle<E>>;
-    /// Forces a publish at the current offset; `None` when there is no
-    /// plane (or, supervised, when a shard is terminal — a published
-    /// view is never degraded).
-    fn force_publish(&mut self) -> Option<u64>;
-}
-
-impl<E> Drivable<E> for ShardedEngine<E, (u64, u64)>
-where
-    E: BatchIngest<(u64, u64)> + Mergeable + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
-{
-    fn handle(&self) -> Option<ReadHandle<E>> {
-        self.read_handle()
-    }
-    fn force_publish(&mut self) -> Option<u64> {
-        self.publish_now()
-    }
-}
-
-impl<E> Drivable<E> for SupervisedEngine<E, (u64, u64)>
+/// The one driver: ingest the whole stream, answer (from the read
+/// plane's final published view when one exists and `fresh` is off,
+/// from a synchronous merge otherwise), then retire the engine through
+/// the lossy path so dead shards are reported, not fatal.
+fn drive<E, const HEAL: bool>(
+    mut engine: Shards<E, (u64, u64), HEAL>,
+    updates: &[(u64, u64)],
+    contract: Option<Guarantee>,
+    fresh: bool,
+) -> Result<(E, Outcome), String>
 where
     E: BatchIngest<(u64, u64)>
         + Mergeable
@@ -275,40 +256,17 @@ where
         + Sync
         + 'static,
 {
-    fn handle(&self) -> Option<ReadHandle<E>> {
-        self.read_handle()
-    }
-    fn force_publish(&mut self) -> Option<u64> {
-        self.publish_now()
-    }
-}
-
-/// The one driver both policies share: ingest the whole stream, answer
-/// (from the read plane's final published view when one exists and
-/// `fresh` is off, from a synchronous merge otherwise), then retire
-/// the engine through the lossy path so dead shards are reported, not
-/// fatal.
-fn drive<N, E>(
-    mut engine: N,
-    updates: &[(u64, u64)],
-    contract: Option<Guarantee>,
-    fresh: bool,
-) -> Result<(E, Outcome), String>
-where
-    N: Drivable<E>,
-    E: Estimate + SpaceUsage + Snapshot,
-{
     let start = Instant::now();
     engine.ingest_batch(updates);
     engine.flush();
 
     // Answer from the read plane when possible: force a publish at the
     // final offset and wait for the workers to complete the epoch. Any
-    // failure (no plane, terminal shard, timeout) falls back to the
+    // failure (no plane, dead shard, timeout) falls back to the
     // synchronous merge — same bits, just not exercising the plane.
     let mut plane_answer = None;
     if !fresh {
-        if let (Some(handle), Some(epoch)) = (engine.handle(), engine.force_publish()) {
+        if let (Some(handle), Some(epoch)) = (engine.read_handle(), engine.publish_now()) {
             if handle.wait_for_epoch(epoch, PUBLISH_WAIT_MS) {
                 if let (Some(view), Some(report)) = (handle.query(), handle.report(contract)) {
                     plane_answer = Some((report, view.estimator().frame_digest()));

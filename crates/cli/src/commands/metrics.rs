@@ -9,6 +9,7 @@
 use crate::args::Parsed;
 use crate::io::read_updates;
 use hindex_baseline::CashTable;
+use hindex_common::Engine;
 use hindex_engine::{EngineConfig, ShardedEngine};
 use hindex_obs::EngineObserver;
 use std::io::Read;

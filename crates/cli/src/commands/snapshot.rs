@@ -11,7 +11,9 @@ use crate::args::Parsed;
 use crate::io::read_updates;
 use hindex_baseline::CashTable;
 use hindex_common::snapshot::Snapshot;
-use hindex_common::{CashRegisterEstimator, Delta, Epsilon, Mergeable};
+use hindex_common::{
+    CashRegisterEstimator, Delta, Engine, Epsilon, Estimate, Mergeable, SpaceUsage,
+};
 use hindex_core::{CashRegisterHIndex, CashRegisterParams};
 use hindex_engine::{BatchIngest, EngineCheckpoint, EngineConfig, ShardedEngine};
 use hindex_obs::{EngineObserver, Stopwatch};
@@ -94,7 +96,15 @@ fn checkpoint_bytes<E>(
     prefix: &[(u64, u64)],
 ) -> Result<(Vec<u8>, u64), String>
 where
-    E: BatchIngest<(u64, u64)> + Clone + Mergeable + Snapshot + Send + Sync + 'static,
+    E: BatchIngest<(u64, u64)>
+        + Clone
+        + Mergeable
+        + Snapshot
+        + Estimate
+        + SpaceUsage
+        + Send
+        + Sync
+        + 'static,
 {
     let observer = config.observer().cloned();
     let mut engine = ShardedEngine::new(config, prototype);
@@ -144,7 +154,15 @@ fn restore_and_replay<E>(
     updates: &[(u64, u64)],
 ) -> Result<(u64, u64, usize, usize), String>
 where
-    E: BatchIngest<(u64, u64)> + CashRegisterEstimator + Clone + Mergeable + Snapshot + Send + Sync + 'static,
+    E: BatchIngest<(u64, u64)>
+        + CashRegisterEstimator
+        + Clone
+        + Mergeable
+        + Snapshot
+        + SpaceUsage
+        + Send
+        + Sync
+        + 'static,
 {
     let sw = Stopwatch::start();
     let (checkpoint, _) = EngineCheckpoint::<E>::read_from(bytes)

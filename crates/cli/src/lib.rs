@@ -71,7 +71,7 @@ pub fn usage() -> &'static str {
               SPEC = kill@T:S | fail@T:S=K | stall@T:S=MS | corrupt@T:S | sweep@T=STRIDE\n\
               | rand=N@SEED, comma-separated)  --ckpt-interval N (4)\n\
               --max-restarts R (8)  --replay-words W (1048576)\n\
-              --publish-interval N (0: off; answer from the lock-free read plane,\n\
+              --publish-interval N (0: off; answer from the read plane,\n\
               publishing a merged view every N items)  --fresh on (force a\n\
               synchronous merge even when a read plane is attached)\n\
        metrics run an instrumented engine, print Prometheus-style metrics\n\

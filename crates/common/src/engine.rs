@@ -1,19 +1,15 @@
-//! The unified engine abstraction every ingestion pipeline implements.
+//! The verb set of a sharded ingestion engine.
 //!
-//! The workspace grows its engines as *policy layers* over one shared
-//! shard runtime (see `hindex-engine`): the plain [`ShardedEngine`]
-//! fails hard on worker death, the [`SupervisedEngine`] heals through
-//! it. Both speak the same verb set, captured here as the [`Engine`]
-//! trait so drivers (CLI, benches, tests) can be written once and
-//! handed either policy.
+//! `hindex-engine` has one engine type, `Shards`, under two names: the
+//! fail-hard `ShardedEngine` (a restart budget of zero) and the
+//! self-healing `SupervisedEngine`. Its verbs are defined once, as the
+//! engine's implementation of the [`Engine`] trait here, so drivers
+//! (CLI, benches, tests) are written once and handed either name.
 //!
 //! The trait lives in `hindex-common` — below the engine crate — so it
 //! can be named by any crate without a dependency on the engine
 //! implementation. Engine-specific vocabulary (errors, checkpoints,
 //! reports) enters through associated types.
-//!
-//! [`ShardedEngine`]: ../hindex_engine/struct.ShardedEngine.html
-//! [`SupervisedEngine`]: ../hindex_engine/struct.SupervisedEngine.html
 
 use crate::approx::Guarantee;
 
@@ -29,7 +25,7 @@ pub struct Degraded<E> {
 
 /// The whole verb set of a sharded ingestion engine over items of type
 /// `T`: feed, flush, query (strict, lossy, or reported), persist, and
-/// retire. Implemented by both engine policies in `hindex-engine`.
+/// retire. Implemented once, by the engine in `hindex-engine`.
 ///
 /// Semantics every implementation must honour:
 ///

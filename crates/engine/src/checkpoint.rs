@@ -23,7 +23,7 @@ impl<E> EngineCheckpoint<E> {
     }
 
     /// Re-attaches an instrumentation sink before a
-    /// [`ShardedEngine::restore`](crate::ShardedEngine::restore).
+    /// [`ShardedEngine::restore`](crate::Shards::restore).
     /// Observers are never serialised (a decoded checkpoint carries
     /// none), so recovery paths call this to keep instrumenting across
     /// a crash boundary. The observer must be sized to the

@@ -145,10 +145,10 @@ impl EngineConfigBuilder {
     }
 
     /// Enables the read plane: publish an epoch view every `interval`
-    /// routed items (see [`ShardedEngine::read_handle`]). Must be ≥ 1
-    /// or [`Self::build`] rejects the config.
+    /// routed items (see [`Shards::read_handle`]). Must be ≥ 1 or
+    /// [`Self::build`] rejects the config.
     ///
-    /// [`ShardedEngine::read_handle`]: crate::ShardedEngine::read_handle
+    /// [`Shards::read_handle`]: crate::Shards::read_handle
     #[must_use]
     pub fn publish_interval(mut self, interval: u64) -> Self {
         self.config.publish_interval = Some(interval);
@@ -177,13 +177,15 @@ impl EngineConfigBuilder {
     }
 }
 
-/// Knobs of the self-healing layer (see [`crate::SupervisedEngine`]).
+/// Knobs of the self-healing engine (see [`crate::SupervisedEngine`]).
 ///
 /// The defaults favour cheap steady-state operation: a micro-checkpoint
 /// every 4 batches, a 1 Mi-word replay budget per shard, 4 restarts per
-/// shard before the supervisor gives the shard up, and no backoff (so
+/// shard before the engine gives the shard up, and no backoff (so
 /// deterministic tests run at full speed — production chaos runs set
-/// `backoff_ms`).
+/// `backoff_ms`). A `max_restarts` of 0 is the fail-hard policy
+/// [`crate::ShardedEngine::new`] builds: no frames, no replay log, and
+/// the first death is terminal.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Batches between per-shard micro-checkpoints. Must be ≥ 1; the
@@ -196,7 +198,8 @@ pub struct SupervisorConfig {
     /// honestly *unrecoverable* — a crash then is terminal, never a
     /// silently wrong answer.
     pub max_replay_words: usize,
-    /// Restarts per shard before the supervisor declares it dead.
+    /// Restarts per shard before the engine declares it dead. `0`
+    /// turns supervision off (the other knobs then go unused).
     pub max_restarts: u32,
     /// Base backoff before a restart, in milliseconds; doubles per
     /// consecutive restart of the same shard (capped at 64×). `0`

@@ -60,7 +60,7 @@ impl std::error::Error for EngineError {}
 /// approximation contract it was computed under, the space spent, how
 /// degraded the answer is, and — when the engine is instrumented — a
 /// full metrics snapshot. Produced by
-/// [`ShardedEngine::report`](crate::ShardedEngine::report).
+/// the engine's [`report`](hindex_common::Engine::report) verb.
 #[derive(Debug, Clone)]
 pub struct QueryReport {
     /// The merged H-index estimate.

@@ -1,10 +1,9 @@
-//! Deterministic fault injection for chaos-testing the supervisor.
+//! Deterministic fault injection for chaos-testing supervision.
 //!
 //! A [`FaultPlan`] is a finite, ordered set of faults — kill a shard's
 //! worker at a stream tick, fail the next *k* sends to a shard, stall
-//! a worker, corrupt a micro-checkpoint frame — that the
-//! [`SupervisedEngine`](crate::SupervisedEngine) checks at every batch
-//! dispatch. Fault *decisions* are pure functions of the plan and the
+//! a worker, corrupt a micro-checkpoint frame — that the engine checks
+//! at every batch dispatch, before it drains frames. Fault *decisions* are pure functions of the plan and the
 //! engine's logical tick, so a seeded chaos run is replayable: the
 //! same plan against the same stream injects the same faults at the
 //! same points and (within replay-log bounds) recovers to the same
@@ -39,9 +38,12 @@ pub enum FaultKind {
     /// Make the worker sleep `arg` milliseconds (delays checkpoint
     /// arrival and backpressures the router; never changes results).
     Stall,
-    /// Corrupt the next micro-checkpoint frame the supervisor drains
-    /// from the shard — the frame checksum catches it and recovery
-    /// falls back to an older frame, or degrades honestly.
+    /// Corrupt one micro-checkpoint frame: the first one, as the
+    /// engine drains it, whose batch ordinal is at least the number of
+    /// batches dispatched to the shard before the fault fired. The
+    /// frame checksum catches it and recovery falls back to an older
+    /// frame, or degrades honestly. Under a zero restart budget there
+    /// are no frames, so nothing is corrupted.
     Corrupt,
 }
 
@@ -162,7 +164,8 @@ impl FaultPlan {
     /// * `kill@T:S` — kill shard `S` at tick `T`
     /// * `fail@T:S=K` — fail the next `K` sends to shard `S` from tick `T`
     /// * `stall@T:S=MS` — stall shard `S` for `MS` ms at tick `T`
-    /// * `corrupt@T:S` — corrupt shard `S`'s next micro-checkpoint after tick `T`
+    /// * `corrupt@T:S` — at tick `T`, corrupt shard `S`'s first frame whose
+    ///   ordinal is at least the batches dispatched to `S` so far
     /// * `sweep@T=STRIDE` — kill every shard once, shard `s` at `T + s×STRIDE`
     /// * `rand=N@SEED` — `N` seeded random faults; `SEED` may be `now`
     ///   (wall-clock seed, echoed in [`FaultPlan::seed`])
@@ -259,7 +262,7 @@ fn wall_clock_seed() -> u64 {
 }
 
 /// Delivers an injected kill on the worker thread. The panic is the
-/// product here: it must unwind the real worker so the supervisor's
+/// product here: it must unwind the real worker so the engine's
 /// join/harvest/respawn path is exercised end to end, exactly as a
 /// genuine estimator bug would.
 pub(crate) fn detonate(msg: &str) -> ! {

@@ -6,11 +6,11 @@
 //! ingestion pipeline, structured as explicit layers:
 //!
 //! ```text
-//!   routing layer   router.rs   item→shard assignment, batching, tick
-//!   runtime core    runtime.rs  the one worker loop + lifecycle
-//!   policy layers   lib.rs      ShardedEngine   (fail-hard)
-//!                   supervisor.rs SupervisedEngine (self-healing)
-//!   read plane      read_plane.rs epoch-published views, ReadHandle
+//!   routing layer   router.rs      item→shard assignment, batching, tick
+//!   runtime core    runtime.rs     the one worker loop + command set
+//!   engine          lib.rs         Shards: constructors + the Engine verbs
+//!   lifecycle       supervisor.rs  delivery, worker death, heal, faults
+//!   read plane      read_plane.rs  epoch-published views, ReadHandle
 //! ```
 //!
 //! ```text
@@ -23,11 +23,17 @@
 //!                          publish: epoch views ─▶ aggregator ─▶ ReadHandle
 //! ```
 //!
-//! * The caller owns a [`ShardedEngine`] and feeds items one at a time
-//!   ([`ShardedEngine::ingest`]) or in slices
-//!   ([`ShardedEngine::ingest_batch`]). Items accumulate in per-shard
-//!   batches and are handed to worker threads over bounded channels,
-//!   so a slow shard exerts backpressure instead of ballooning memory.
+//! * There is one engine type, [`Shards`], under two names with two
+//!   constructor sets: [`ShardedEngine::new`] (fail-hard) and
+//!   [`SupervisedEngine::new`] / [`SupervisedEngine::with_faults`]
+//!   (self-healing). Fail-hard is supervision with a restart budget of
+//!   zero, so both run the same verbs, the same delivery path, and the
+//!   same worker-death path; see [Self-healing](#self-healing).
+//! * The caller feeds items one at a time or in slices through the
+//!   [`Engine`] verbs (`ingest`, `ingest_batch`). Items accumulate in
+//!   per-shard batches and are handed to worker threads over bounded
+//!   channels, so a slow shard exerts backpressure instead of
+//!   ballooning memory.
 //! * Cash-register updates route by a hash of the paper index, so all
 //!   updates to one paper land on one shard; aggregate values route
 //!   round-robin. Routing is the [`Routable`] trait — any partition is
@@ -37,16 +43,10 @@
 //!   Cloning (rather than building per shard) is what satisfies
 //!   [`Mergeable`]'s shared-randomness precondition: the linear
 //!   sketches inside then merge to exactly the single-stream state.
-//! * Queries are *anytime*: [`ShardedEngine::query`] flushes pending
-//!   batches, snapshots every shard in place, and merges the snapshots
-//!   into one estimator without stopping ingestion.
-//!   [`ShardedEngine::finish`] retires the workers and returns the
-//!   final merged estimator.
-//! * Both engines — the fail-hard [`ShardedEngine`] and the
-//!   self-healing [`SupervisedEngine`] — are thin policy layers over
-//!   the same runtime core (one worker loop, one command set, one
-//!   router) and implement the same
-//!   [`Engine`] trait, so drivers are written once and handed either.
+//! * Queries are *anytime*: `query` flushes pending batches, snapshots
+//!   every shard in place, and merges the snapshots into one estimator
+//!   without stopping ingestion. `finish` retires the workers and
+//!   returns the final merged estimator.
 //!
 //! Estimators plug in through [`BatchIngest`], which is implemented
 //! automatically for every
@@ -66,10 +66,10 @@
 //! batches and threads an epoch marker through every shard's channel;
 //! the shards' state clones are merged off-thread and swapped into an
 //! epoch-versioned cell that any number of cloned [`ReadHandle`]s
-//! query with `&self` — concurrent readers never block the router or
-//! each other, and every published view is bit-identical to an
-//! on-demand merge at the view's recorded offset. See
-//! [`read_plane`](crate::ReadHandle) and `docs/ENGINE.md` for the
+//! query with `&self`. Readers never touch the router or the workers;
+//! each read takes a brief read lock around an `Arc` clone. Every
+//! published view is bit-identical to an on-demand merge at the view's
+//! recorded offset. See [`ReadHandle`] and `docs/ENGINE.md` for the
 //! epoch/staleness contract.
 //!
 //! # Concurrency audit
@@ -92,43 +92,45 @@
 //!    single-threaded and asserts bit-identical merged state.
 //! 3. **No shared mutable state.** Workers own their estimator clones;
 //!    the only cross-thread traffic is by-value message passing
-//!    (`sync_channel`) plus the read plane's epoch cell (a monotone
-//!    atomic over `Arc`-swapped immutable views), queries clone a
-//!    snapshot rather than lock, and `#![forbid(unsafe_code)]` (lint
-//!    L4) rules out hand-rolled sharing. A worker that panics poisons
-//!    nothing: the engine marks the shard dead, harvests the panic
-//!    payload, and `finish`/`query` return [`EngineError::ShardDead`]
-//!    carrying it — the shard's updates are lost, so no exact answer
-//!    exists. Callers that prefer a lossy answer over none opt in
-//!    explicitly via [`ShardedEngine::query_degraded`] /
-//!    [`ShardedEngine::finish_degraded`], which merge the surviving
-//!    shards and report which ones are missing.
+//!    (`sync_channel`) plus the read plane's epoch cell (an atomic
+//!    epoch over one `RwLock`-guarded `Arc` of an immutable view),
+//!    queries clone a snapshot rather than lock, and
+//!    `#![forbid(unsafe_code)]` (lint L4) rules out hand-rolled
+//!    sharing. A worker that panics poisons nothing: the engine joins
+//!    it, harvests the panic payload, and — once healing is out of
+//!    budget — `finish`/`query` return [`EngineError::ShardDead`]
+//!    carrying it. Callers that prefer a lossy answer over none opt in
+//!    explicitly via `query_degraded` / `finish_degraded`, which merge
+//!    the surviving shards and report which ones are missing.
 //!
 //! # Crash recovery
 //!
-//! [`ShardedEngine::checkpoint`] flushes, snapshots every shard, and
-//! packages the states with the engine geometry and the stream offset
-//! (items routed so far) into an [`EngineCheckpoint`] — a
-//! [`Snapshot`](hindex_common::Snapshot)-serialisable value when the
-//! estimator is. [`ShardedEngine::restore`] validates the checkpoint
-//! and respawns the workers from those states; replaying the stream
-//! from [`EngineCheckpoint::stream_offset`] then reproduces the
-//! never-killed run bit for bit (routing is a pure function of
-//! `(item, tick)` and the tick is part of the checkpoint).
+//! `checkpoint` flushes, snapshots every shard, and packages the states
+//! with the engine geometry and the stream offset (items routed so far)
+//! into an [`EngineCheckpoint`] — a
+//! [`Snapshot`]-serialisable value when the estimator is.
+//! [`ShardedEngine::restore`] validates the checkpoint and respawns the
+//! workers from those states; replaying the stream from
+//! [`EngineCheckpoint::stream_offset`] then reproduces the never-killed
+//! run bit for bit (routing is a pure function of `(item, tick)` and
+//! the tick is part of the checkpoint).
 //!
 //! # Self-healing
 //!
-//! [`SupervisedEngine`] runs the same workers under a supervisor that
-//! takes per-shard micro-checkpoints every
-//! [`SupervisorConfig::checkpoint_interval`] batches (encoded on the
-//! worker thread, so the router never stalls), keeps a bounded replay
-//! log of batches since each shard's last micro-checkpoint, and on
-//! worker death respawns the shard from its checkpoint and replays the
-//! log — bit-identical to an uninterrupted run. A deterministic,
-//! seeded [`FaultPlan`] injects worker kills, send failures, stalls,
-//! and checkpoint corruption for chaos testing (`hindex engine
-//! --faults`). See `docs/RECOVERY.md` for the supervision state
-//! machine and the degradation ladder.
+//! With a nonzero [`SupervisorConfig::max_restarts`], every worker
+//! encodes a per-shard micro-checkpoint every
+//! [`SupervisorConfig::checkpoint_interval`] batches (on the worker
+//! thread, so the router never stalls), the engine keeps a bounded
+//! replay log of batches since each shard's last micro-checkpoint, and
+//! on worker death it respawns the shard from its checkpoint and
+//! replays the log — bit-identical to an uninterrupted run. With a
+//! budget of zero (what [`ShardedEngine::new`] builds) the engine
+//! spawns no frame hook, keeps no log, and moves each batch to its
+//! worker; a death is terminal at once. A deterministic, seeded
+//! [`FaultPlan`] injects worker kills, send failures, stalls, and
+//! checkpoint corruption for chaos testing (`hindex engine --faults`).
+//! See `docs/RECOVERY.md` for the supervision state machine and the
+//! degradation ladder.
 //!
 //! # Observability
 //!
@@ -145,10 +147,10 @@
 //! they fire from the aggregator and reader threads and are excluded
 //! from determinism diffs, like queue depths.) An uninstrumented
 //! engine pays one branch-on-`None` per batch boundary — the
-//! `obs_overhead` bench group holds this under 5%.
-//! [`ShardedEngine::report`] packages a query, the approximation
-//! contract, space, degradation, and the metrics snapshot into one
-//! typed [`QueryReport`] for CLI/bench boundaries.
+//! `obs_overhead` bench group holds this under 5%. `report` packages a
+//! query, the approximation contract, space, degradation, and the
+//! metrics snapshot into one typed [`QueryReport`] for CLI/bench
+//! boundaries.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -170,18 +172,17 @@ pub use faults::{FaultKind, FaultPlan};
 pub use hindex_common::{Degraded, Engine};
 pub use read_plane::{ReadHandle, ReadView};
 pub use router::{mix64, Routable};
-pub use supervisor::SupervisedEngine;
 
-use error::panic_message;
+use faults::Fault;
 use hindex_common::{
     AggregateEstimator, BankCounters, CashRegisterEstimator, Estimate, Guarantee, Mergeable,
-    SpaceUsage, TurnstileEstimator,
+    Snapshot, SpaceUsage, TurnstileEstimator,
 };
 use hindex_obs::Stopwatch;
 use read_plane::ReadPlane;
 use router::Router;
-use runtime::{merge_all, spawn_worker, Command, WorkerCtx};
-use std::sync::mpsc::SyncSender;
+use runtime::{merge_all, Command};
+use supervisor::Shard;
 
 /// Batched ingestion of stream items of type `T`.
 ///
@@ -223,14 +224,29 @@ impl<E: TurnstileEstimator> BatchIngest<(u64, i64)> for E {
     }
 }
 
+/// The fail-hard engine: [`Shards`] with a restart budget of zero. A
+/// dead worker's shard is lost, and strict queries refuse until the
+/// caller opts into degradation.
+pub type ShardedEngine<E, T> = Shards<E, T, false>;
+
+/// The self-healing engine: [`Shards`] under a [`SupervisorConfig`].
+/// Worker death triggers restart-from-micro-checkpoint plus replay
+/// instead of data loss, bounded by the restart budget and the
+/// replay-log budget.
+pub type SupervisedEngine<E, T> = Shards<E, T, true>;
+
 /// A multi-threaded sharded ingestion pipeline around a [`Mergeable`]
-/// estimator — the *fail-hard* policy over the shared shard runtime:
-/// a dead worker makes strict queries refuse until the caller opts
-/// into degradation. (The self-healing policy is [`SupervisedEngine`];
-/// both implement [`Engine`].)
+/// estimator: the one engine behind [`ShardedEngine`] and
+/// [`SupervisedEngine`]. Its verbs are the [`Engine`] trait's.
+///
+/// `HEAL` only selects the constructor set (and keeps the two names
+/// distinct types). Behaviour follows from
+/// [`SupervisorConfig::max_restarts`]: at zero the engine spawns no
+/// frame hook, keeps no replay log, and a dead shard is terminal at
+/// once; above zero it heals (see the crate docs).
 ///
 /// ```
-/// use hindex_common::{CashRegisterEstimator, Estimate, SpaceUsage};
+/// use hindex_common::{Engine, Estimate};
 /// use hindex_baseline::CashTable;
 /// use hindex_engine::{EngineConfig, ShardedEngine};
 ///
@@ -245,35 +261,52 @@ impl<E: TurnstileEstimator> BatchIngest<(u64, i64)> for E {
 /// assert_eq!(exact.estimate(), 34); // 100 papers at 34, 200 at 33
 /// ```
 ///
+/// The self-healing name survives worker death exactly:
+///
+/// ```
+/// use hindex_baseline::CashTable;
+/// use hindex_common::{Engine, Estimate};
+/// use hindex_engine::{EngineConfig, FaultPlan, SupervisedEngine, SupervisorConfig};
+///
+/// let config = EngineConfig::builder().shards(2).batch(8).build().unwrap();
+/// // Kill both workers mid-stream; recovery is exact.
+/// let plan = FaultPlan::kill_sweep(2, 100, 200);
+/// let mut engine =
+///     SupervisedEngine::with_faults(config, SupervisorConfig::default(), plan, CashTable::new())
+///         .unwrap();
+/// for k in 0..1_000u64 {
+///     engine.ingest((k % 40, 1));
+/// }
+/// assert_eq!(engine.finish().unwrap().estimate(), 25);
+/// ```
+///
 /// Attach an [`EngineObserver`](hindex_obs::EngineObserver) through
 /// the builder to get metrics, traces, and a [`QueryReport`] — see the
 /// crate docs and `docs/OBSERVABILITY.md`. Configure a
-/// `publish_interval` and clone [`ShardedEngine::read_handle`] into
-/// reader threads for lock-free concurrent queries.
-pub struct ShardedEngine<E, T> {
+/// `publish_interval` and clone [`Shards::read_handle`] into reader
+/// threads for concurrent queries that never touch the router.
+pub struct Shards<E, T, const HEAL: bool> {
     config: EngineConfig,
-    /// Routing + batching + stream offset (shared with the supervisor).
+    sup: SupervisorConfig,
+    /// Planned faults, each with whether it has fired.
+    plan: Vec<(Fault, bool)>,
+    /// Per-shard worker lineage and supervision record.
+    shards: Vec<Shard<E, T>>,
+    /// Routing + batching + stream offset.
     router: Router<T>,
-    senders: Vec<SyncSender<Command<E, T>>>,
-    handles: Vec<Option<std::thread::JoinHandle<E>>>,
-    /// Shards whose worker has died (send or join failed); their
-    /// updates are lost and strict queries refuse to answer.
-    dead: Vec<bool>,
-    /// Panic payload harvested from each dead shard's worker, when one
-    /// was recoverable.
-    dead_reason: Vec<Option<String>>,
     /// The read plane, when `publish_interval` is configured. Dropped
     /// after the workers are joined (see `Drop`), which is what lets
     /// the aggregator drain and exit.
     plane: Option<ReadPlane<E>>,
 }
 
-impl<E, T> ShardedEngine<E, T>
+impl<E, T> Shards<E, T, false>
 where
-    E: BatchIngest<T> + Mergeable + Clone + Send + Sync + 'static,
-    T: Routable + Send + 'static,
+    E: BatchIngest<T> + Mergeable + Snapshot + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
+    T: Routable + Clone + Send + 'static,
 {
-    /// Spawns the worker shards, each owning a clone of `prototype`.
+    /// Spawns the worker shards, each owning a clone of `prototype`,
+    /// under a restart budget of zero.
     ///
     /// The prototype carries the randomness every shard shares — build
     /// it once from a seeded RNG (e.g. via
@@ -282,15 +315,18 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if any [`EngineConfig`] field is zero.
+    /// Panics if any [`EngineConfig`] geometry field is zero.
     #[must_use]
     pub fn new(config: EngineConfig, prototype: E) -> Self {
-        let states = (0..config.shards.max(1)).map(|_| prototype.clone()).collect();
-        Self::spawn(config, states, 0)
+        assert!(config.shards >= 1, "need at least one shard");
+        assert!(config.batch_size >= 1, "batch_size must be positive");
+        assert!(config.queue_depth >= 1, "queue_depth must be positive");
+        let states = vec![prototype; config.shards];
+        Self::spawn_all(config, fail_hard(), FaultPlan::none(), states, 0)
     }
 
-    /// Respawns an engine from a [`ShardedEngine::checkpoint`]: one
-    /// worker per checkpointed shard state, with the stream offset
+    /// Respawns an engine from a checkpoint (taken under either name):
+    /// one worker per checkpointed shard state, with the stream offset
     /// restored, so replaying the input from
     /// [`EngineCheckpoint::stream_offset`] continues the original run
     /// bit for bit.
@@ -306,42 +342,93 @@ where
     pub fn restore(checkpoint: EngineCheckpoint<E>) -> Result<Self, EngineError> {
         let sw = Stopwatch::start();
         checkpoint.validate()?;
-        let shard_states = checkpoint.shards.len() as u64;
-        let engine = Self::spawn(checkpoint.config, checkpoint.shards, checkpoint.tick);
+        let states = checkpoint.shards.len() as u64;
+        let engine = Self::spawn_all(
+            checkpoint.config,
+            fail_hard(),
+            FaultPlan::none(),
+            checkpoint.shards,
+            checkpoint.tick,
+        );
         if let Some(o) = &engine.config.observer {
-            o.on_restore(engine.router.tick(), shard_states, sw.elapsed_nanos());
+            o.on_restore(engine.router.tick(), states, sw.elapsed_nanos());
         }
         Ok(engine)
     }
+}
 
-    fn spawn(config: EngineConfig, states: Vec<E>, tick: u64) -> Self {
-        assert!(config.shards >= 1, "need at least one shard");
-        assert!(config.batch_size >= 1, "batch_size must be positive");
-        assert!(config.queue_depth >= 1, "queue_depth must be positive");
-        assert_eq!(states.len(), config.shards, "one state per shard");
+impl<E, T> Shards<E, T, true>
+where
+    E: BatchIngest<T> + Mergeable + Snapshot + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
+    T: Routable + Clone + Send + 'static,
+{
+    /// Supervised engine without injected faults.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::InvalidConfig`] when either config fails
+    /// validation (this constructor never panics on geometry).
+    pub fn new(
+        config: EngineConfig,
+        sup: SupervisorConfig,
+        prototype: E,
+    ) -> Result<Self, EngineError> {
+        Self::with_faults(config, sup, FaultPlan::none(), prototype)
+    }
+
+    /// Supervised engine with a deterministic chaos plan.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::InvalidConfig`] when either config fails
+    /// validation.
+    pub fn with_faults(
+        config: EngineConfig,
+        sup: SupervisorConfig,
+        plan: FaultPlan,
+        prototype: E,
+    ) -> Result<Self, EngineError> {
+        config.validate()?;
+        sup.validate()?;
+        let states = vec![prototype; config.shards];
+        Ok(Self::spawn_all(config, sup, plan, states, 0))
+    }
+}
+
+/// The supervision knobs of the fail-hard name: no restarts.
+fn fail_hard() -> SupervisorConfig {
+    SupervisorConfig { max_restarts: 0, ..SupervisorConfig::default() }
+}
+
+impl<E, T, const HEAL: bool> Shards<E, T, HEAL>
+where
+    E: BatchIngest<T> + Mergeable + Snapshot + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
+    T: Routable + Clone + Send + 'static,
+{
+    /// Spawns one worker per state; `tick` is the restored stream
+    /// offset (0 for a fresh engine).
+    fn spawn_all(
+        config: EngineConfig,
+        sup: SupervisorConfig,
+        plan: FaultPlan,
+        states: Vec<E>,
+        tick: u64,
+    ) -> Self {
         let plane = config
             .publish_interval
             .map(|interval| ReadPlane::new(config.shards, interval, config.observer.clone()));
-        let mut senders = Vec::with_capacity(config.shards);
-        let mut handles = Vec::with_capacity(config.shards);
-        for (shard, estimator) in states.into_iter().enumerate() {
-            let ctx = WorkerCtx {
-                views: plane.as_ref().and_then(ReadPlane::view_sender),
-                ..WorkerCtx::plain(shard)
-            };
-            let lineage = spawn_worker(config.queue_depth, estimator, 0, ctx);
-            senders.push(lineage.sender);
-            handles.push(Some(lineage.handle));
-        }
-        Self {
-            dead: vec![false; config.shards],
-            dead_reason: vec![None; config.shards],
+        let mut engine = Self {
             router: Router::new(config.shards, config.batch_size, tick),
-            config,
-            senders,
-            handles,
+            plan: plan.faults.into_iter().map(|f| (f, false)).collect(),
+            shards: (0..config.shards).map(|_| Shard::new(&sup)).collect(),
             plane,
+            config,
+            sup,
+        };
+        for (shard, state) in states.into_iter().enumerate() {
+            engine.spawn(shard, state, 0);
         }
+        engine
     }
 
     /// The configuration in effect.
@@ -350,46 +437,10 @@ where
         &self.config
     }
 
-    /// Routes one item to its shard; hands the shard's batch to the
-    /// worker when it reaches `batch_size` (blocking if that shard's
-    /// queue is full), and publishes a read-plane epoch when one is
-    /// due.
-    pub fn ingest(&mut self, item: T) {
-        if let Some((shard, batch)) = self.router.push(item) {
-            self.send(shard, batch);
-        }
-        if self.plane.as_ref().is_some_and(|p| p.due(self.router.tick())) {
-            let _ = self.publish_now();
-        }
-    }
-
-    /// Ingests every item of a slice, then notes the batch in the
-    /// observer (one `PushBatch` event per call, not per item).
-    pub fn ingest_batch(&mut self, items: &[T])
-    where
-        T: Copy,
-    {
-        for &item in items {
-            self.ingest(item);
-        }
-        if let Some(o) = &self.config.observer {
-            o.on_push_batch(self.router.tick(), items.len() as u64);
-        }
-    }
-
-    /// Sends all pending partial batches to their shards.
-    pub fn flush(&mut self) {
-        for shard in 0..self.config.shards {
-            if let Some(o) = &self.config.observer {
-                o.on_queue_depth(shard, self.router.pending(shard) as u64);
-            }
-            if let Some(batch) = self.router.take(shard) {
-                self.send(shard, batch);
-            }
-        }
-        if let Some(plane) = &self.plane {
-            plane.note_offset(self.router.tick());
-        }
+    /// Items buffered locally, not yet handed to any worker.
+    #[must_use]
+    pub fn buffered_items(&self) -> usize {
+        self.router.buffered_items()
     }
 
     /// A cloneable, `&self` handle onto the engine's published views,
@@ -402,100 +453,168 @@ where
     }
 
     /// Forces a read-plane publish at the current stream offset and
-    /// returns the epoch issued, or `None` when the engine has no read
-    /// plane. The epoch completes asynchronously — pair with
-    /// [`ReadHandle::wait_for_epoch`] when the completed view is
-    /// needed. Flushes first, so the published view covers exactly
-    /// [`Self::stream_offset`] items.
+    /// returns the epoch issued. `None` when the engine has no read
+    /// plane, or once any shard is dead for good: an epoch completes
+    /// only when every shard contributes, and a published view is never
+    /// degraded. Flushes and heals first; a worker found dead while the
+    /// markers go out is healed and handed its marker behind the
+    /// replay. So the epoch covers exactly
+    /// [`stream_offset`](Engine::stream_offset) items when it completes
+    /// — asynchronously; pair with [`ReadHandle::wait_for_epoch`] when
+    /// the completed view is needed.
     pub fn publish_now(&mut self) -> Option<u64> {
         self.plane.as_ref()?;
         self.flush();
+        for shard in 0..self.shards.len() {
+            self.ensure_live(shard);
+        }
+        if self.shards.iter().any(|s| s.terminal.is_some()) {
+            return None;
+        }
         let offset = self.router.tick();
         let epoch = self.plane.as_mut()?.begin_epoch(offset);
-        for shard in 0..self.config.shards {
-            if self.dead[shard] {
-                continue; // incomplete epoch: never published
-            }
-            if self.senders[shard].send(Command::Publish { epoch, offset }).is_err() {
-                self.mark_dead(shard);
+        for shard in 0..self.shards.len() {
+            let marker = || Command::Publish { epoch, offset };
+            while self.shards[shard].sender.as_ref().is_none_or(|tx| tx.send(marker()).is_err()) {
+                self.join_lineage(shard);
+                if !self.heal(shard) {
+                    return None; // the issued epoch stays incomplete
+                }
             }
         }
         Some(epoch)
     }
 
-    /// Anytime query: flushes, snapshots every shard *in place* (the
-    /// workers keep running), and merges the snapshots into a single
-    /// estimator equivalent to one that ingested everything pushed so
-    /// far. Returns [`EngineError::ShardDead`] if any worker has died —
-    /// an exact answer no longer exists; see
-    /// [`Self::query_degraded`] for the explicit lossy alternative.
-    pub fn query(&mut self) -> Result<E, EngineError> {
+    /// The query path: flushes, snapshots every shard, and merges the
+    /// live ones. `strict` refuses once any shard is dead for good.
+    fn merged(&mut self, strict: bool) -> Result<Degraded<E>, EngineError> {
         self.flush();
         let states = self.snapshot_states();
-        if let Some(err) = self.first_dead_error() {
+        if let Some(err) = self.first_dead_error().filter(|_| strict) {
             return Err(err);
         }
-        if let Some(o) = &self.config.observer {
-            o.on_merge(self.router.tick(), self.config.shards as u64);
-        }
-        let merged = merge_all(states).ok_or(EngineError::AllShardsDead)?;
-        self.observe_bank(&merged);
-        Ok(merged)
-    }
-
-    /// Surfaces the merged estimator's bank-kernel totals to the
-    /// observer (router thread, query boundary). A no-op for
-    /// estimators without a bank path or when the kernel never ran.
-    fn observe_bank(&self, merged: &E) {
-        if let Some(o) = &self.config.observer {
-            if let Some(bank) = merged.bank_counters() {
-                if !bank.is_empty() {
-                    o.on_bank_batch(self.router.tick(), &bank);
-                }
-            }
-        }
-    }
-
-    /// Lossy anytime query: merges whatever shards still live and
-    /// reports the dead ones. Only errs when *no* shard survives.
-    pub fn query_degraded(&mut self) -> Result<Degraded<E>, EngineError> {
-        self.flush();
-        let states = self.snapshot_states();
         let dead_shards = self.dead_shard_indices();
         if let Some(o) = &self.config.observer {
-            let live = self.config.shards - dead_shards.len();
-            o.on_merge(self.router.tick(), live as u64);
+            let tick = self.router.tick();
+            o.on_merge(tick, (self.shards.len() - dead_shards.len()) as u64);
             if !dead_shards.is_empty() {
-                o.on_query_degraded(self.router.tick(), dead_shards.len() as u64);
+                o.on_query_degraded(tick, dead_shards.len() as u64);
             }
         }
-        match merge_all(states) {
-            Some(estimator) => {
-                self.observe_bank(&estimator);
-                Ok(Degraded { estimator, dead_shards })
+        let estimator = merge_all(states).ok_or(EngineError::AllShardsDead)?;
+        // Surface the merged bank-kernel totals (router thread, query
+        // boundary); a no-op when the kernel never ran.
+        if let (Some(o), Some(bank)) = (&self.config.observer, estimator.bank_counters()) {
+            if !bank.is_empty() {
+                o.on_bank_batch(self.router.tick(), &bank);
             }
-            None => Err(EngineError::AllShardsDead),
+        }
+        Ok(Degraded { estimator, dead_shards })
+    }
+
+    /// The retirement path: flushes, joins every worker, and merges the
+    /// survivors. `strict` refuses once any shard is dead for good.
+    fn retire(mut self, strict: bool) -> Result<Degraded<E>, EngineError> {
+        let states = self.join_all();
+        if let Some(err) = self.first_dead_error().filter(|_| strict) {
+            return Err(err);
+        }
+        let dead_shards = self.dead_shard_indices();
+        let estimator = merge_all(states).ok_or(EngineError::AllShardsDead)?;
+        Ok(Degraded { estimator, dead_shards })
+    }
+
+    /// The first terminal shard as a reason-carrying error.
+    fn first_dead_error(&self) -> Option<EngineError> {
+        self.shards.iter().enumerate().find_map(|(shard, s)| {
+            let reason = s.terminal.clone()?;
+            Some(EngineError::ShardDead { shard, reason: Some(reason) })
+        })
+    }
+}
+
+/// The verb set, defined once for both names; the trait docs state the
+/// contract every verb honours.
+impl<E, T, const HEAL: bool> Engine<T> for Shards<E, T, HEAL>
+where
+    E: BatchIngest<T> + Mergeable + Snapshot + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
+    T: Routable + Clone + Send + 'static,
+{
+    type Output = E;
+    type Error = EngineError;
+    type Checkpoint = EngineCheckpoint<E>;
+    type Report = QueryReport;
+
+    /// Routes one item to its shard; hands the shard's batch to the
+    /// worker when it reaches `batch_size` (blocking if that shard's
+    /// queue is full), and publishes a read-plane epoch when one is
+    /// due.
+    fn ingest(&mut self, item: T) {
+        if let Some((shard, batch)) = self.router.push(item) {
+            self.dispatch(shard, batch);
+        }
+        if self.plane.as_ref().is_some_and(|p| p.due(self.router.tick())) {
+            let _ = self.publish_now();
         }
     }
 
-    /// Lossy anytime query packaged as a typed [`QueryReport`]:
-    /// estimate, contract, space, degradation, and (when an observer
-    /// is attached) a metrics snapshot — the one value reporting
-    /// boundaries should hand on. `contract` is the guarantee the
-    /// prototype estimator was built under; pass `None` for exact
-    /// baselines. Always a *fresh* synchronous merge; for the
-    /// published-view flavour (with epoch and staleness filled in) see
-    /// [`ReadHandle::report`].
-    pub fn report(&mut self, contract: Option<Guarantee>) -> Result<QueryReport, EngineError>
+    /// Ingests every item of a slice, then notes the batch in the
+    /// observer (one `PushBatch` event per call, not per item).
+    fn ingest_batch(&mut self, items: &[T])
     where
-        E: Estimate + SpaceUsage,
+        T: Copy,
     {
+        for &item in items {
+            self.ingest(item);
+        }
+        if let Some(o) = &self.config.observer {
+            o.on_push_batch(self.router.tick(), items.len() as u64);
+        }
+    }
+
+    /// Hands every pending partial batch to its shard, and fires due
+    /// faults on shards with none pending (so a planned fault fires
+    /// even on a shard that gets no further traffic).
+    fn flush(&mut self) {
+        for shard in 0..self.shards.len() {
+            if let Some(o) = &self.config.observer {
+                o.on_queue_depth(shard, self.router.pending(shard) as u64);
+            }
+            match self.router.take(shard) {
+                Some(batch) => self.dispatch(shard, batch),
+                None if self.shards[shard].terminal.is_none() => self.apply_faults(shard),
+                None => {}
+            }
+        }
+        if let Some(plane) = &self.plane {
+            plane.note_offset(self.router.tick());
+        }
+    }
+
+    /// Anytime query: flushes, snapshots every shard *in place* (the
+    /// workers keep running; down lineages heal first), and merges the
+    /// snapshots into one estimator equivalent to one that ingested
+    /// everything pushed so far. [`EngineError::ShardDead`] once any
+    /// shard is dead for good — an exact answer no longer exists.
+    fn query(&mut self) -> Result<E, EngineError> {
+        self.merged(true).map(|d| d.estimator)
+    }
+
+    /// Lossy anytime query: merges whatever shards still live and names
+    /// the dead ones. Only errs when *no* shard survives.
+    fn query_degraded(&mut self) -> Result<Degraded<E>, EngineError> {
+        self.merged(false)
+    }
+
+    /// Lossy anytime query packaged as a typed [`QueryReport`]. Always
+    /// a *fresh* synchronous merge; for the published-view flavour
+    /// (with epoch and staleness filled in) see [`ReadHandle::report`].
+    fn report(&mut self, contract: Option<Guarantee>) -> Result<QueryReport, EngineError> {
         let degraded = self.query_degraded()?;
-        let space_words = self.space_words();
         Ok(QueryReport {
             estimate: degraded.estimator.estimate(),
             approx_contract: contract,
-            space_words,
+            space_words: self.space_words(),
             degraded: degraded.dead_shards,
             epoch: None,
             staleness: 0,
@@ -504,11 +623,11 @@ where
     }
 
     /// Checkpoint for crash recovery: flushes, snapshots every shard,
-    /// and returns the per-shard states together with the geometry and
-    /// the stream offset. Strict like [`Self::query`] — a checkpoint
-    /// taken after a shard died would silently drop that shard's
-    /// history on restore.
-    pub fn checkpoint(&mut self) -> Result<EngineCheckpoint<E>, EngineError> {
+    /// and returns the states with the geometry and the stream offset.
+    /// Strict like `query` — a checkpoint taken after a shard died
+    /// would silently drop that shard's history on restore. Supervision
+    /// state (replay logs, budgets) is transient and not persisted.
+    fn checkpoint(&mut self) -> Result<EngineCheckpoint<E>, EngineError> {
         let sw = Stopwatch::start();
         self.flush();
         let states = self.snapshot_states();
@@ -527,286 +646,73 @@ where
         })
     }
 
-    /// Items routed so far (pushed, whether or not yet ingested). After
-    /// a [`Self::restore`], replay the input stream from this offset.
-    #[must_use]
-    pub fn stream_offset(&self) -> u64 {
-        self.router.tick()
-    }
-
-    /// Retires the engine: flushes, joins all workers, and returns the
-    /// merged final estimator. Returns [`EngineError::ShardDead`] if
-    /// any worker died along the way (see [`Self::finish_degraded`]).
-    pub fn finish(mut self) -> Result<E, EngineError> {
-        let states = self.join_workers();
-        if let Some(err) = self.first_dead_error() {
-            return Err(err);
-        }
-        merge_all(states).ok_or(EngineError::AllShardsDead)
-    }
-
-    /// Lossy retirement: merges the shards that survived and reports
-    /// the dead ones. Only errs when no shard survives.
-    pub fn finish_degraded(mut self) -> Result<Degraded<E>, EngineError> {
-        let states = self.join_workers();
-        let dead_shards = self.dead_shard_indices();
-        match merge_all(states) {
-            Some(estimator) => Ok(Degraded { estimator, dead_shards }),
-            None => Err(EngineError::AllShardsDead),
-        }
-    }
-
-    /// Flushes, closes the channels, and joins every worker, marking
-    /// panicked ones dead and harvesting their panic payloads. Shard
-    /// order is preserved (`None` = dead).
-    fn join_workers(&mut self) -> Vec<Option<E>> {
-        self.flush();
-        self.senders.clear(); // workers see channel close and return
-        let mut states = Vec::with_capacity(self.handles.len());
-        for shard in 0..self.handles.len() {
-            let state = match self.handles[shard].take() {
-                Some(handle) => match handle.join() {
-                    Ok(state) => Some(state),
-                    Err(payload) => {
-                        self.note_panicked(shard, panic_message(payload.as_ref()));
-                        None
-                    }
-                },
-                None => None, // already joined when the death was detected
-            };
-            if state.is_none() {
-                self.dead[shard] = true;
-            }
-            states.push(state);
-        }
-        states
-    }
-
-    /// Items buffered locally, not yet handed to any worker.
-    #[must_use]
-    pub fn buffered_items(&self) -> usize {
-        self.router.buffered_items()
-    }
-
-    /// Indices of shards whose workers have died.
-    #[must_use]
-    pub fn dead_shard_indices(&self) -> Vec<usize> {
-        self.dead
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &d)| d.then_some(i))
-            .collect()
-    }
-
-    /// The first dead shard as a reason-carrying error, if any worker
-    /// has died.
-    fn first_dead_error(&self) -> Option<EngineError> {
-        self.dead.iter().position(|&d| d).map(|shard| EngineError::ShardDead {
-            shard,
-            reason: self.dead_reason.get(shard).cloned().flatten(),
-        })
-    }
-
-    /// Marks `shard` dead and eagerly joins its worker to harvest the
-    /// panic payload. Safe to call only once a send or receive on the
-    /// shard's channels has failed — that proves the worker thread has
-    /// already exited, so the join cannot block.
-    fn mark_dead(&mut self, shard: usize) {
-        debug_assert!(shard < self.dead.len(), "shard index computed by the router");
-        if self.dead[shard] {
-            return;
-        }
-        self.dead[shard] = true;
-        if let Some(handle) = self.handles[shard].take() {
-            match handle.join() {
-                // A worker only returns its state when its channel
-                // closes, which cannot happen while we hold the sender;
-                // treat a clean exit as a death with no diagnosis.
-                Ok(_state) => {}
-                Err(payload) => {
-                    let reason = panic_message(payload.as_ref());
-                    self.note_panicked(shard, reason);
-                }
-            }
-        }
-    }
-
-    /// Records a harvested panic payload and traces the death.
-    fn note_panicked(&mut self, shard: usize, reason: String) {
-        debug_assert!(shard < self.dead.len(), "shard index computed by the router");
-        self.dead[shard] = true;
-        if let Some(o) = &self.config.observer {
-            o.on_shard_panicked(self.router.tick(), shard, 1);
-        }
-        if self.dead_reason[shard].is_none() {
-            self.dead_reason[shard] = Some(reason);
-        }
-    }
-
-    /// Hands a batch to a worker. The flush is recorded **only after**
-    /// the handoff succeeds — a batch dropped on a dead shard fires
-    /// `on_batch_lost` instead, so flushed-item telemetry never counts
-    /// updates that no estimator ingested.
-    fn send(&mut self, shard: usize, batch: Vec<T>) {
-        // Callers pass either a loop index over `0..config.shards` or
-        // a `route(shards, …)` result; both are < shards by contract.
-        debug_assert!(shard < self.dead.len() && shard < self.senders.len());
-        let len = batch.len() as u64;
-        let full = batch.len() >= self.config.batch_size;
-        if self.dead[shard] {
-            if let Some(o) = &self.config.observer {
-                o.on_batch_lost(self.router.tick(), shard, len);
-            }
-            return;
-        }
-        if self.senders[shard].send(Command::Batch(batch)).is_err() {
-            self.mark_dead(shard);
-            if let Some(o) = &self.config.observer {
-                o.on_batch_lost(self.router.tick(), shard, len);
-            }
-            return;
-        }
-        if let Some(o) = &self.config.observer {
-            o.on_flush(self.router.tick(), shard, len, full);
-        }
-        if let Some(plane) = &self.plane {
-            plane.note_offset(self.router.tick());
-        }
-    }
-
-    /// Requests an in-place snapshot from every live worker and collects
-    /// the replies in shard order (`None` = dead shard). Snapshot
-    /// requests are *pipelined*: all requests go out before any reply
-    /// is awaited, so the shards clone concurrently and a query stalls
-    /// ingestion for one clone's worth of time, not `shards` of them.
-    /// A send or receive failure yields `None` for that shard; the
-    /// `&mut self` callers fold those back into the dead set via
-    /// [`Self::note_dead`].
-    fn collect_states(&self) -> Vec<Option<E>> {
-        let mut replies = Vec::with_capacity(self.config.shards);
-        for (shard, tx) in self.senders.iter().enumerate() {
-            if self.dead[shard] {
-                replies.push(None);
-                continue;
-            }
-            let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-            replies.push(tx.send(Command::Snapshot(reply_tx)).ok().map(|()| reply_rx));
-        }
-        replies
-            .into_iter()
-            .map(|rx| rx.and_then(|rx| rx.recv().ok()))
-            .collect()
-    }
-
-    /// Snapshots every shard and records newly discovered deaths.
-    fn snapshot_states(&mut self) -> Vec<Option<E>> {
-        let states = self.collect_states();
-        self.note_dead(&states);
-        states
-    }
-
-    fn note_dead(&mut self, states: &[Option<E>]) {
-        for (shard, state) in states.iter().enumerate() {
-            if state.is_none() {
-                self.mark_dead(shard);
-            }
-        }
-    }
-}
-
-/// The [`Engine`] verb set, delegating to the inherent methods — the
-/// plain engine is the fail-hard policy behind the unified interface.
-impl<E, T> Engine<T> for ShardedEngine<E, T>
-where
-    E: BatchIngest<T> + Mergeable + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
-    T: Routable + Send + 'static,
-{
-    type Output = E;
-    type Error = EngineError;
-    type Checkpoint = EngineCheckpoint<E>;
-    type Report = QueryReport;
-
-    fn ingest(&mut self, item: T) {
-        ShardedEngine::ingest(self, item);
-    }
-
-    fn ingest_batch(&mut self, items: &[T])
-    where
-        T: Copy,
-    {
-        ShardedEngine::ingest_batch(self, items);
-    }
-
-    fn flush(&mut self) {
-        ShardedEngine::flush(self);
-    }
-
-    fn query(&mut self) -> Result<E, EngineError> {
-        ShardedEngine::query(self)
-    }
-
-    fn query_degraded(&mut self) -> Result<Degraded<E>, EngineError> {
-        ShardedEngine::query_degraded(self)
-    }
-
-    fn report(&mut self, contract: Option<Guarantee>) -> Result<QueryReport, EngineError> {
-        ShardedEngine::report(self, contract)
-    }
-
-    fn checkpoint(&mut self) -> Result<EngineCheckpoint<E>, EngineError> {
-        ShardedEngine::checkpoint(self)
-    }
-
+    /// Retires the engine: flushes, joins all workers (healing through
+    /// deaths on the last batches while the budget lasts), and returns
+    /// the merged final estimator. Strict like `query`.
     fn finish(self) -> Result<E, EngineError> {
-        ShardedEngine::finish(self)
+        self.retire(true).map(|d| d.estimator)
     }
 
+    /// Lossy retirement: merges the shards that survived and names the
+    /// dead ones. Only errs when no shard survives.
     fn finish_degraded(self) -> Result<Degraded<E>, EngineError> {
-        ShardedEngine::finish_degraded(self)
+        self.retire(false)
     }
 
     fn stream_offset(&self) -> u64 {
-        ShardedEngine::stream_offset(self)
+        self.router.tick()
     }
 
     fn dead_shard_indices(&self) -> Vec<usize> {
-        ShardedEngine::dead_shard_indices(self)
+        let shards = self.shards.iter().enumerate();
+        shards.filter_map(|(i, s)| s.terminal.is_some().then_some(i)).collect()
     }
 }
 
-/// Space of the whole pipeline: the sum of the *live* shard estimators'
-/// space (obtained by snapshot; dead shards hold nothing) plus the
-/// bounded channel capacity, the router's local buffers (one word per
-/// item slot), and the latest published read-plane view, if any.
-impl<E, T> SpaceUsage for ShardedEngine<E, T>
+/// One ledger for both names. `space_words` is the whole pipeline: the
+/// live shard estimators (by snapshot; dead shards hold nothing), the
+/// bounded channel capacity and the router's buffers (one word per
+/// item word), and the latest published view. Recovery state — the
+/// retained micro-checkpoint frames and the replay logs — is
+/// `scratch_words`: transient, and zero under a zero restart budget.
+impl<E, T, const HEAL: bool> SpaceUsage for Shards<E, T, HEAL>
 where
-    E: BatchIngest<T> + Mergeable + Clone + Send + Sync + SpaceUsage + 'static,
-    T: Routable + Send + 'static,
+    E: BatchIngest<T> + Mergeable + Snapshot + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
+    T: Routable + Clone + Send + 'static,
 {
     fn space_words(&self) -> usize {
-        let shard_words: usize = self
-            .collect_states()
+        let replies: Vec<_> = (0..self.shards.len()).filter_map(|s| self.request(s)).collect();
+        let shard_words: usize = replies
             .iter()
-            .flatten()
-            .map(SpaceUsage::space_words)
+            .filter_map(|rx| rx.recv().ok())
+            .map(|state| state.space_words())
             .sum();
         let item_words = std::mem::size_of::<T>().div_ceil(std::mem::size_of::<u64>());
         let channel_words =
             self.config.shards * self.config.queue_depth * self.config.batch_size * item_words;
         let view_words = self
-            .plane
-            .as_ref()
-            .and_then(|p| p.handle().query())
+            .read_handle()
+            .and_then(|h| h.query())
             .map_or(0, |v| v.estimator().space_words());
         shard_words + channel_words + self.buffered_items() * item_words + view_words
     }
+
+    fn scratch_words(&self) -> usize {
+        self.shards.iter().filter_map(|s| s.recovery.as_ref()).map(|r| r.words()).sum()
+    }
 }
 
-impl<E, T> Drop for ShardedEngine<E, T> {
+impl<E, T, const HEAL: bool> Drop for Shards<E, T, HEAL> {
     fn drop(&mut self) {
-        self.senders.clear();
-        for handle in self.handles.drain(..).flatten() {
-            let _ = handle.join();
+        // Close every channel before joining any worker, so the shards
+        // drain their queues concurrently.
+        for s in &mut self.shards {
+            s.sender = None;
+        }
+        for s in &mut self.shards {
+            if let Some(handle) = s.handle.take() {
+                let _ = handle.join();
+            }
         }
         // `plane` drops with the struct, after the joins above — its
         // Drop joins the aggregator, which by then has no live sender.
@@ -959,6 +865,18 @@ mod tests {
         }
     }
 
+    impl Estimate for Exploding {
+        fn estimate(&self) -> u64 {
+            self.table.estimate()
+        }
+    }
+
+    impl SpaceUsage for Exploding {
+        fn space_words(&self) -> usize {
+            self.table.space_words()
+        }
+    }
+
     impl Snapshot for Exploding {
         const TAG: u8 = CashTable::TAG;
 
@@ -1040,6 +958,32 @@ mod tests {
             engine.ingest((k, 1));
         }
         assert!(engine.finish().is_err());
+    }
+
+    // Regression: the fail-hard engine used to skip a dead shard's
+    // marker and still return `Some(epoch)` — an epoch the aggregator,
+    // which waits for every shard, can never complete.
+    #[test]
+    fn publish_now_refuses_once_a_shard_is_dead() {
+        let config = EngineConfig {
+            shards: 2,
+            batch_size: 1,
+            queue_depth: 1,
+            publish_interval: Some(1 << 40),
+            ..EngineConfig::default()
+        };
+        let mut engine = ShardedEngine::new(config, Exploding::default());
+        let reader = engine.read_handle().unwrap();
+        for k in 0..20u64 {
+            engine.ingest((k, 1));
+        }
+        let epoch = engine.publish_now().expect("every shard alive");
+        assert!(reader.wait_for_epoch(epoch, 5_000), "aggregator stalled");
+        engine.ingest((u64::MAX, 1));
+        // The degraded query observes the death deterministically.
+        assert_eq!(engine.query_degraded().unwrap().dead_shards.len(), 1);
+        assert_eq!(engine.publish_now(), None);
+        assert_eq!(reader.epoch(), epoch, "no view may publish without the dead shard");
     }
 
     #[test]
@@ -1132,8 +1076,8 @@ mod tests {
         let _ = engine.finish().unwrap();
     }
 
-    /// Drive both policies through the unified trait: the generic
-    /// driver below cannot name either concrete engine.
+    /// Drive both engine names through the `Engine` trait: the generic
+    /// driver below cannot name either concrete type.
     fn drive_generic<N>(mut engine: N) -> (u64, u64)
     where
         N: Engine<(u64, u64), Output = CashTable, Error = EngineError>,

@@ -1,7 +1,7 @@
 //! The read plane: epoch-versioned published views served to
 //! concurrent readers without blocking the router.
 //!
-//! Every anytime query through [`ShardedEngine::query`] pays a full
+//! Every anytime query through the engine's `query` verb pays a full
 //! snapshot-and-merge and needs `&mut` access — one reader at a time.
 //! The read plane inverts that: at a configurable
 //! `publish_interval` (see
@@ -11,7 +11,7 @@
 //! state, and a dedicated **aggregator** thread merges the clones in
 //! shard order and swaps the merged view into an [`EpochCell`]. Any
 //! number of cloned [`ReadHandle`]s then answer queries from the
-//! latest view with `&self`, never touching the router.
+//! latest view with `&self`, never touching the router or the workers.
 //!
 //! # Consistency contract
 //!
@@ -19,28 +19,26 @@
 //!   batch the router dispatched before it, and the router flushes its
 //!   partial buffers first — so each shard's clone covers exactly its
 //!   share of the first `offset` routed items, and the shard-order
-//!   merge equals an on-demand [`ShardedEngine::query`] (or a serial
-//!   run) at the same offset, bit for bit. The read-plane test suites
-//!   pin this with state digests.
-//! * **Monotone epochs, no torn views.** The cell holds a small ring
-//!   of slots; the publisher writes a view into slot `e % N` *before*
-//!   releasing the epoch counter to `e`, and readers load the counter
-//!   (acquire) before reading the displaced slot — the
-//!   epoch-counter-validated flavour of a seqlock, built from safe
-//!   primitives because this crate forbids `unsafe`. A reader
-//!   therefore sees views at non-decreasing epochs, and since a view's
-//!   contents live behind an immutable `Arc`, a torn read cannot be
-//!   constructed. The slot ring means the publisher only rewrites a
-//!   slot `N` epochs later, so readers are effectively wait-free: the
-//!   read-lock they take is on a slot the publisher provably is not
-//!   writing (and will not write for another `N − 1` epochs).
+//!   merge equals an on-demand `query` (or a serial run) at the same
+//!   offset, bit for bit. The read-plane test suites pin this with
+//!   state digests.
+//! * **Monotone epochs, no torn views.** The cell is one
+//!   `RwLock<Option<Arc<view>>>` plus an atomic epoch counter. The
+//!   aggregator installs views in epoch order, swapping the `Arc` under
+//!   the write lock and then releasing the counter; a reader takes the
+//!   read lock just long enough to clone the `Arc`. A reader therefore
+//!   sees views at non-decreasing epochs, and since a view's contents
+//!   are immutable behind the `Arc`, a torn read cannot be constructed.
+//!   Reads and the swap are brief critical sections, not wait-free:
+//!   a reader can wait out one pointer swap, and a swap can wait out
+//!   the readers' `Arc` clones. The displaced view is freed outside
+//!   the lock.
 //! * **Never a degraded view.** An epoch is published only when *all*
 //!   shards contributed. A worker that dies before its marker takes
 //!   the epoch down with it (markers are not replay-logged), so a
 //!   kill-and-heal can delay publication but can never expose a view
 //!   missing a shard's updates — see `tests/engine_faults.rs`.
 //!
-//! [`ShardedEngine::query`]: crate::ShardedEngine::query
 //! [`EngineConfigBuilder::publish_interval`]: crate::EngineConfigBuilder::publish_interval
 //! [`Command::Publish`]: crate::runtime::Command
 
@@ -53,11 +51,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
-
-/// Published-view ring size. A reader contends with the publisher only
-/// if it stalls for this many epochs between loading the epoch counter
-/// and locking the slot.
-const SLOTS: usize = 4;
 
 /// One shard's contribution to an epoch: its state clone after exactly
 /// its share of the first `offset` routed items.
@@ -75,7 +68,7 @@ struct Published<E> {
     state: E,
 }
 
-/// Read a slot/write a slot without panicking on a poisoned lock: the
+/// Read or write the cell without panicking on a poisoned lock: the
 /// data behind the lock is an `Option<Arc<_>>` swap, never left
 /// half-written, so recovery is always sound.
 fn lock_read<T>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
@@ -86,13 +79,13 @@ fn lock_write<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The epoch-published cell readers share: a monotone epoch counter
-/// over a small ring of `Arc`-swapped view slots.
+/// The epoch-published cell readers share: the newest view behind one
+/// lock, plus a monotone epoch counter readers can poll without it.
 struct EpochCell<E> {
     /// Newest published epoch; `0` = nothing published yet (epochs are
-    /// 1-based). Stored with release ordering *after* the slot write.
+    /// 1-based). Stored with release ordering *after* the view swap.
     epoch: AtomicU64,
-    slots: [RwLock<Option<Arc<Published<E>>>>; SLOTS],
+    view: RwLock<Option<Arc<Published<E>>>>,
     /// The router's latest announced stream offset, for staleness.
     current_offset: AtomicU64,
 }
@@ -101,36 +94,31 @@ impl<E> EpochCell<E> {
     fn new() -> Self {
         Self {
             epoch: AtomicU64::new(0),
-            slots: std::array::from_fn(|_| RwLock::new(None)),
+            view: RwLock::new(None),
             current_offset: AtomicU64::new(0),
         }
     }
 
-    /// Publisher side: write the slot, then release the epoch.
+    /// Publisher side: swap the view, then release the epoch. The
+    /// displaced view is dropped after the lock is released, so readers
+    /// never wait while a large estimator is freed.
     fn install(&self, view: Arc<Published<E>>) {
         let e = view.epoch;
         debug_assert!(e > self.epoch.load(Ordering::Relaxed), "epochs publish in order");
-        *lock_write(&self.slots[(e % SLOTS as u64) as usize]) = Some(view);
+        let displaced = lock_write(&self.view).replace(view);
         self.epoch.store(e, Ordering::Release);
+        drop(displaced);
     }
 
-    /// Reader side: load the epoch (acquire), then read the displaced
-    /// slot. The slot can only hold the loaded epoch or a newer one,
-    /// so the view observed is never older than the counter promised.
+    /// Reader side: clone the newest view's `Arc` under the read lock.
     fn load(&self) -> Option<Arc<Published<E>>> {
-        let e = self.epoch.load(Ordering::Acquire);
-        if e == 0 {
-            return None;
-        }
-        let view = lock_read(&self.slots[(e % SLOTS as u64) as usize]).clone()?;
-        debug_assert!(view.epoch >= e, "slot writes precede the epoch release");
-        Some(view)
+        lock_read(&self.view).clone()
     }
 }
 
 /// Engine-side controller of the read plane: owns the cell, the view
-/// channel the workers feed, and the aggregator thread. Policy layers
-/// hold one when `publish_interval` is configured.
+/// channel the workers feed, and the aggregator thread. The engine
+/// holds one when `publish_interval` is configured.
 pub(crate) struct ReadPlane<E> {
     cell: Arc<EpochCell<E>>,
     view_tx: Option<Sender<ShardView<E>>>,
@@ -263,16 +251,15 @@ fn aggregate<E: Mergeable>(
 
 /// A cloneable, `&self` handle onto an engine's published views.
 ///
-/// Obtained from
-/// [`ShardedEngine::read_handle`](crate::ShardedEngine::read_handle) /
-/// [`SupervisedEngine::read_handle`](crate::SupervisedEngine::read_handle)
+/// Obtained from [`Shards::read_handle`](crate::Shards::read_handle)
 /// when the engine was built with a `publish_interval`. Clone it into
-/// as many reader threads as you like: queries never block the router
-/// and never block each other.
+/// as many reader threads as you like: a query never touches the
+/// router or the workers, and takes the cell's read lock only to clone
+/// one `Arc`.
 ///
 /// ```
 /// use hindex_baseline::CashTable;
-/// use hindex_common::Estimate;
+/// use hindex_common::{Engine, Estimate};
 /// use hindex_engine::{EngineConfig, ShardedEngine};
 ///
 /// let config = EngineConfig::builder()
@@ -310,8 +297,8 @@ impl<E> Clone for ReadHandle<E> {
 
 impl<E> ReadHandle<E> {
     /// The latest published view, or `None` when no epoch has
-    /// completed yet. Takes `&self`, never blocks the router, and
-    /// never waits on other readers.
+    /// completed yet. Takes `&self` and never blocks the router;
+    /// readers share the cell's read lock.
     #[must_use]
     pub fn query(&self) -> Option<ReadView<E>> {
         let view = self.cell.load();
@@ -340,7 +327,7 @@ impl<E> ReadHandle<E> {
 
     /// Blocks (politely, in 1 ms naps) until the published epoch
     /// reaches `epoch` or ~`max_ms` elapsed; `true` on success. Use
-    /// after [`publish_now`](crate::ShardedEngine::publish_now) when a
+    /// after [`publish_now`](crate::Shards::publish_now) when a
     /// caller needs the *completed* view rather than a best-effort
     /// latest.
     #[must_use]
@@ -437,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn newest_epoch_wins_across_the_slot_ring() {
+    fn newest_install_wins() {
         let cell: EpochCell<CashTable> = EpochCell::new();
         for e in 1..=10u64 {
             cell.install(published(e, e * 64, e));

@@ -1,4 +1,4 @@
-//! Bounded per-shard replay logs for the supervision layer.
+//! Bounded per-shard replay logs for self-healing shards.
 //!
 //! A [`ReplayLog`] holds every batch dispatched to a shard since the
 //! newest micro-checkpoint known to cover it, as a contiguous ordinal
@@ -9,7 +9,7 @@
 //! uninterrupted one.
 //!
 //! The log is *bounded*: when it outgrows its word budget it evicts
-//! its oldest entries. Eviction is honest — the supervisor learns how
+//! its oldest entries. Eviction is honest — the engine learns how
 //! many entries (and how many never-delivered ones) were dropped, and
 //! a shard whose newest usable checkpoint falls before `start` is
 //! declared unrecoverable rather than silently replayed from a gap.

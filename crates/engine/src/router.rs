@@ -1,11 +1,11 @@
 //! The routing layer: how items pick shards, and the router-side
-//! batching both engine policies share.
+//! batching.
 //!
 //! Routing is a pure function of `(item, tick)` — the single
 //! load-bearing fact behind every determinism and recovery argument in
 //! this crate: replaying a stream from a recorded tick reproduces the
-//! exact per-shard sub-streams, whatever the policy layer does with
-//! worker lifecycles.
+//! exact per-shard sub-streams, whatever happens to worker
+//! lifecycles.
 
 /// How a stream item picks its shard.
 pub trait Routable {
@@ -49,10 +49,10 @@ impl Routable for u64 {
     }
 }
 
-/// Router-side state both engine policies share: per-shard pending
-/// batches and the stream offset. The router never touches a channel —
-/// it *yields* full batches to the policy layer, which owns delivery
-/// (send vs. log-then-send) and death accounting.
+/// Router-side state: per-shard pending batches and the stream offset.
+/// The router never touches a channel — it *yields* full batches to
+/// the engine's dispatch, which owns delivery (send vs. log-then-send)
+/// and death accounting.
 pub(crate) struct Router<T> {
     shards: usize,
     batch_size: usize,

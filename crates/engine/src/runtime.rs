@@ -1,14 +1,12 @@
 //! The shard-runtime core: the one worker loop, its command set, and
-//! worker lifecycle plumbing shared by every engine policy.
+//! worker spawn plumbing.
 //!
-//! Both [`ShardedEngine`](crate::ShardedEngine) and
-//! [`SupervisedEngine`](crate::SupervisedEngine) are thin policy
-//! layers over this module: they decide *when* workers spawn, die, and
-//! respawn; the runtime defines *what a worker is*. There is exactly
-//! one worker loop in the crate — policy-specific behaviour (the
-//! supervisor's micro-checkpoint frames) enters through the
-//! [`WorkerCtx::on_applied`] callback, and the read plane's shard
-//! views flow out through [`WorkerCtx::views`].
+//! The engine ([`Shards`](crate::Shards), under either name) decides
+//! *when* workers spawn, die, and respawn; the runtime defines *what a
+//! worker is*. There is exactly one worker loop in the crate —
+//! supervision enters through the [`WorkerCtx::on_applied`] hook (the
+//! micro-checkpoint frames, absent under a zero restart budget), and
+//! the read plane's shard views flow out through [`WorkerCtx::views`].
 
 use crate::faults;
 use crate::read_plane::ShardView;
@@ -17,9 +15,9 @@ use hindex_common::Mergeable;
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
 use std::thread::JoinHandle;
 
-/// Commands a shard worker understands. One enum for every policy:
-/// the plain engine sends `Batch`/`Snapshot`/`Publish`; stalls and
-/// poisons exist only for the supervisor's fault injection.
+/// Commands a shard worker understands: `Batch`/`Snapshot`/`Publish`
+/// carry the stream and the queries; stalls and poisons exist only for
+/// fault injection.
 pub(crate) enum Command<E, T> {
     /// Apply one batch of items.
     Batch(Vec<T>),
@@ -47,25 +45,18 @@ pub(crate) enum Command<E, T> {
 /// Worker-thread hook invoked with `(state, applied_batches)`.
 pub(crate) type AppliedHook<E> = Box<dyn FnMut(&E, u64) + Send>;
 
-/// Per-worker wiring the policy layer hands to [`spawn_worker`].
+/// Per-worker wiring the engine hands to [`spawn_worker`].
 pub(crate) struct WorkerCtx<E> {
     /// This worker's shard index (stamped onto published shard views).
     pub shard: usize,
     /// Called with `(state, applied)` once at spawn (with the base
-    /// ordinal) and after every applied batch. The supervisor's frame
-    /// emission lives in this closure; the plain engine passes `None`
-    /// and pays nothing.
+    /// ordinal) and after every applied batch. Frame emission lives in
+    /// this closure; under a zero restart budget it is `None` and the
+    /// worker pays nothing.
     pub on_applied: Option<AppliedHook<E>>,
     /// Read-plane sink for [`Command::Publish`] replies; `None` when
     /// the read plane is disabled.
     pub views: Option<Sender<ShardView<E>>>,
-}
-
-impl<E> WorkerCtx<E> {
-    /// Wiring for a plain, un-instrumented worker.
-    pub(crate) fn plain(shard: usize) -> Self {
-        Self { shard, on_applied: None, views: None }
-    }
 }
 
 /// One live worker lineage: its command channel and thread handle.
@@ -75,8 +66,7 @@ pub(crate) struct Lineage<E, T> {
 }
 
 /// Spawns one worker owning `state`, with `base` applied batches
-/// behind it (0 for a fresh spawn; the frame ordinal for a supervised
-/// respawn).
+/// behind it (0 for a fresh spawn; the frame ordinal for a heal).
 pub(crate) fn spawn_worker<E, T>(
     queue_depth: usize,
     state: E,
@@ -94,14 +84,14 @@ where
 
 /// The one worker loop in the crate: apply batches, answer snapshots,
 /// contribute read-plane views, honour injected stalls/poisons, and
-/// fire the policy callback after every applied batch.
+/// fire the `on_applied` hook after every applied batch.
 fn worker<E, T>(mut estimator: E, base: u64, rx: &Receiver<Command<E, T>>, mut ctx: WorkerCtx<E>) -> E
 where
     E: BatchIngest<T> + Clone,
 {
-    // The spawn callback: a supervised lineage emits its base frame
-    // here, before the first recv, so FIFO guarantees it is drainable
-    // at any later join.
+    // The spawn callback: a healing lineage emits its base frame here,
+    // before the first recv, so FIFO guarantees it is drainable at any
+    // later join.
     if let Some(cb) = &mut ctx.on_applied {
         cb(&estimator, base);
     }

@@ -1,73 +1,77 @@
-//! The self-healing policy layer: supervised shards with
-//! micro-checkpoints and replay-based recovery.
+//! The lifecycle layer: how batches reach workers, how a worker's
+//! death is handled, and how a shard heals.
 //!
-//! [`SupervisedEngine`] runs the *same* worker loop as
-//! [`ShardedEngine`](crate::ShardedEngine) — the one in
-//! `runtime.rs` — under a supervising policy with three additions:
+//! Every [`Shards`] engine runs this one path; the restart budget
+//! ([`SupervisorConfig::max_restarts`]) decides how much of it a shard
+//! can use. With a nonzero budget there are three additions over a
+//! plain handoff:
 //!
 //! 1. **Micro-checkpoints.** Every worker encodes its estimator state
 //!    (a [`Snapshot`] frame) once at spawn and then every
 //!    [`SupervisorConfig::checkpoint_interval`] applied batches, on the
 //!    *worker* thread — the router never stalls for encoding. Frame
-//!    emission is the supervisor's `on_applied` callback (see
-//!    [`WorkerCtx`]); the plain engine passes no callback and pays
-//!    nothing. Frames flow to the supervisor over an unbounded channel
-//!    and are drained opportunistically at dispatch boundaries and
-//!    synchronously after every join.
+//!    emission is the `on_applied` hook of the worker's [`WorkerCtx`].
+//!    Frames flow back over an unbounded channel and are drained at
+//!    dispatch boundaries and synchronously after every join.
 //! 2. **Replay logs.** Every batch dispatched to a shard is also
 //!    appended to that shard's bounded [`ReplayLog`]; a frame at batch
 //!    ordinal *n* lets the log discard everything below *n*.
 //! 3. **Heal.** When a worker dies (panic, injected kill, failed
-//!    send), the supervisor joins it, harvests the panic payload,
-//!    decodes the newest checksum-valid frame, respawns the shard from
-//!    it, and replays the log suffix — FIFO order makes the healed
-//!    shard **bit-identical** to one that never crashed.
+//!    send), the engine joins it, harvests the panic payload, decodes
+//!    the newest checksum-valid frame, respawns the shard from it, and
+//!    replays the log suffix — FIFO order makes the healed shard
+//!    **bit-identical** to one that never crashed.
+//!
+//! With a budget of zero none of that exists: no frame hook, no log,
+//! each batch moves to its worker, and the first death is terminal.
 //!
 //! The degradation ladder when healing cannot proceed (restart budget
 //! exhausted, replay log overflowed past the newest frame, no
 //! decodable frame) is *honest*: the shard goes terminal
-//! ([`EngineError::ShardDead`] with the harvested reason), its
-//! never-delivered updates are counted as lost, and strict queries
-//! refuse rather than silently under-count. See `docs/RECOVERY.md`.
+//! ([`EngineError::ShardDead`](crate::EngineError::ShardDead) with the
+//! harvested reason), its never-delivered updates are counted as lost,
+//! and strict queries refuse rather than silently under-count. See
+//! `docs/RECOVERY.md`.
 //!
 //! # Determinism
 //!
 //! Fault decisions, heal points, frame contents, and replay suffixes
-//! are all pure functions of the input stream and the
-//! [`FaultPlan`] — worker scheduling only affects *when* frames are
-//! drained, never which frame is newest at a join (joins synchronise
-//! the drain, because a dead worker's frames are all already in its
-//! channel). Identical seeded runs therefore produce identical merged
-//! states, restart counts, and event traces; the only racy observables
-//! are gauge readings taken mid-run, same as queue depths.
+//! are all pure functions of the input stream and the [`FaultPlan`] —
+//! worker scheduling only affects *when* frames are drained, never
+//! which frame is newest at a join (joins synchronise the drain,
+//! because a dead worker's frames are all already in its channel).
+//! Faults fire before a dispatch drains, and `corrupt` targets the
+//! first frame whose ordinal is at least the batches dispatched to the
+//! shard before it fired — a frame not yet drained, whatever the
+//! scheduling. Identical seeded runs therefore produce identical
+//! merged states, restart counts, and event traces; the only racy
+//! observables are gauge readings taken mid-run, same as queue depths.
 //!
 //! # The read plane under supervision
 //!
-//! With a `publish_interval` configured, the supervised engine
-//! publishes epoch views exactly like the plain engine, with one extra
-//! rule: a publish is **skipped entirely** while any shard is terminal
-//! — a published view is *never* degraded. Epoch markers are not
-//! replay-logged: a worker that dies holding its marker takes the
-//! epoch down with it (the aggregator discards the incomplete epoch),
-//! so a kill-and-heal can delay publication but can never surface a
-//! non-healed view. `tests/engine_faults.rs` pins this.
+//! A publish is **refused** (`publish_now` returns `None`) while any
+//! shard is terminal — a published view is *never* degraded. Epoch
+//! markers are not replay-logged: a worker that dies holding its
+//! marker takes the epoch down with it (the aggregator discards the
+//! incomplete epoch), so a kill-and-heal can delay publication but can
+//! never surface a non-healed view. `tests/engine_faults.rs` pins
+//! this.
 //!
+//! [`Shards`]: crate::Shards
+//! [`FaultPlan`]: crate::FaultPlan
 //! [`WorkerCtx`]: crate::runtime::WorkerCtx
 
-use crate::config::{EngineConfig, SupervisorConfig};
-use crate::checkpoint::EngineCheckpoint;
-use crate::error::{panic_message, EngineError, QueryReport};
-use crate::faults::{self, Fault, FaultKind, FaultPlan};
-use crate::read_plane::{ReadHandle, ReadPlane};
+use crate::config::SupervisorConfig;
+use crate::error::panic_message;
+use crate::faults::{self, FaultKind};
+use crate::read_plane::ReadPlane;
 use crate::replay::ReplayLog;
-use crate::runtime::{merge_all, spawn_worker, Command, WorkerCtx};
-use crate::router::Router;
-use crate::{BatchIngest, Routable};
+use crate::runtime::{spawn_worker, AppliedHook, Command, WorkerCtx};
+use crate::{BatchIngest, Engine, Routable, Shards};
 use hindex_common::snapshot::fnv1a;
-use hindex_common::{Degraded, Engine, Estimate, Guarantee, Mergeable, Snapshot, SpaceUsage};
-use hindex_obs::{EngineObserver, Stopwatch};
+use hindex_common::{Estimate, Mergeable, Snapshot, SpaceUsage};
+use hindex_obs::Stopwatch;
 use std::sync::mpsc::{channel, Receiver, SyncSender};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// One micro-checkpoint: the estimator's frame bytes after `applied`
@@ -90,366 +94,200 @@ fn frame_checksum_ok(bytes: &[u8]) -> bool {
     fnv1a(body) == u64::from_le_bytes(checksum)
 }
 
-/// Everything the supervisor tracks per shard.
-struct ShardState<E, T> {
-    sender: Option<SyncSender<Command<E, T>>>,
-    handle: Option<JoinHandle<E>>,
+/// A shard's recovery state under a nonzero restart budget.
+pub(crate) struct Recovery<T> {
+    /// The current lineage's frame channel.
     frames: Receiver<Frame>,
     log: ReplayLog<T>,
     /// Newest checksum-valid frame seen (corrupt frames are dropped).
     frame: Option<Frame>,
+    /// Corrupt the first frame drained with `applied ≥` this ordinal.
+    corrupt_after: Option<u64>,
+}
+
+impl<T: Clone> Recovery<T> {
+    /// Words held: the replay log plus the retained frame.
+    pub(crate) fn words(&self) -> usize {
+        let frame_bytes = self.frame.as_ref().map_or(0, |f| f.bytes.len());
+        self.log.words() + frame_bytes.div_ceil(std::mem::size_of::<u64>())
+    }
+
+    /// The newest usable restart point: the decoded newest frame,
+    /// provided the log still covers every batch after it.
+    fn restart_point<E: Snapshot>(&self) -> Result<(u64, E), &'static str> {
+        let frame = self.frame.as_ref().ok_or("no usable micro-checkpoint")?;
+        if frame.applied < self.log.start() {
+            return Err("replay log overflowed past the newest micro-checkpoint");
+        }
+        let (state, _) =
+            E::read_from(&frame.bytes).map_err(|_| "micro-checkpoint failed to decode")?;
+        Ok((frame.applied, state))
+    }
+}
+
+/// Everything the engine tracks per shard.
+pub(crate) struct Shard<E, T> {
+    pub(crate) sender: Option<SyncSender<Command<E, T>>>,
+    pub(crate) handle: Option<JoinHandle<E>>,
+    /// Frames and replay log; `None` under a zero restart budget.
+    pub(crate) recovery: Option<Recovery<T>>,
     /// Worker deaths observed (panics only, not clean retirements).
     deaths: u64,
     /// Restarts consumed from [`SupervisorConfig::max_restarts`].
     restarts: u32,
     /// Injected send failures still owed.
     fail_remaining: u64,
-    /// Corrupt the first frame with `applied ≥` this ordinal.
-    corrupt_after: Option<u64>,
     /// Most recent harvested panic payload.
     last_reason: Option<String>,
     /// Terminal death reason; `Some` = the shard is gone for good.
-    terminal: Option<String>,
+    pub(crate) terminal: Option<String>,
 }
 
-/// A [`ShardedEngine`](crate::ShardedEngine) that heals itself: worker
-/// death triggers restart-from-micro-checkpoint plus replay instead of
-/// data loss, bounded by [`SupervisorConfig::max_restarts`] and the
-/// replay-log budget. The *self-healing* policy behind the unified
-/// [`Engine`] trait.
-///
-/// ```
-/// use hindex_baseline::CashTable;
-/// use hindex_common::Estimate;
-/// use hindex_engine::{EngineConfig, FaultPlan, SupervisedEngine, SupervisorConfig};
-///
-/// let config = EngineConfig::builder().shards(2).batch(8).build().unwrap();
-/// // Kill both workers mid-stream; recovery is exact.
-/// let plan = FaultPlan::kill_sweep(2, 100, 200);
-/// let mut engine =
-///     SupervisedEngine::with_faults(config, SupervisorConfig::default(), plan, CashTable::new())
-///         .unwrap();
-/// for k in 0..1_000u64 {
-///     engine.ingest((k % 40, 1));
-/// }
-/// assert_eq!(engine.finish().unwrap().estimate(), 25);
-/// ```
-pub struct SupervisedEngine<E, T> {
-    config: EngineConfig,
-    sup: SupervisorConfig,
-    plan: Vec<Fault>,
-    fired: Vec<bool>,
-    shards: Vec<ShardState<E, T>>,
-    /// Routing + batching + stream offset (shared with the plain
-    /// engine).
-    router: Router<T>,
-    /// The read plane, when `publish_interval` is configured. Declared
-    /// last so it drops after `Drop` joins the workers.
-    plane: Option<ReadPlane<E>>,
+impl<E, T: Clone> Shard<E, T> {
+    /// A shard with no lineage yet; it keeps recovery state only when
+    /// it has restarts to spend.
+    pub(crate) fn new(sup: &SupervisorConfig) -> Self {
+        let recovery = (sup.max_restarts > 0).then(|| Recovery {
+            frames: channel().1, // replaced by every spawn
+            log: ReplayLog::new(sup.max_replay_words),
+            frame: None,
+            corrupt_after: None,
+        });
+        Self {
+            sender: None,
+            handle: None,
+            recovery,
+            deaths: 0,
+            restarts: 0,
+            fail_remaining: 0,
+            last_reason: None,
+            terminal: None,
+        }
+    }
 }
 
-impl<E, T> SupervisedEngine<E, T>
+impl<E, T, const HEAL: bool> Shards<E, T, HEAL>
 where
-    E: BatchIngest<T> + Mergeable + Snapshot + Clone + Send + Sync + 'static,
+    E: BatchIngest<T> + Mergeable + Snapshot + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
     T: Routable + Clone + Send + 'static,
 {
-    /// Supervised engine without injected faults.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidConfig`] when either config fails
-    /// validation (this constructor never panics on geometry).
-    pub fn new(
-        config: EngineConfig,
-        sup: SupervisorConfig,
-        prototype: E,
-    ) -> Result<Self, EngineError> {
-        Self::with_faults(config, sup, FaultPlan::none(), prototype)
-    }
-
-    /// Supervised engine with a deterministic chaos plan.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidConfig`] when either config fails
-    /// validation.
-    pub fn with_faults(
-        config: EngineConfig,
-        sup: SupervisorConfig,
-        plan: FaultPlan,
-        prototype: E,
-    ) -> Result<Self, EngineError> {
-        config.validate()?;
-        sup.validate()?;
-        let plane = config
-            .publish_interval
-            .map(|interval| ReadPlane::new(config.shards, interval, config.observer.clone()));
-        let mut engine = Self {
-            router: Router::new(config.shards, config.batch_size, 0),
-            fired: vec![false; plan.faults.len()],
-            plan: plan.faults,
-            shards: Vec::with_capacity(config.shards),
-            plane,
-            config,
-            sup,
-        };
-        for shard in 0..engine.config.shards {
-            let (sender, handle, frames) = engine.spawn_lineage(shard, prototype.clone(), 0);
-            engine.shards.push(ShardState {
-                sender: Some(sender),
-                handle: Some(handle),
-                frames,
-                log: ReplayLog::new(engine.sup.max_replay_words),
-                frame: None,
-                deaths: 0,
-                restarts: 0,
-                fail_remaining: 0,
-                corrupt_after: None,
-                last_reason: None,
-                terminal: None,
-            });
-        }
-        Ok(engine)
-    }
-
-    /// Spawns one worker lineage on the shared runtime: the frame
-    /// emission that makes it *supervised* is the `on_applied` closure
-    /// (encode on the worker thread at spawn and every
-    /// `checkpoint_interval` applied batches).
-    fn spawn_lineage(
-        &self,
-        shard: usize,
-        state: E,
-        base: u64,
-    ) -> (SyncSender<Command<E, T>>, JoinHandle<E>, Receiver<Frame>) {
-        let (frame_tx, frame_rx) = channel::<Frame>();
+    /// Spawns a worker for `shard` owning `state`, `base` applied
+    /// batches into its stream. With recovery state the worker also
+    /// encodes a frame at spawn and every `checkpoint_interval` applied
+    /// batches; without, it gets no hook and pays nothing.
+    pub(crate) fn spawn(&mut self, shard: usize, state: E, base: u64) {
+        debug_assert!(shard < self.shards.len(), "shard index computed by the router");
         let interval = self.sup.checkpoint_interval;
-        let on_applied = Box::new(move |estimator: &E, applied: u64| {
-            // `applied == base` at spawn: 0 is a multiple, so every
-            // lineage emits its base frame before its first recv.
-            if (applied - base).is_multiple_of(interval) {
-                let _ = frame_tx.send(Frame { applied, bytes: estimator.to_bytes() });
-            }
-        });
-        let ctx = WorkerCtx {
-            shard,
-            on_applied: Some(on_applied),
-            views: self.plane.as_ref().and_then(ReadPlane::view_sender),
-        };
-        let lineage = spawn_worker(self.config.queue_depth, state, base, ctx);
-        (lineage.sender, lineage.handle, frame_rx)
-    }
-
-    /// The engine configuration in effect.
-    #[must_use]
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The supervision knobs in effect.
-    #[must_use]
-    pub fn supervisor_config(&self) -> &SupervisorConfig {
-        &self.sup
-    }
-
-    /// Items routed so far.
-    #[must_use]
-    pub fn stream_offset(&self) -> u64 {
-        self.router.tick()
-    }
-
-    /// Indices of shards that are terminally dead (healing exhausted).
-    #[must_use]
-    pub fn dead_shard_indices(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.terminal.is_some().then_some(i))
-            .collect()
-    }
-
-    /// Total restarts consumed across all shards.
-    #[must_use]
-    pub fn restarts(&self) -> u64 {
-        self.shards.iter().map(|s| u64::from(s.restarts)).sum()
-    }
-
-    fn obs(&self) -> Option<Arc<EngineObserver>> {
-        self.config.observer.clone()
-    }
-
-    /// Routes one item to its shard; dispatches the shard's batch when
-    /// it reaches `batch_size`, and publishes a read-plane epoch when
-    /// one is due.
-    pub fn ingest(&mut self, item: T) {
-        if let Some((shard, batch)) = self.router.push(item) {
-            self.dispatch(shard, batch);
-        }
-        if self.plane.as_ref().is_some_and(|p| p.due(self.router.tick())) {
-            let _ = self.publish_now();
-        }
-    }
-
-    /// Ingests every item of a slice, then notes the batch in the
-    /// observer (one `PushBatch` event per call, not per item).
-    pub fn ingest_batch(&mut self, items: &[T])
-    where
-        T: Copy,
-    {
-        for &item in items {
-            self.ingest(item);
-        }
-        if let Some(o) = self.obs() {
-            o.on_push_batch(self.router.tick(), items.len() as u64);
-        }
-    }
-
-    /// Dispatches pending partial batches and arms/fires any due
-    /// faults on every shard (so a planned kill fires even on a shard
-    /// that gets no further traffic).
-    pub fn flush(&mut self) {
-        for shard in 0..self.config.shards {
-            if let Some(o) = self.obs() {
-                o.on_queue_depth(shard, self.router.pending(shard) as u64);
-            }
-            match self.router.take(shard) {
-                Some(batch) => self.dispatch(shard, batch),
-                None => {
-                    if self.shards[shard].terminal.is_none() {
-                        self.apply_faults(shard);
-                    }
+        let s = &mut self.shards[shard];
+        let on_applied = s.recovery.as_mut().map(|r| {
+            let (frame_tx, frames) = channel();
+            r.frames = frames;
+            let hook: AppliedHook<E> = Box::new(move |estimator: &E, applied: u64| {
+                // `applied == base` at spawn: every lineage emits its
+                // base frame before its first recv.
+                if (applied - base).is_multiple_of(interval) {
+                    let _ = frame_tx.send(Frame { applied, bytes: estimator.to_bytes() });
                 }
-            }
-        }
-        if let Some(plane) = &self.plane {
-            plane.note_offset(self.router.tick());
+            });
+            hook
+        });
+        let views = self.plane.as_ref().and_then(ReadPlane::view_sender);
+        let ctx = WorkerCtx { shard, on_applied, views };
+        let lineage = spawn_worker(self.config.queue_depth, state, base, ctx);
+        s.sender = Some(lineage.sender);
+        s.handle = Some(lineage.handle);
+    }
+
+    /// Counts `items` routed to `shard` that no worker will apply.
+    fn lost(&self, shard: usize, items: u64) {
+        if let Some(o) = &self.config.observer {
+            o.on_batch_lost(self.router.tick(), shard, items);
         }
     }
 
-    /// A cloneable, `&self` handle onto the engine's published views,
-    /// or `None` when the engine was built without a
-    /// `publish_interval`. See [`ReadHandle`].
-    #[must_use]
-    pub fn read_handle(&self) -> Option<ReadHandle<E>> {
-        self.plane.as_ref().map(ReadPlane::handle)
-    }
-
-    /// Forces a read-plane publish at the current stream offset and
-    /// returns the epoch issued. `None` when the engine has no read
-    /// plane **or any shard is terminal** — a published view is never
-    /// degraded. Down-but-healable lineages are healed first, so the
-    /// epoch covers exactly [`Self::stream_offset`] items when it
-    /// completes.
-    pub fn publish_now(&mut self) -> Option<u64> {
-        self.plane.as_ref()?;
-        self.flush();
-        for shard in 0..self.config.shards {
-            self.ensure_live(shard);
-        }
-        if self.shards.iter().any(|s| s.terminal.is_some()) {
-            return None;
-        }
-        let offset = self.router.tick();
-        let epoch = self.plane.as_mut()?.begin_epoch(offset);
-        for s in &self.shards {
-            if let Some(tx) = &s.sender {
-                // A send failure means the worker died holding the
-                // marker: the epoch stays incomplete and is discarded
-                // by the aggregator — never published short. The death
-                // itself is detected (and healed) at the next dispatch.
-                let _ = tx.send(Command::Publish { epoch, offset });
-            }
-        }
-        Some(epoch)
-    }
-
-    /// The dispatch path: log the batch, drain frames, fire due
-    /// faults, then deliver — directly when the lineage is live, via
-    /// heal-and-replay when it is down.
-    fn dispatch(&mut self, shard: usize, batch: Vec<T>) {
-        let obs = self.obs();
+    /// The one delivery path: fire due faults, log the batch (when
+    /// healing), drain frames, then hand it over — directly to a live
+    /// lineage, by heal-and-replay to a down one. A flush is recorded
+    /// only once the batch reaches a worker; a batch that cannot is
+    /// counted lost, so flushed-item telemetry never counts updates
+    /// that no estimator ingested.
+    pub(crate) fn dispatch(&mut self, shard: usize, batch: Vec<T>) {
+        debug_assert!(shard < self.shards.len(), "shard index computed by the router");
         let len = batch.len() as u64;
         let full = batch.len() >= self.config.batch_size;
         if self.shards[shard].terminal.is_some() {
-            if let Some(o) = &obs {
-                o.on_batch_lost(self.router.tick(), shard, len);
-            }
-            return;
+            return self.lost(shard, len);
         }
-        // Log first: the log is the source of truth for recovery, so
-        // the batch must be durable (in supervisor memory) before any
-        // delivery attempt.
-        let evicted = self.shards[shard].log.push(batch);
-        if evicted.entries > 0 {
-            if let Some(o) = &obs {
-                o.on_replay_overflow(self.router.tick(), shard, evicted.entries);
+        self.apply_faults(shard);
+        if let Some(r) = &mut self.shards[shard].recovery {
+            // Log first: the log is the source of truth for recovery,
+            // so the batch must be held before any delivery attempt.
+            let evicted = r.log.push(batch.clone());
+            if evicted.entries > 0 {
+                if let Some(o) = &self.config.observer {
+                    o.on_replay_overflow(self.router.tick(), shard, evicted.entries);
+                }
             }
             if evicted.undelivered_items > 0 {
                 // Updates that never reached any worker just left the
-                // log: the shard can no longer become correct. Honest
-                // degradation, never a silently wrong answer.
-                if let Some(o) = &obs {
-                    o.on_batch_lost(self.router.tick(), shard, evicted.undelivered_items);
-                }
-                self.terminal(shard, "replay log overflowed past undelivered batches");
-                return;
+                // log: the shard can no longer become correct.
+                self.lost(shard, evicted.undelivered_items);
+                return self.terminal(shard, "replay log overflowed past undelivered batches");
             }
         }
         self.drain_frames(shard);
-        self.apply_faults(shard);
-        if self.shards[shard].terminal.is_some() {
-            return; // a fault escalated to terminal during arming
-        }
-        if self.shards[shard].fail_remaining > 0 {
-            self.shards[shard].fail_remaining -= 1;
-            // The batch stays logged and undelivered; the lineage is
-            // retired so the eventual heal replays a contiguous
-            // suffix (delivering around a dropped send would fork the
-            // shard's stream).
-            self.retire_lineage(shard);
+        let s = &mut self.shards[shard];
+        if s.fail_remaining > 0 {
+            // An injected send failure retires the lineage; the batch
+            // waits in the log, and the eventual heal replays a
+            // contiguous suffix (delivering around a dropped batch
+            // would fork the shard's stream). Without a log it is lost.
+            s.fail_remaining -= 1;
+            self.join_lineage(shard);
+            if self.shards[shard].recovery.is_none() {
+                self.lost(shard, len);
+            }
             return;
         }
-        if self.shards[shard].sender.is_none() {
-            self.heal(shard);
-            return; // heal's replay delivered (and flushed) the batch
-        }
-        let newest = self.shards[shard]
-            .log
-            .replay_from(self.shards[shard].log.next().saturating_sub(1));
-        let payload = newest.into_iter().next().map(|(_, b, _)| b);
-        let sent = match (payload, &self.shards[shard].sender) {
-            (Some(b), Some(tx)) => tx.send(Command::Batch(b)).is_ok(),
-            _ => false,
-        };
-        if sent {
-            self.shards[shard].log.mark_newest_delivered();
-            if let Some(o) = &obs {
+        if s.sender.as_ref().is_some_and(|tx| tx.send(Command::Batch(batch)).is_ok()) {
+            if let Some(r) = &mut s.recovery {
+                r.log.mark_newest_delivered();
+            }
+            if let Some(o) = &self.config.observer {
                 o.on_flush(self.router.tick(), shard, len, full);
             }
-        } else {
-            // The worker died on its own (estimator bug); harvest and
-            // heal — the replay redelivers this batch and flushes it.
-            self.join_lineage(shard);
-            self.heal(shard);
+            if let Some(plane) = &self.plane {
+                plane.note_offset(self.router.tick());
+            }
+            return;
+        }
+        // The lineage is down, or its worker died on its own (an
+        // estimator bug): join it, then heal — the replay redelivers
+        // this batch and records its flush. With no log the heal goes
+        // terminal and the batch is lost.
+        self.join_lineage(shard);
+        if !self.heal(shard) && self.shards[shard].recovery.is_none() {
+            self.lost(shard, len);
         }
     }
 
     /// Fires every not-yet-fired planned fault targeting `shard` whose
     /// tick has arrived. Pure function of (plan, tick): deterministic.
-    fn apply_faults(&mut self, shard: usize) {
-        let obs = self.obs();
+    pub(crate) fn apply_faults(&mut self, shard: usize) {
+        let tick = self.router.tick();
         for i in 0..self.plan.len() {
-            let fault = self.plan[i];
-            if self.fired[i] || fault.shard != shard || fault.tick > self.router.tick() {
+            let (fault, fired) = self.plan[i];
+            if fired || fault.shard != shard || fault.tick > tick {
                 continue;
             }
-            self.fired[i] = true;
-            if let Some(o) = &obs {
-                o.on_fault_injected(self.router.tick(), u32::try_from(shard).ok(), fault.kind.code());
+            self.plan[i].1 = true;
+            if let Some(o) = &self.config.observer {
+                o.on_fault_injected(tick, u32::try_from(shard).ok(), fault.kind.code());
             }
+            let s = &mut self.shards[shard];
             match fault.kind {
                 FaultKind::Kill => {
-                    if let Some(tx) = &self.shards[shard].sender {
+                    if let Some(tx) = &s.sender {
                         // Queued behind every in-flight batch: the
                         // worker applies them all, then panics — the
                         // genuine crash path, FIFO-deterministic.
@@ -461,23 +299,16 @@ where
                     self.join_lineage(shard);
                 }
                 FaultKind::FailSends => {
-                    self.shards[shard].fail_remaining =
-                        self.shards[shard].fail_remaining.saturating_add(fault.arg);
+                    s.fail_remaining = s.fail_remaining.saturating_add(fault.arg);
                 }
                 FaultKind::Stall => {
-                    if let Some(tx) = &self.shards[shard].sender {
+                    if let Some(tx) = &s.sender {
                         let _ = tx.send(Command::Stall(fault.arg));
                     }
                 }
                 FaultKind::Corrupt => {
-                    // Corrupt the stored micro-checkpoint: flip bytes in
-                    // the retained frame when one exists, otherwise arm
-                    // for the first frame covering the batches
-                    // dispatched so far.
-                    let s = &mut self.shards[shard];
-                    match &mut s.frame {
-                        Some(frame) => faults::corrupt_frame(&mut frame.bytes),
-                        None => s.corrupt_after = Some(s.log.next()),
+                    if let Some(r) = &mut s.recovery {
+                        r.corrupt_after = Some(r.log.next());
                     }
                 }
             }
@@ -488,86 +319,70 @@ where
     /// armed corruption, keep the newest good frame, trim the log.
     fn drain_frames(&mut self, shard: usize) {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
-        let obs = self.obs();
-        let s = &mut self.shards[shard];
-        while let Ok(mut frame) = s.frames.try_recv() {
-            if let Some(o) = &obs {
+        let Some(r) = &mut self.shards[shard].recovery else { return };
+        let obs = &self.config.observer;
+        while let Ok(mut frame) = r.frames.try_recv() {
+            if let Some(o) = obs {
                 o.on_micro_checkpoint(shard, frame.bytes.len() as u64);
             }
-            if let Some(min) = s.corrupt_after {
-                if frame.applied >= min {
-                    faults::corrupt_frame(&mut frame.bytes);
-                    s.corrupt_after = None;
-                }
+            if r.corrupt_after.is_some_and(|min| frame.applied >= min) {
+                faults::corrupt_frame(&mut frame.bytes);
+                r.corrupt_after = None;
             }
             // A corrupt frame (injected or a real torn write) fails its
             // checksum and is dropped — recovery falls back to the
             // previous good frame, which the log still covers because
             // trimming only follows *accepted* frames.
             if frame_checksum_ok(&frame.bytes)
-                && s.frame.as_ref().is_none_or(|f| frame.applied >= f.applied)
+                && r.frame.as_ref().is_none_or(|f| frame.applied >= f.applied)
             {
-                s.log.trim_to(frame.applied);
-                s.frame = Some(frame);
+                r.log.trim_to(frame.applied);
+                r.frame = Some(frame);
             }
         }
-        if let Some(o) = &obs {
-            o.on_replay_words(shard, s.log.words() as u64);
+        if let Some(o) = obs {
+            o.on_replay_words(shard, r.log.words() as u64);
         }
     }
 
-    /// Joins a dead (or poisoned) worker, harvesting its panic
-    /// payload, then drains the frames it emitted before dying.
-    fn join_lineage(&mut self, shard: usize) {
-        debug_assert!(shard < self.shards.len(), "shard index computed by the router");
-        let obs = self.obs();
-        let s = &mut self.shards[shard];
-        s.sender = None; // close the channel so the join can't block
-        if let Some(handle) = s.handle.take() {
-            match handle.join() {
-                Ok(_state) => {} // clean exit; frames carry its history
-                Err(payload) => {
-                    s.deaths += 1;
-                    s.last_reason = Some(panic_message(payload.as_ref()));
-                    if let Some(o) = &obs {
-                        o.on_shard_panicked(self.router.tick(), shard, s.deaths);
-                    }
-                }
-            }
-        }
-        self.drain_frames(shard);
-    }
-
-    /// Retires a lineage cleanly (injected send failure): close the
-    /// channel, let the worker finish its queue and return, discard
-    /// the returned state (the frames + log reconstruct it exactly).
-    fn retire_lineage(&mut self, shard: usize) {
+    /// The one worker-death path. Closes `shard`'s channel and joins
+    /// its worker: the final state on a clean exit; on a panic, records
+    /// the death (payload, trace) and returns `None`. Drains the frames
+    /// the lineage emitted either way. Call it only once the worker has
+    /// been told to stop or has provably exited (a send or receive on
+    /// its channels failed), so the join cannot block for long.
+    pub(crate) fn join_lineage(&mut self, shard: usize) -> Option<E> {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
         let s = &mut self.shards[shard];
         s.sender = None;
-        if let Some(handle) = s.handle.take() {
-            let _ = handle.join();
-        }
+        let state = match s.handle.take()?.join() {
+            Ok(state) => Some(state),
+            Err(payload) => {
+                s.deaths += 1;
+                s.last_reason = Some(panic_message(payload.as_ref()));
+                if let Some(o) = &self.config.observer {
+                    o.on_shard_panicked(self.router.tick(), shard, s.deaths);
+                }
+                None
+            }
+        };
         self.drain_frames(shard);
+        state
     }
 
     /// Declares `shard` terminally dead and counts its never-delivered
-    /// updates as lost.
+    /// logged updates as lost.
     fn terminal(&mut self, shard: usize, what: &str) {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
-        let obs = self.obs();
         let s = &mut self.shards[shard];
         s.sender = None;
-        let reason = match &s.last_reason {
+        s.terminal = Some(match &s.last_reason {
             Some(panic) => format!("{panic} ({what})"),
             None => what.to_string(),
-        };
-        s.terminal = Some(reason);
-        let lost = s.log.undelivered_items();
+        });
+        let lost = s.recovery.as_ref().map_or(0, |r| r.log.undelivered_items());
         if lost > 0 {
-            if let Some(o) = &obs {
-                o.on_batch_lost(self.router.tick(), shard, lost);
-            }
+            self.lost(shard, lost);
         }
     }
 
@@ -577,401 +392,156 @@ where
     /// Loops because a replayed batch can re-kill the worker (a
     /// deterministic estimator bug): each attempt consumes one restart
     /// from the budget until the budget, the frame, or the log gives
-    /// out — the degradation ladder's last rungs.
-    fn heal(&mut self, shard: usize) -> bool {
-        let obs = self.obs();
+    /// out — the degradation ladder's last rungs. A zero budget goes
+    /// terminal at once.
+    pub(crate) fn heal(&mut self, shard: usize) -> bool {
+        debug_assert!(shard < self.shards.len(), "shard index computed by the router");
         let sw = Stopwatch::start();
         loop {
-            debug_assert!(self.shards[shard].sender.is_none());
-            if self.shards[shard].terminal.is_some() {
+            let s = &self.shards[shard];
+            debug_assert!(s.sender.is_none(), "heal a down lineage only");
+            if s.terminal.is_some() {
                 return false;
             }
-            if self.shards[shard].restarts >= self.sup.max_restarts {
+            if s.restarts >= self.sup.max_restarts {
                 self.terminal(shard, "restart budget exhausted");
                 return false;
             }
-            let (base, state) = {
-                let s = &self.shards[shard];
-                let Some(frame) = &s.frame else {
-                    self.terminal(shard, "no usable micro-checkpoint");
+            let point = match &s.recovery {
+                Some(r) => r.restart_point::<E>(),
+                None => Err("no usable micro-checkpoint"),
+            };
+            let (base, state) = match point {
+                Ok(point) => point,
+                Err(what) => {
+                    self.terminal(shard, what);
                     return false;
-                };
-                if frame.applied < s.log.start() {
-                    self.terminal(shard, "replay log overflowed past the newest micro-checkpoint");
-                    return false;
-                }
-                match E::read_from(&frame.bytes) {
-                    Ok((state, _)) => (frame.applied, state),
-                    Err(_) => {
-                        self.terminal(shard, "micro-checkpoint failed to decode");
-                        return false;
-                    }
                 }
             };
             self.shards[shard].restarts += 1;
             if self.sup.backoff_ms > 0 {
                 // Exponential backoff, capped at 64× the base.
                 let shift = self.shards[shard].restarts.saturating_sub(1).min(6);
-                std::thread::sleep(std::time::Duration::from_millis(
-                    self.sup.backoff_ms << shift,
-                ));
+                std::thread::sleep(std::time::Duration::from_millis(self.sup.backoff_ms << shift));
             }
-            let (sender, handle, frames) = self.spawn_lineage(shard, state, base);
+            self.spawn(shard, state, base);
             // Only batches are replayed — epoch markers are not logged,
             // so a healed lineage never re-contributes to an old epoch.
-            let replay = self.shards[shard].log.replay_from(base);
+            let s = &mut self.shards[shard];
+            let replay = s.recovery.as_ref().map_or_else(Vec::new, |r| r.log.replay_from(base));
             let mut newly_flushed: Vec<u64> = Vec::new();
             let mut replayed = 0u64;
             let mut died_mid_replay = false;
-            for (_, batch, delivered) in replay {
-                let len = batch.len() as u64;
-                if sender.send(Command::Batch(batch)).is_err() {
-                    died_mid_replay = true;
-                    break;
-                }
-                replayed += 1;
-                if !delivered {
-                    newly_flushed.push(len);
+            if let Some(tx) = &s.sender {
+                for (_, batch, delivered) in replay {
+                    let len = batch.len() as u64;
+                    if tx.send(Command::Batch(batch)).is_err() {
+                        died_mid_replay = true;
+                        break;
+                    }
+                    replayed += 1;
+                    if !delivered {
+                        newly_flushed.push(len);
+                    }
                 }
             }
-            let s = &mut self.shards[shard];
-            s.handle = Some(handle);
-            s.frames = frames;
             if died_mid_replay {
-                // Sender dropped here; join, harvest, try again.
                 self.join_lineage(shard);
                 continue;
             }
-            s.sender = Some(sender);
-            s.log.mark_all_delivered();
-            if let Some(o) = &obs {
+            let log_words = s.recovery.as_mut().map_or(0, |r| {
+                r.log.mark_all_delivered();
+                r.log.words()
+            });
+            if let Some(o) = &self.config.observer {
                 // First-successful-handoff accounting: batches the dead
                 // lineage already flushed are not re-counted; batches
                 // delivered for the first time by this replay are.
+                let tick = self.router.tick();
                 for len in newly_flushed {
-                    o.on_flush(self.router.tick(), shard, len, len >= self.config.batch_size as u64);
+                    o.on_flush(tick, shard, len, len >= self.config.batch_size as u64);
                 }
-                o.on_shard_restart(self.router.tick(), shard, replayed, sw.elapsed_nanos());
-                o.on_replay_words(shard, self.shards[shard].log.words() as u64);
+                o.on_shard_restart(tick, shard, replayed, sw.elapsed_nanos());
+                o.on_replay_words(shard, log_words as u64);
             }
             return true;
         }
     }
 
-    /// Brings a down-but-healable lineage back up (used by queries and
-    /// finish). Terminal shards stay down.
-    fn ensure_live(&mut self, shard: usize) {
+    /// Brings a down-but-healable lineage back up. Terminal shards stay
+    /// down.
+    pub(crate) fn ensure_live(&mut self, shard: usize) {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
-        if self.shards[shard].terminal.is_none() && self.shards[shard].sender.is_none() {
+        let s = &self.shards[shard];
+        if s.terminal.is_none() && s.sender.is_none() {
             self.heal(shard);
         }
     }
 
-    /// The first terminal shard as a reason-carrying error.
-    fn first_dead_error(&self) -> Option<EngineError> {
-        self.shards.iter().enumerate().find_map(|(shard, s)| {
-            s.terminal.as_ref().map(|reason| EngineError::ShardDead {
-                shard,
-                reason: Some(reason.clone()),
-            })
-        })
+    /// Asks `shard`'s live worker for an in-place snapshot; the reply
+    /// arrives on the returned channel.
+    pub(crate) fn request(&self, shard: usize) -> Option<Receiver<E>> {
+        debug_assert!(shard < self.shards.len(), "shard index computed by the router");
+        let (reply_tx, reply_rx) = channel();
+        let tx = self.shards[shard].sender.as_ref()?;
+        tx.send(Command::Snapshot(reply_tx)).ok()?;
+        Some(reply_rx)
     }
 
-    /// Snapshots every live shard in place (healing down lineages
-    /// first) in shard order; `None` = terminal.
-    fn snapshot_states(&mut self) -> Vec<Option<E>> {
-        let mut states: Vec<Option<E>> = Vec::with_capacity(self.config.shards);
-        for shard in 0..self.config.shards {
-            self.ensure_live(shard);
-            // One heal-and-retry: the worker can die between the heal
-            // above and the snapshot reply.
-            let mut state = self.request_snapshot(shard);
-            if state.is_none() && self.shards[shard].terminal.is_none() {
+    /// Snapshots every shard in place, in shard order; `None` =
+    /// terminal. Requests are *pipelined*: all go out before any reply
+    /// is awaited, so the shards clone concurrently and a query stalls
+    /// ingestion for one clone's worth of time, not `shards` of them. A
+    /// lineage that is down, or dies before replying, is healed and
+    /// asked again; each heal spends budget, so every shard ends up
+    /// answering or terminal.
+    pub(crate) fn snapshot_states(&mut self) -> Vec<Option<E>> {
+        let replies: Vec<_> = (0..self.shards.len())
+            .map(|shard| {
+                self.ensure_live(shard);
+                self.request(shard)
+            })
+            .collect();
+        let mut states = Vec::with_capacity(replies.len());
+        for (shard, reply) in replies.into_iter().enumerate() {
+            let mut state = reply.and_then(|rx| rx.recv().ok());
+            while state.is_none() && self.shards[shard].terminal.is_none() {
                 self.join_lineage(shard);
-                if self.heal(shard) {
-                    state = self.request_snapshot(shard);
-                }
+                state = if self.heal(shard) {
+                    self.request(shard).and_then(|rx| rx.recv().ok())
+                } else {
+                    None
+                };
             }
             states.push(state);
         }
         states
     }
 
-    fn request_snapshot(&mut self, shard: usize) -> Option<E> {
-        debug_assert!(shard < self.shards.len(), "shard index computed by the router");
-        let tx = self.shards[shard].sender.as_ref()?;
-        let (reply_tx, reply_rx) = channel();
-        tx.send(Command::Snapshot(reply_tx)).ok()?;
-        reply_rx.recv().ok()
-    }
-
-    /// Anytime query: flushes, snapshots every shard (healing any that
-    /// are down), and merges. Strict: refuses with
-    /// [`EngineError::ShardDead`] when any shard is terminally dead.
-    pub fn query(&mut self) -> Result<E, EngineError> {
+    /// Flushes, closes every channel, and joins every worker for its
+    /// final state (shard order, `None` = terminal), healing through
+    /// deaths on the last batches while the budget lasts.
+    pub(crate) fn join_all(&mut self) -> Vec<Option<E>> {
         self.flush();
-        let states = self.snapshot_states();
-        if let Some(err) = self.first_dead_error() {
-            return Err(err);
-        }
-        if let Some(o) = self.obs() {
-            o.on_merge(self.router.tick(), self.config.shards as u64);
-        }
-        merge_all(states).ok_or(EngineError::AllShardsDead)
-    }
-
-    /// Lossy anytime query: merges the live shards and names the
-    /// terminal ones. Errs only when nothing survives.
-    pub fn query_degraded(&mut self) -> Result<Degraded<E>, EngineError> {
-        self.flush();
-        let states = self.snapshot_states();
-        let dead_shards = self.dead_shard_indices();
-        if let Some(o) = self.obs() {
-            o.on_merge(self.router.tick(), (self.config.shards - dead_shards.len()) as u64);
-            if !dead_shards.is_empty() {
-                o.on_query_degraded(self.router.tick(), dead_shards.len() as u64);
-            }
-        }
-        match merge_all(states) {
-            Some(estimator) => Ok(Degraded { estimator, dead_shards }),
-            None => Err(EngineError::AllShardsDead),
-        }
-    }
-
-    /// Lossy anytime query packaged as a typed [`QueryReport`] — same
-    /// contract as
-    /// [`ShardedEngine::report`](crate::ShardedEngine::report), healing
-    /// through worker deaths first. Always a fresh synchronous merge
-    /// (`epoch: None`); see [`ReadHandle::report`] for the
-    /// published-view flavour.
-    ///
-    /// # Errors
-    ///
-    /// Only when no shard survives.
-    pub fn report(&mut self, contract: Option<Guarantee>) -> Result<QueryReport, EngineError>
-    where
-        E: Estimate + SpaceUsage,
-    {
-        let degraded = self.query_degraded()?;
-        let space_words = self.space_words();
-        Ok(QueryReport {
-            estimate: degraded.estimator.estimate(),
-            approx_contract: contract,
-            space_words,
-            degraded: degraded.dead_shards,
-            epoch: None,
-            staleness: 0,
-            obs: self.config.observer.as_ref().map(|o| Box::new(o.snapshot())),
-        })
-    }
-
-    /// Freezes the supervised engine into the *same*
-    /// [`EngineCheckpoint`] format the plain engine uses — heal first,
-    /// strict snapshot, geometry + offset. A checkpoint taken here is
-    /// restorable by
-    /// [`ShardedEngine::restore`](crate::ShardedEngine::restore)
-    /// (supervision state — replay logs, restart budgets — is
-    /// transient and deliberately not persisted).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::ShardDead`] when any shard is terminal or a
-    /// snapshot cannot be obtained.
-    pub fn checkpoint(&mut self) -> Result<EngineCheckpoint<E>, EngineError> {
-        let sw = Stopwatch::start();
-        self.flush();
-        let states = self.snapshot_states();
-        if let Some(err) = self.first_dead_error() {
-            return Err(err);
-        }
-        if let Some(missing) = states.iter().position(Option::is_none) {
-            return Err(EngineError::shard_dead(missing));
-        }
-        let shards: Vec<E> = states.into_iter().flatten().collect();
-        if let Some(o) = self.obs() {
-            o.on_checkpoint(self.router.tick(), shards.len() as u64, sw.elapsed_nanos());
-        }
-        Ok(EngineCheckpoint {
-            config: self.config.clone(),
-            tick: self.router.tick(),
-            shards,
-        })
-    }
-
-    /// Retires the engine: flushes, heals anything healable, joins all
-    /// workers (healing once more if a worker dies on its final
-    /// batches), and merges. Strict like
-    /// [`ShardedEngine::finish`](crate::ShardedEngine::finish).
-    pub fn finish(mut self) -> Result<E, EngineError> {
-        let states = self.join_all();
-        if let Some(err) = self.first_dead_error() {
-            return Err(err);
-        }
-        merge_all(states).ok_or(EngineError::AllShardsDead)
-    }
-
-    /// Lossy retirement: merges surviving shards, names terminal ones.
-    pub fn finish_degraded(mut self) -> Result<Degraded<E>, EngineError> {
-        let states = self.join_all();
-        let dead_shards = self.dead_shard_indices();
-        match merge_all(states) {
-            Some(estimator) => Ok(Degraded { estimator, dead_shards }),
-            None => Err(EngineError::AllShardsDead),
-        }
-    }
-
-    fn join_all(&mut self) -> Vec<Option<E>> {
-        self.flush();
-        let mut states: Vec<Option<E>> = Vec::with_capacity(self.config.shards);
-        for shard in 0..self.config.shards {
-            states.push(self.final_state(shard));
-        }
-        states
-    }
-
-    /// Retires one shard for its final state, healing through
-    /// last-batch deaths until the budget gives out.
-    fn final_state(&mut self, shard: usize) -> Option<E> {
-        loop {
-            if self.shards[shard].terminal.is_some() {
-                return None;
-            }
+        for shard in 0..self.shards.len() {
             self.ensure_live(shard);
-            let s = &mut self.shards[shard];
-            s.sender = None; // worker drains its queue and returns
-            let Some(handle) = s.handle.take() else {
-                self.terminal(shard, "worker lineage unavailable at finish");
-                return None;
-            };
-            match handle.join() {
-                Ok(state) => {
-                    self.drain_frames(shard); // final frame accounting
-                    return Some(state);
-                }
-                Err(payload) => {
-                    let obs = self.obs();
-                    let s = &mut self.shards[shard];
-                    s.deaths += 1;
-                    s.last_reason = Some(panic_message(payload.as_ref()));
-                    if let Some(o) = &obs {
-                        o.on_shard_panicked(self.router.tick(), shard, s.deaths);
-                    }
-                    self.drain_frames(shard);
-                    if !self.heal(shard) {
-                        return None;
-                    }
-                }
-            }
         }
-    }
-}
-
-/// The [`Engine`] verb set, delegating to the inherent methods — the
-/// supervised engine is the self-healing policy behind the unified
-/// interface. (The extra `Snapshot` bound is what buys the healing.)
-impl<E, T> Engine<T> for SupervisedEngine<E, T>
-where
-    E: BatchIngest<T>
-        + Mergeable
-        + Snapshot
-        + Estimate
-        + SpaceUsage
-        + Clone
-        + Send
-        + Sync
-        + 'static,
-    T: Routable + Clone + Send + 'static,
-{
-    type Output = E;
-    type Error = EngineError;
-    type Checkpoint = EngineCheckpoint<E>;
-    type Report = QueryReport;
-
-    fn ingest(&mut self, item: T) {
-        SupervisedEngine::ingest(self, item);
-    }
-
-    fn ingest_batch(&mut self, items: &[T])
-    where
-        T: Copy,
-    {
-        SupervisedEngine::ingest_batch(self, items);
-    }
-
-    fn flush(&mut self) {
-        SupervisedEngine::flush(self);
-    }
-
-    fn query(&mut self) -> Result<E, EngineError> {
-        SupervisedEngine::query(self)
-    }
-
-    fn query_degraded(&mut self) -> Result<Degraded<E>, EngineError> {
-        SupervisedEngine::query_degraded(self)
-    }
-
-    fn report(&mut self, contract: Option<Guarantee>) -> Result<QueryReport, EngineError> {
-        SupervisedEngine::report(self, contract)
-    }
-
-    fn checkpoint(&mut self) -> Result<EngineCheckpoint<E>, EngineError> {
-        SupervisedEngine::checkpoint(self)
-    }
-
-    fn finish(self) -> Result<E, EngineError> {
-        SupervisedEngine::finish(self)
-    }
-
-    fn finish_degraded(self) -> Result<Degraded<E>, EngineError> {
-        SupervisedEngine::finish_degraded(self)
-    }
-
-    fn stream_offset(&self) -> u64 {
-        SupervisedEngine::stream_offset(self)
-    }
-
-    fn dead_shard_indices(&self) -> Vec<usize> {
-        SupervisedEngine::dead_shard_indices(self)
-    }
-}
-
-/// Steady-state space versus transient recovery space: shard
-/// estimators, channels, and router buffers are `space_words` (the
-/// ledger comparable with the paper's bounds); replay logs are
-/// `scratch_words` — bounded transient state that exists only to make
-/// recovery exact.
-impl<E, T> SpaceUsage for SupervisedEngine<E, T>
-where
-    E: BatchIngest<T> + Mergeable + Snapshot + Clone + Send + Sync + SpaceUsage + 'static,
-    T: Routable + Clone + Send + 'static,
-{
-    fn space_words(&self) -> usize {
-        let item_words = std::mem::size_of::<T>().div_ceil(std::mem::size_of::<u64>());
-        let frame_words: usize = self
-            .shards
-            .iter()
-            .filter_map(|s| s.frame.as_ref())
-            .map(|f| f.bytes.len().div_ceil(std::mem::size_of::<u64>()))
-            .sum();
-        let channel_words =
-            self.config.shards * self.config.queue_depth * self.config.batch_size * item_words;
-        frame_words + channel_words + self.router.buffered_items() * item_words
-    }
-
-    fn scratch_words(&self) -> usize {
-        self.shards.iter().map(|s| s.log.words()).sum()
-    }
-}
-
-impl<E, T> Drop for SupervisedEngine<E, T> {
-    fn drop(&mut self) {
+        // Close every channel before joining any worker, so the shards
+        // drain their queues concurrently.
         for s in &mut self.shards {
             s.sender = None;
-            if let Some(handle) = s.handle.take() {
-                let _ = handle.join();
-            }
         }
-        // `plane` drops with the struct, after the joins above.
+        (0..self.shards.len())
+            .map(|shard| {
+                while self.shards[shard].terminal.is_none() {
+                    if let Some(state) = self.join_lineage(shard) {
+                        return Some(state);
+                    }
+                    self.heal(shard);
+                }
+                None
+            })
+            .collect()
     }
 }
 
@@ -979,6 +549,7 @@ impl<E, T> Drop for SupervisedEngine<E, T> {
 mod tests {
     use super::*;
     use crate::tests::Exploding;
+    use crate::{EngineConfig, EngineError, FaultPlan, SupervisedEngine};
     use hindex_baseline::CashTable;
     use hindex_common::{CashRegisterEstimator, Estimate};
 

@@ -76,7 +76,7 @@ echo "==> concurrency audit (best effort: miri / thread sanitizer)"
 # Both need a nightly toolchain; this gate must pass on a stock stable
 # install, so each stage is attempted and skipped cleanly if absent.
 # The engine crate's own tests include the ReadHandle concurrent-reader
-# stress, so either tool audits the read plane's lock-free publish path.
+# stress, so either tool audits the read plane's publish path.
 if cargo +nightly miri --version >/dev/null 2>&1; then
     MIRIFLAGS="-Zmiri-disable-isolation" \
         cargo +nightly miri test --offline -p hindex-engine
@@ -94,6 +94,13 @@ fi
 
 echo "==> benches compile"
 cargo bench -p hindex-bench --offline --no-run
+
+echo "==> benchmark harness (perfbench smoke test)"
+# perfbench is its own cargo workspace with path dependencies on
+# crates/*, so nothing above builds it: an engine API change that
+# breaks the harness fails here instead of at benchmark time.
+CARGO_TARGET_DIR=.bench_build \
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> bench smoke (kernels group, reduced scale)"
 scripts/bench.sh /tmp/bench_smoke.json --quick

@@ -132,6 +132,28 @@ fn bank_counters_flow_from_estimator_to_observer() {
     assert!(snap.render_text().contains("hindex_bank_tiles_total"));
 }
 
+// Regression: only the fail-hard engine's queries relayed the bank
+// counters, so a supervised Alg 6 run exported `hindex_bank_*` = 0.
+#[test]
+fn supervised_runs_relay_bank_counters() {
+    let updates = stream(2_000);
+    let observer = Arc::new(EngineObserver::new(2));
+    let config = EngineConfig::builder()
+        .shards(2)
+        .batch(256)
+        .observer(Arc::clone(&observer))
+        .build()
+        .unwrap();
+    let mut engine =
+        SupervisedEngine::new(config, SupervisorConfig::default(), prototype(7)).unwrap();
+    engine.ingest_batch(&updates);
+    let report = engine.report(None).unwrap();
+    let bank = report.obs.expect("instrumented engine must attach obs").bank;
+    assert!(bank.tile_items > 0, "supervised run relayed no bank counters: {bank:?}");
+    assert_eq!(bank.raw_updates, updates.len() as u64);
+    engine.finish().unwrap();
+}
+
 #[test]
 fn observer_never_perturbs_the_estimator() {
     let updates = stream(3_000);

@@ -62,7 +62,11 @@ fn concurrent_readers_observe_only_exact_serial_prefixes() {
             std::thread::spawn(move || {
                 let mut last_epoch = 0u64;
                 let mut observed = 0u64;
-                while !s.load(Ordering::Relaxed) {
+                loop {
+                    // One more read after seeing `stop`: a reader whose
+                    // last read predates the final install must still
+                    // reach the final view.
+                    let stopping = s.load(Ordering::Acquire);
                     if let Some(view) = h.query() {
                         assert!(
                             view.epoch() >= last_epoch,
@@ -78,6 +82,9 @@ fn concurrent_readers_observe_only_exact_serial_prefixes() {
                         );
                         observed += 1;
                     }
+                    if stopping {
+                        break;
+                    }
                     std::thread::yield_now();
                 }
                 (observed, last_epoch)
@@ -88,7 +95,7 @@ fn concurrent_readers_observe_only_exact_serial_prefixes() {
     engine.ingest_batch(&updates);
     let final_epoch = engine.publish_now().expect("engine has a read plane");
     assert!(handle.wait_for_epoch(final_epoch, 10_000), "final publish never completed");
-    stop.store(true, Ordering::Relaxed);
+    stop.store(true, Ordering::Release);
     for reader in readers {
         let (observed, last_epoch) = reader.join().unwrap();
         assert!(observed > 0, "reader never saw a view");

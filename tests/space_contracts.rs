@@ -325,9 +325,9 @@ fn shared_ladders_counted_once_per_sharing_scope() {
 }
 
 /// The supervised engine's replay log is recovery scratch, not paper
-/// space: killing and healing a shard must leave `space_words` on the
-/// same ledger the plain engine reports (estimator frames + channels +
-/// buffers), with the log's words confined to `scratch_words`.
+/// space: `space_words` stays on the ledger the fail-hard engine
+/// reports (live shard states + channels + buffers), with the log's
+/// words confined to `scratch_words`.
 #[test]
 fn supervised_replay_log_is_scratch_not_space() {
     use hindex_baseline::CashTable;
@@ -364,4 +364,43 @@ fn supervised_replay_log_is_scratch_not_space() {
         "replay words leaked into space_words: {space}"
     );
     assert!(engine.finish().is_ok());
+}
+
+/// One ledger for both engine names: on the same fault-free stream the
+/// fail-hard and the supervised engine report the same `space_words`
+/// (their live shard states are identical), and the zero-restart name
+/// holds no recovery state at all — no frames, no replay log.
+#[test]
+fn both_engine_names_report_one_space_ledger() {
+    use std::sync::Arc;
+
+    let params = CashRegisterParams::Additive {
+        epsilon: Epsilon::new(0.3).unwrap(),
+        delta: Delta::new(0.2).unwrap(),
+    };
+    let prototype = CashRegisterHIndex::new(params, &mut StdRng::seed_from_u64(8));
+    let updates: Vec<(u64, u64)> = (0..4_000u64).map(|i| (i % 700, 1)).collect();
+    let config = |observer: &Arc<EngineObserver>| {
+        EngineConfig::builder()
+            .shards(2)
+            .batch(256)
+            .observer(Arc::clone(observer))
+            .build()
+            .unwrap()
+    };
+    let plain_obs = Arc::new(EngineObserver::new(2));
+    let mut plain = ShardedEngine::new(config(&plain_obs), prototype.clone());
+    let sup_obs = Arc::new(EngineObserver::new(2));
+    let mut supervised =
+        SupervisedEngine::new(config(&sup_obs), SupervisorConfig::default(), prototype).unwrap();
+    plain.ingest_batch(&updates);
+    supervised.ingest_batch(&updates);
+    let plain_space = plain.report(None).unwrap().space_words;
+    assert_eq!(plain_space, supervised.report(None).unwrap().space_words);
+    assert_eq!(plain.scratch_words(), 0);
+    assert!(supervised.scratch_words() > 0, "frames and logs are scratch");
+    plain.finish().unwrap();
+    supervised.finish().unwrap();
+    assert_eq!(plain_obs.snapshot().micro_checkpoints, 0);
+    assert!(sup_obs.snapshot().micro_checkpoints > 0);
 }
