@@ -6,8 +6,9 @@
 //! operators, indexing) are extracted by token scans *within* a
 //! function's body span. That keeps the parser small enough to be
 //! obviously total — it can consume any token stream, well-formed or
-//! not, without panicking — while still giving the dataflow lints
-//! (L9–L12) real structure to hang resolution and reachability on.
+//! not, without panicking — while still giving the coverage and
+//! dataflow lints (L2/L11, L9, L10) real structure to hang resolution
+//! and reachability on.
 //!
 //! # Span discipline
 //!
@@ -37,12 +38,6 @@ pub struct Span {
 }
 
 impl Span {
-    /// The empty span at `pos`.
-    #[must_use]
-    pub fn empty(pos: usize) -> Self {
-        Self { lo: pos, hi: pos }
-    }
-
     /// True if `idx` falls inside the span.
     #[must_use]
     pub fn contains(&self, idx: usize) -> bool {
@@ -280,27 +275,6 @@ pub struct Item {
 }
 
 impl Item {
-    /// The item's declared name, if its kind has one.
-    #[must_use]
-    pub fn name(&self) -> Option<&str> {
-        match &self.kind {
-            ItemKind::ModDecl { name }
-            | ItemKind::Mod { name, .. }
-            | ItemKind::Enum { name }
-            | ItemKind::Union { name }
-            | ItemKind::Const { name }
-            | ItemKind::Static { name }
-            | ItemKind::TypeAlias { name }
-            | ItemKind::MacroDef { name }
-            | ItemKind::ExternCrate { name } => Some(name),
-            ItemKind::Fn(f) => Some(&f.name),
-            ItemKind::Trait(t) => Some(&t.name),
-            ItemKind::Struct(s) => Some(&s.name),
-            ItemKind::Impl(i) => Some(&i.self_ty),
-            _ => None,
-        }
-    }
-
     /// Child items, for kinds that have them.
     #[must_use]
     pub fn children(&self) -> &[Item] {
@@ -371,75 +345,6 @@ fn check_children(parent: &Item) -> Result<(), String> {
         prev_hi = child.span.hi;
     }
     Ok(())
-}
-
-/// Renders a one-line-per-item outline of the tree — used by the
-/// golden tests, which pin the parsed shape of real workspace files
-/// without being brittle about line numbers.
-#[must_use]
-pub fn outline(items: &[Item]) -> String {
-    let mut out = String::new();
-    fn walk(items: &[Item], depth: usize, out: &mut String) {
-        for item in items {
-            let kind = match &item.kind {
-                ItemKind::Use { .. } => "use",
-                ItemKind::ModDecl { .. } => "mod;",
-                ItemKind::Mod { .. } => "mod",
-                ItemKind::Fn(_) => "fn",
-                ItemKind::Impl(i) => {
-                    if i.trait_name.is_some() {
-                        "impl-trait"
-                    } else {
-                        "impl"
-                    }
-                }
-                ItemKind::Trait(_) => "trait",
-                ItemKind::Struct(_) => "struct",
-                ItemKind::Enum { .. } => "enum",
-                ItemKind::Union { .. } => "union",
-                ItemKind::Const { .. } => "const",
-                ItemKind::Static { .. } => "static",
-                ItemKind::TypeAlias { .. } => "type",
-                ItemKind::MacroDef { .. } => "macro_rules",
-                ItemKind::MacroCall { segments } => {
-                    out.push_str(&"  ".repeat(depth));
-                    out.push_str("macro-call ");
-                    out.push_str(&segments.join("::"));
-                    out.push('\n');
-                    continue;
-                }
-                ItemKind::ExternCrate { .. } => "extern-crate",
-                ItemKind::ForeignMod => "foreign-mod",
-                ItemKind::InnerAttr(a) => {
-                    out.push_str(&"  ".repeat(depth));
-                    out.push_str("#![");
-                    out.push_str(&a.path);
-                    out.push_str("]\n");
-                    continue;
-                }
-                ItemKind::Verbatim => "verbatim",
-            };
-            out.push_str(&"  ".repeat(depth));
-            out.push_str(kind);
-            if let ItemKind::Impl(i) = &item.kind {
-                if let Some(t) = &i.trait_name {
-                    out.push(' ');
-                    out.push_str(t);
-                    out.push_str(" for");
-                }
-            }
-            if let Some(name) = item.name() {
-                if !matches!(item.kind, ItemKind::Use { .. }) {
-                    out.push(' ');
-                    out.push_str(name);
-                }
-            }
-            out.push('\n');
-            walk(item.children(), depth + 1, out);
-        }
-    }
-    walk(items, 0, &mut out);
-    out
 }
 
 #[cfg(test)]

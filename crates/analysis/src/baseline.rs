@@ -3,17 +3,15 @@
 //! Format (one entry per line, `#`-lines and blanks ignored):
 //!
 //! ```text
-//! L3|crates/engine/src/lib.rs|expect("shard worker panicked")  # worker panic propagation is correct
+//! L9|crates/engine/src/faults.rs|panic!  # the injected kill is the product
 //! ```
 //!
 //! The part before ` # ` is a [`crate::Finding::key`]; the part after
 //! is a **mandatory justification**. Keys are content-derived (no line
 //! numbers), so entries survive edits elsewhere in the file; a key that
-//! no longer matches any finding is reported as *stale* so the file
-//! cannot silently rot. Stale entries are a **hard error** on full
-//! runs — fixing a finding and deleting its suppression are one
-//! change, not two — and a warning under `--quick`, where cross-file
-//! findings are invisible and their entries would always look stale.
+//! no longer matches any finding is reported as *stale* and fails the
+//! run, so the file cannot silently rot — fixing a finding and deleting
+//! its suppression are one change, not two.
 
 use crate::Finding;
 
@@ -37,7 +35,7 @@ pub struct Baseline {
 
 impl Baseline {
     /// Parses baseline text. Never fails: malformed lines become
-    /// unjustified entries, which `--deny` then rejects loudly.
+    /// unjustified entries, which the run then rejects loudly.
     #[must_use]
     pub fn parse(text: &str) -> Self {
         let mut entries = Vec::new();
@@ -63,13 +61,13 @@ impl Baseline {
 /// The result of subtracting a baseline from a finding list.
 #[derive(Debug)]
 pub struct Applied {
-    /// Findings not covered by the baseline — these fail `--deny`.
+    /// Findings not covered by the baseline — these fail the run.
     pub new: Vec<Finding>,
     /// Number of findings silenced by baseline entries.
     pub silenced: usize,
-    /// Baseline entries whose key matched no finding (warned).
+    /// Baseline entries whose key matched no finding (fail the run).
     pub stale: Vec<Entry>,
-    /// Baseline entries with an empty justification (fail `--deny`).
+    /// Baseline entries with an empty justification (fail the run).
     pub unjustified: Vec<Entry>,
 }
 
@@ -124,11 +122,11 @@ mod tests {
         let b = Baseline::parse(
             "# header comment\n\
              \n\
-             L3|a.rs|unwrap()  # legacy, tracked in ROADMAP\n\
+             L9|a.rs|unwrap()  # legacy, tracked in ROADMAP\n\
              L1|b.rs|x * MERSENNE_P\n",
         );
         assert_eq!(b.entries.len(), 2);
-        assert_eq!(b.entries[0].key, "L3|a.rs|unwrap()");
+        assert_eq!(b.entries[0].key, "L9|a.rs|unwrap()");
         assert_eq!(b.entries[0].justification, "legacy, tracked in ROADMAP");
         assert!(b.entries[1].justification.is_empty());
     }
@@ -136,25 +134,25 @@ mod tests {
     #[test]
     fn apply_partitions_and_flags_stale() {
         let b = Baseline::parse(
-            "L3|a.rs|unwrap()  # ok\n\
-             L3|gone.rs|expect(\"old\")  # fixed long ago\n",
+            "L9|a.rs|unwrap()  # ok\n\
+             L9|gone.rs|expect(\"old\")  # fixed long ago\n",
         );
         let applied = apply(
             &b,
-            vec![finding("L3", "a.rs", "unwrap()"), finding("L3", "c.rs", "panic!")],
+            vec![finding("L9", "a.rs", "unwrap()"), finding("L9", "c.rs", "panic!")],
         );
         assert_eq!(applied.silenced, 1);
         assert_eq!(applied.new.len(), 1);
         assert_eq!(applied.new[0].file, "c.rs");
         assert_eq!(applied.stale.len(), 1);
-        assert_eq!(applied.stale[0].key, "L3|gone.rs|expect(\"old\")");
+        assert_eq!(applied.stale[0].key, "L9|gone.rs|expect(\"old\")");
         assert!(applied.unjustified.is_empty());
     }
 
     #[test]
     fn keys_are_line_number_free() {
-        let a = Finding::new("L3", "a.rs", 10, "unwrap()", "m".into(), None);
-        let b = Finding::new("L3", "a.rs", 99, "unwrap()", "m".into(), None);
+        let a = Finding::new("L9", "a.rs", 10, "unwrap()", "m".into(), None);
+        let b = Finding::new("L9", "a.rs", 99, "unwrap()", "m".into(), None);
         assert_eq!(a.key(), b.key());
     }
 }

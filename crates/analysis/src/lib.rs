@@ -4,27 +4,27 @@
 //! General-purpose tooling (rustc, clippy) cannot see the *project's*
 //! invariants: that field arithmetic must go through the checked
 //! helpers in `hindex-hashing::field`, that every estimator carries a
-//! space contract, that no panic is reachable from a library ingest
-//! path. This crate encodes those rules as lints L1–L12 over three
-//! synchronized views of each file — a hand-rolled token stream
-//! ([`lexer`]), an item tree ([`parse`]/[`ast`]), and workspace-wide
-//! symbol tables with a conservative call graph ([`resolve`] /
-//! [`callgraph`]) — with zero external dependencies, so the pass runs
-//! in the same offline environment as the rest of the workspace.
+//! space contract and every mergeable type a digest, a snapshot and
+//! its law tests, that no panic is reachable from a library ingest
+//! path, and that stream-derived integers never meet unchecked
+//! arithmetic. This crate encodes exactly those rules (L1, L2/L11, L9,
+//! L10) over three synchronized views of each file — a hand-rolled
+//! token stream ([`lexer`]), an item tree ([`parse`]/[`ast`]), and
+//! workspace-wide symbol tables with a conservative call graph
+//! ([`resolve`] / [`callgraph`]) — with zero external dependencies, so
+//! the pass runs in the same offline environment as the rest of the
+//! workspace. Rules that rustc, clippy or cargo can state themselves
+//! live there instead (see `docs/ANALYSIS.md`).
 //!
-//! The binary (`cargo run -p hindex-analysis -- --deny`) walks the
-//! repository, applies every lint, subtracts the committed baseline of
-//! grandfathered findings, and exits nonzero on anything new. See
-//! `docs/ANALYSIS.md` for the lint catalogue and baseline policy.
+//! The binary (`cargo run -p hindex-analysis`) walks the repository,
+//! applies every lint, subtracts the committed baseline of
+//! grandfathered findings, and exits nonzero on anything new.
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod ast;
 pub mod baseline;
-pub mod cache;
 pub mod callgraph;
-pub mod emit;
-pub mod json;
 pub mod lexer;
 pub mod lints;
 pub mod parse;
@@ -33,7 +33,6 @@ pub mod workspace;
 
 use callgraph::CallGraph;
 use resolve::Resolver;
-use std::collections::HashSet;
 use workspace::Workspace;
 
 /// The shared analysis context handed to every lint: the workspace
@@ -46,46 +45,22 @@ pub struct Analysis<'ws> {
     pub resolver: Resolver,
     /// Conservative whole-workspace call graph.
     pub graph: CallGraph,
-    dirty: Option<HashSet<String>>,
 }
 
 impl<'ws> Analysis<'ws> {
-    /// Builds the context over the full workspace (every file dirty).
+    /// Builds the context over the whole workspace.
     #[must_use]
     pub fn build(ws: &'ws Workspace) -> Self {
         let resolver = Resolver::build(ws);
         let graph = CallGraph::build(ws, &resolver);
-        Self {
-            ws,
-            resolver,
-            graph,
-            dirty: None,
-        }
-    }
-
-    /// Builds the context with an incremental dirty set: file-local
-    /// lints only re-examine paths in `dirty` (the cache replays their
-    /// prior findings for clean files). Cross-file lints always see the
-    /// whole workspace — their facts span files, so a clean file can
-    /// still participate in a violation.
-    #[must_use]
-    pub fn with_dirty(ws: &'ws Workspace, dirty: HashSet<String>) -> Self {
-        let mut a = Self::build(ws);
-        a.dirty = Some(dirty);
-        a
-    }
-
-    /// True if a file-local lint should examine `path` this run.
-    #[must_use]
-    pub fn should_lint(&self, path: &str) -> bool {
-        self.dirty.as_ref().is_none_or(|d| d.contains(path))
+        Self { ws, resolver, graph }
     }
 }
 
 /// One diagnostic produced by a lint.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Lint identifier (`"L1"` … `"L12"`).
+    /// Lint identifier (`"L1"`, `"L2"`, `"L9"`, `"L10"`, `"L11"`).
     pub lint: &'static str,
     /// Repo-relative path of the offending file.
     pub file: String,
@@ -144,90 +119,38 @@ impl Finding {
 
 /// A single lint rule.
 pub trait Lint {
-    /// Stable identifier, `"L1"` … `"L12"`.
+    /// Stable identifier shown by `--list` (`"L1"`, `"L2/L11"`, …).
     fn id(&self) -> &'static str;
     /// One-line description for `--list` and documentation.
     fn summary(&self) -> &'static str;
-    /// True for lints that correlate facts across files (these are
-    /// skipped by `--quick` and always re-run by the incremental
-    /// cache).
-    fn cross_file(&self) -> bool {
-        false
-    }
     /// Runs the lint over the analysis context, appending findings.
-    /// File-local lints must honour [`Analysis::should_lint`].
     fn run(&self, ctx: &Analysis, out: &mut Vec<Finding>);
 }
 
-/// The full lint registry, in catalogue order. L3, L5, and L6 are
-/// retired: the token-only panic scan grew into the call-graph-aware
-/// L9, and the two Mergeable-coverage lints merged into the structural
-/// L11.
+/// The full lint registry, in catalogue order. Every lint sees the
+/// whole workspace: L9 walks the call graph and L2/L11 correlate impls
+/// with test suites, so no finding is a function of one file alone.
 #[must_use]
 pub fn all_lints() -> Vec<Box<dyn Lint>> {
     vec![
         Box::new(lints::FieldArithmetic),
-        Box::new(lints::SpaceContract),
-        Box::new(lints::ForbidNondeterminism),
-        Box::new(lints::ObservabilityWiring),
-        Box::new(lints::LegacyIngestVerbs),
+        Box::new(lints::Coverage),
         Box::new(lints::PanicReachability),
         Box::new(lints::OverflowUnsafety),
-        Box::new(lints::DigestSnapshotCoverage),
-        Box::new(lints::FeatureGateConsistency),
     ]
 }
 
-/// Runs every registered lint over a pre-built context (cross-file
-/// lints are skipped when `quick` is set) and returns findings sorted
-/// by file, line, lint.
+/// Builds the context, runs every lint, and returns the findings in
+/// the canonical (file, line, lint) report order.
 #[must_use]
-pub fn run_lints_with(ctx: &Analysis, quick: bool) -> Vec<Finding> {
-    let mut findings = run_file_local_lints(ctx);
-    if !quick {
-        findings.extend(run_cross_lints(ctx));
-    }
-    sort_findings(&mut findings);
-    findings
-}
-
-/// Runs only the file-local lints (the cacheable half: each finding is
-/// a function of one file's contents). Honours the context's dirty
-/// set.
-#[must_use]
-pub fn run_file_local_lints(ctx: &Analysis) -> Vec<Finding> {
+pub fn run_lints(ws: &Workspace) -> Vec<Finding> {
+    let ctx = Analysis::build(ws);
     let mut findings = Vec::new();
     for lint in all_lints() {
-        if !lint.cross_file() {
-            lint.run(ctx, &mut findings);
-        }
+        lint.run(&ctx, &mut findings);
     }
-    findings
-}
-
-/// Runs only the cross-file lints. These always see the whole
-/// workspace: their facts span files, so the incremental cache cannot
-/// replay them unless *nothing* changed.
-#[must_use]
-pub fn run_cross_lints(ctx: &Analysis) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for lint in all_lints() {
-        if lint.cross_file() {
-            lint.run(ctx, &mut findings);
-        }
-    }
-    findings
-}
-
-/// Sorts findings into the canonical (file, line, lint) report order.
-pub fn sort_findings(findings: &mut [Finding]) {
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.lint).cmp(&(b.file.as_str(), b.line, b.lint))
     });
-}
-
-/// Convenience wrapper: builds the context and runs every lint.
-#[must_use]
-pub fn run_lints(ws: &Workspace, quick: bool) -> Vec<Finding> {
-    run_lints_with(&Analysis::build(ws), quick)
+    findings
 }

@@ -1,25 +1,27 @@
-//! The lint catalogue: the repo-specific rules L1–L12.
+//! The lint catalogue: the repo-specific rules rustc and clippy cannot
+//! express.
 //!
-//! Lints come in two tiers. The token-level rules (L1, L4, L7, L8)
-//! work directly on the lexed streams and document the approximation
-//! each one makes. The dataflow rules (L2, L9–L12) consume the
-//! [`crate::Analysis`] context — parsed item trees, workspace symbol
-//! tables, and the conservative call graph — so they can answer
-//! *reachability* and *coverage* questions no single-file scan can.
+//! L1 is a token-level rule and documents the approximation it makes.
+//! The coverage table (L2, L11) and the dataflow rules (L9, L10)
+//! consume the [`crate::Analysis`] context — parsed item trees,
+//! workspace symbol tables, and the conservative call graph — so they
+//! can answer *coverage* and *reachability* questions no single-file
+//! scan can.
 //!
-//! Retired rules: L3 (token-only panic scan) grew into the
-//! call-graph-aware L9; L5/L6 (Mergeable test coverage) merged into
-//! the structural L11. Their ids are never reused.
+//! Ids are never reused. Retired: L3 (token-only panic scan) grew into
+//! L9; L5/L6 (Mergeable test coverage) merged into L11; L4, L7, L8 and
+//! L12 were deleted because rustc, clippy or cargo enforce what still
+//! mattered of them (see `docs/ANALYSIS.md`).
 //!
 //! False positives are expected to be rare and are handled by the
 //! committed baseline, never by weakening a rule.
 
-use crate::ast::{Item, ItemKind, Span};
+use crate::ast::Span;
 use crate::lexer::{TokKind, Token};
-use crate::resolve::{FnInfo, Resolver};
-use crate::workspace::{FileKind, SourceFile};
+use crate::resolve::{FnInfo, ImplInfo, Resolver};
+use crate::workspace::SourceFile;
 use crate::{Analysis, Finding};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// Renders one line's tokens back into a compact, format-insensitive
 /// snippet for diagnostics and baseline keys.
@@ -65,19 +67,6 @@ fn live_lines(file: &SourceFile) -> BTreeMap<u32, Vec<&Token>> {
         }
     }
     lines
-}
-
-/// All identifier texts appearing in a file (used for "is this type
-/// referenced from suite X" checks).
-fn ident_set(file: Option<&SourceFile>) -> HashSet<&str> {
-    file.map(|f| {
-        f.tokens
-            .iter()
-            .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.as_str())
-            .collect()
-    })
-    .unwrap_or_default()
 }
 
 /// Index of the matching close bracket for the open bracket at `open`,
@@ -151,10 +140,7 @@ impl crate::Lint for FieldArithmetic {
     }
     fn run(&self, ctx: &Analysis, out: &mut Vec<Finding>) {
         for file in &ctx.ws.files {
-            if file.kind != FileKind::Library
-                || file.path == "crates/hashing/src/field.rs"
-                || !ctx.should_lint(&file.path)
-            {
+            if !file.library || file.path == "crates/hashing/src/field.rs" {
                 continue;
             }
             for (line, toks) in live_lines(file) {
@@ -182,432 +168,159 @@ impl crate::Lint for FieldArithmetic {
     }
 }
 
-/// L2 — every public estimator carries a space contract.
+/// L2 and L11 — a contract trait's implementors carry their companions.
 ///
-/// Any type implementing one of the estimator traits
-/// (`AggregateEstimator`, `CashRegisterEstimator`,
-/// `TurnstileEstimator`) in `crates/{core,sketch,baseline}` must also
-/// implement `SpaceUsage`, and must be referenced from the workspace
-/// space-contract suite `tests/space_contracts.rs` so the sublinearity
-/// bounds of the paper stay pinned by tests. Since the AST upgrade the
-/// impl inventory comes from the resolver's parsed tables rather than
-/// a token scan, so generic headers and `#[cfg(test)]` nesting are
-/// handled structurally.
-pub struct SpaceContract;
+/// One table ([`COVERAGE`]), one loop. Each row names the traits whose
+/// non-test library impls it audits, and what every implementing type
+/// `T` must also have:
+///
+/// * **L2 (space contract)** — an estimator type in
+///   `crates/{core,sketch,baseline}` implements `SpaceUsage` and is
+///   referenced from `tests/space_contracts.rs`, so the space bounds
+///   of the paper's theorems stay pinned by tests;
+/// * **L11 (digest and snapshot)** — a `Mergeable` type implements
+///   `Snapshot` (the engine checkpoints a shard by snapshotting it),
+///   has a `state_digest` method (the invariant layer fingerprints
+///   state around merges), and is referenced from
+///   `tests/merge_semantics.rs` (merge-vs-concatenation law) and from
+///   `tests/snapshot_roundtrip.rs` (round-trip law, corruption
+///   totality).
+///
+/// A missing companion is reported once per type and row, at the
+/// type's first audited impl; a type under both rows is reported under
+/// both. The impl inventory and the method lookup come from the
+/// resolver, so generic headers, `#[cfg(test)]` helper types and gated
+/// methods are classified structurally; a suite reference is the
+/// type's name appearing anywhere in the suite file.
+pub struct Coverage;
 
-/// The estimator traits whose implementors L2 audits.
-const ESTIMATOR_TRAITS: &[&str] = &[
-    "AggregateEstimator",
-    "CashRegisterEstimator",
-    "TurnstileEstimator",
+/// A companion every audited type must have.
+enum Need {
+    /// `impl <trait> for T` in non-test library code.
+    Impl(&'static str),
+    /// A method of this name on `T` (inherent or trait impl).
+    Method(&'static str),
+    /// A mention of `T` in this test suite.
+    Suite(&'static str),
+}
+
+/// One row of the coverage table.
+struct Row {
+    /// Lint id the row reports under.
+    lint: &'static str,
+    /// Traits whose implementors the row audits.
+    traits: &'static [&'static str],
+    /// Path prefixes of the audited crates (empty: every library crate).
+    crates: &'static [&'static str],
+    /// Each companion, with its baseline-key snippet suffix and its fix.
+    needs: &'static [(Need, &'static str, &'static str)],
+}
+
+/// The coverage table: the paper's space theorems (L2) and the
+/// engine's merge, checkpoint and bit-identity contracts (L11).
+const COVERAGE: &[Row] = &[
+    Row {
+        lint: "L2",
+        traits: &[
+            "AggregateEstimator",
+            "CashRegisterEstimator",
+            "TurnstileEstimator",
+        ],
+        crates: &["crates/core/", "crates/sketch/", "crates/baseline/"],
+        needs: &[
+            (
+                Need::Impl("SpaceUsage"),
+                "missing SpaceUsage",
+                "implement SpaceUsage reporting words of state",
+            ),
+            (
+                Need::Suite("tests/space_contracts.rs"),
+                "not in space_contracts",
+                "add a sublinearity/space assertion to tests/space_contracts.rs",
+            ),
+        ],
+    },
+    Row {
+        lint: "L11",
+        traits: &["Mergeable"],
+        crates: &[],
+        needs: &[
+            (
+                Need::Impl("Snapshot"),
+                "not persistable",
+                "implement Snapshot (versioned frame, total decode)",
+            ),
+            (
+                Need::Method("state_digest"),
+                "missing state_digest",
+                "add a `#[cfg(feature = \"debug_invariants\")] pub fn state_digest(&self) -> u64` \
+                 (FNV-1a over the logical state) to an inherent impl",
+            ),
+            (
+                Need::Suite("tests/merge_semantics.rs"),
+                "missing merge test",
+                "add a split-stream merge-vs-concatenation test",
+            ),
+            (
+                Need::Suite("tests/snapshot_roundtrip.rs"),
+                "missing snapshot round-trip test",
+                "add a round-trip + corruption case",
+            ),
+        ],
+    },
 ];
 
-/// Crates whose estimator types are subject to L2.
-const ESTIMATOR_CRATES: &[&str] = &["crates/core/", "crates/sketch/", "crates/baseline/"];
-
-impl crate::Lint for SpaceContract {
+impl crate::Lint for Coverage {
     fn id(&self) -> &'static str {
-        "L2"
+        "L2/L11"
     }
     fn summary(&self) -> &'static str {
-        "estimator types must impl SpaceUsage and appear in tests/space_contracts.rs"
-    }
-    fn cross_file(&self) -> bool {
-        true
+        "estimators have SpaceUsage + a space_contracts test (L2); Mergeable types have \
+         Snapshot, state_digest, merge and round-trip tests (L11)"
     }
     fn run(&self, ctx: &Analysis, out: &mut Vec<Finding>) {
-        let contract_refs = ident_set(ctx.ws.file("tests/space_contracts.rs"));
-        let space_types: HashSet<&str> = ctx
-            .resolver
-            .impls
-            .iter()
-            .filter(|i| {
-                ctx.ws.files[i.file].kind == FileKind::Library
-                    && !i.in_test
-                    && i.trait_name.as_deref() == Some("SpaceUsage")
-            })
-            .map(|i| i.self_ty.as_str())
-            .collect();
-        let mut reported: HashSet<(String, &str)> = HashSet::new();
-        for imp in &ctx.resolver.impls {
-            let file = &ctx.ws.files[imp.file];
-            if imp.in_test || !ESTIMATOR_CRATES.iter().any(|c| file.path.starts_with(c)) {
-                continue;
-            }
-            let Some(trait_name) = imp.trait_name.as_deref() else {
-                continue;
-            };
-            if !ESTIMATOR_TRAITS.contains(&trait_name) {
-                continue;
-            }
-            let ty = &imp.self_ty;
-            if !space_types.contains(ty.as_str()) && reported.insert((ty.clone(), "space")) {
-                out.push(Finding::new(
-                    "L2",
-                    &file.path,
-                    imp.line,
-                    &format!("{ty} missing SpaceUsage"),
-                    format!("estimator `{ty}` does not implement SpaceUsage"),
-                    Some(format!(
-                        "add `impl SpaceUsage for {ty}` reporting words of state"
-                    )),
-                ));
-            }
-            if !contract_refs.contains(ty.as_str()) && reported.insert((ty.clone(), "test")) {
-                out.push(Finding::new(
-                    "L2",
-                    &file.path,
-                    imp.line,
-                    &format!("{ty} not in space_contracts"),
-                    format!("estimator `{ty}` is not referenced from tests/space_contracts.rs"),
-                    Some(format!(
-                        "add a sublinearity/space assertion for `{ty}` to tests/space_contracts.rs"
-                    )),
-                ));
-            }
-        }
-    }
-}
-
-/// L4 — memory safety and determinism hygiene.
-///
-/// (a) Every crate root (`src/lib.rs` / `src/main.rs`, vendored shims
-/// excepted) must carry `#![forbid(unsafe_code)]`.
-/// (b) Library code must not reach for ambient nondeterminism:
-/// `thread_rng`, entropy-based RNG constructors, and wall-clock types
-/// are banned — estimators take seeds and tick counters from their
-/// callers so runs replay bit-identically (the sharded-engine stress
-/// tests depend on this).
-///
-/// One explicit exemption: [`CLOCK_SEAM`], the observability crate's
-/// single wall-clock module. Latency profiling needs a real clock;
-/// confining it to one audited file (whose durations feed only
-/// latency histograms, never estimator state) is the policy, so the
-/// exemption is carried here rather than in the baseline.
-pub struct ForbidNondeterminism;
-
-/// The one library file allowed to name wall-clock types.
-pub const CLOCK_SEAM: &str = "crates/obs/src/clock.rs";
-
-/// The engine's fault-injection module — the second and last seam.
-/// Chaos plans are replayable by contract (`FaultPlan::random` is
-/// seeded; `rand=N@now` derives a seed once and echoes it), so the
-/// module may name `SystemTime` for that one derivation and `panic!`
-/// for its injected kills (a supervised worker must die the way a real
-/// one does). The exemption is *conditional*: it holds only while the
-/// file keeps its seeded-RNG marker (`seed_from_u64`). Strip the
-/// seeding and both lints fire again — an unseeded fault module is
-/// ambient nondeterminism like any other.
-pub const FAULT_SEAM: &str = "crates/engine/src/faults.rs";
-
-/// Whether the fault seam still carries its replayability marker.
-fn seam_is_seeded(file: &SourceFile) -> bool {
-    file.tokens
-        .iter()
-        .any(|t| t.kind == TokKind::Ident && t.text == "seed_from_u64")
-}
-
-const NONDETERMINISM: &[&str] = &[
-    "thread_rng",
-    "from_entropy",
-    "from_os_rng",
-    "try_from_os_rng",
-    "SystemTime",
-    "Instant",
-];
-
-impl crate::Lint for ForbidNondeterminism {
-    fn id(&self) -> &'static str {
-        "L4"
-    }
-    fn summary(&self) -> &'static str {
-        "crate roots forbid unsafe_code; no ambient RNG/clock in library code"
-    }
-    fn run(&self, ctx: &Analysis, out: &mut Vec<Finding>) {
-        for file in &ctx.ws.files {
-            if !ctx.should_lint(&file.path) {
-                continue;
-            }
-            if file.is_crate_root && matches!(file.kind, FileKind::Library | FileKind::Tool) {
-                let toks = &file.tokens;
-                let has_forbid = toks.windows(7).any(|w| {
-                    w[0].is_punct('#')
-                        && w[1].is_punct('!')
-                        && w[2].is_punct('[')
-                        && w[3].is_ident("forbid")
-                        && w[4].is_punct('(')
-                        && w[5].is_ident("unsafe_code")
-                        && w[6].is_punct(')')
-                });
-                if !has_forbid {
-                    out.push(Finding::new(
-                        "L4",
-                        &file.path,
-                        1,
-                        "missing forbid(unsafe_code)",
-                        "crate root lacks #![forbid(unsafe_code)]".to_string(),
-                        Some(
-                            "add `#![forbid(unsafe_code)]` below the crate docs".to_string(),
-                        ),
-                    ));
-                }
-            }
-            if file.kind != FileKind::Library
-                || file.path == CLOCK_SEAM
-                || (file.path == FAULT_SEAM && seam_is_seeded(file))
-            {
-                continue;
-            }
-            for t in &file.tokens {
-                if t.kind == TokKind::Ident
-                    && NONDETERMINISM.contains(&t.text.as_str())
-                    && !file.in_test_code(t.line)
-                {
-                    out.push(Finding::new(
-                        "L4",
-                        &file.path,
-                        t.line,
-                        &format!("nondeterministic {}", t.text),
-                        format!(
-                            "`{}` introduces ambient nondeterminism into library code",
-                            t.text
-                        ),
-                        Some(
-                            "take a caller-provided seed (SeedableRng::seed_from_u64) or tick \
-                             counter instead"
-                                .to_string(),
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// L7 — the observability layer stays wired end to end.
-///
-/// Two completeness checks on the tracing vocabulary:
-///
-/// (a) every `EventKind` variant declared in `crates/obs/src/trace.rs`
-/// must be *recorded* somewhere in `crates/obs/src/observer.rs` — a
-/// variant nobody emits is dead vocabulary that silently rots;
-///
-/// (b) every observer hook (`fn on_*` in `observer.rs`) must be called
-/// from at least one file outside `crates/obs/` — a hook the engine
-/// and CLI never invoke means an instrumentation point was designed
-/// and then dropped on the floor.
-///
-/// Approximation: both checks are ident-presence, not call-graph
-/// analysis; a hook mentioned in a comment token would not count
-/// (comments are not lexed), but one mentioned in dead code would.
-pub struct ObservabilityWiring;
-
-/// Where the event vocabulary is declared.
-const TRACE_FILE: &str = "crates/obs/src/trace.rs";
-/// Where events are recorded and hooks are defined.
-const OBSERVER_FILE: &str = "crates/obs/src/observer.rs";
-
-/// Scans `enum EventKind { ... }` and returns the variant names.
-/// Variants are the idents at brace depth 1 that directly follow the
-/// opening brace or a comma (attribute/doc tokens are not emitted by
-/// the lexer, so this is exact for fieldless enums).
-fn event_kind_variants(file: &SourceFile) -> Vec<(String, u32)> {
-    let toks = &file.tokens;
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i + 2 < toks.len() {
-        if toks[i].is_ident("enum") && toks[i + 1].is_ident("EventKind") {
-            let mut j = i + 2;
-            while let Some(t) = toks.get(j) {
-                if t.is_punct('{') {
-                    break;
-                }
-                j += 1;
-            }
-            let mut depth = 0i64;
-            let mut expect_variant = false;
-            while let Some(t) = toks.get(j) {
-                if t.is_punct('{') {
-                    depth += 1;
-                    if depth == 1 {
-                        expect_variant = true;
-                    }
-                } else if t.is_punct('}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if depth == 1 {
-                    if t.is_punct(',') {
-                        expect_variant = true;
-                    } else if expect_variant && t.kind == TokKind::Ident {
-                        out.push((t.text.clone(), t.line));
-                        expect_variant = false;
-                    }
-                }
-                j += 1;
-            }
-            break;
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Names of `fn on_*` hook definitions in a file, outside test code.
-fn hook_defs(file: &SourceFile) -> Vec<(String, u32)> {
-    let toks = &file.tokens;
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.is_ident("fn") && !file.in_test_code(t.line) {
-            if let Some(name) = toks.get(i + 1) {
-                if name.kind == TokKind::Ident && name.text.starts_with("on_") {
-                    out.push((name.text.clone(), name.line));
-                }
-            }
-        }
-    }
-    out
-}
-
-impl crate::Lint for ObservabilityWiring {
-    fn id(&self) -> &'static str {
-        "L7"
-    }
-    fn summary(&self) -> &'static str {
-        "every EventKind variant is recorded and every observer hook is called"
-    }
-    fn cross_file(&self) -> bool {
-        true
-    }
-    fn run(&self, ctx: &Analysis, out: &mut Vec<Finding>) {
-        let Some(trace) = ctx.ws.file(TRACE_FILE) else {
-            return; // no obs crate in this workspace snapshot
-        };
-        let observer_refs = ident_set(ctx.ws.file(OBSERVER_FILE));
-        for (variant, line) in event_kind_variants(trace) {
-            if !observer_refs.contains(variant.as_str()) {
-                out.push(Finding::new(
-                    "L7",
-                    TRACE_FILE,
-                    line,
-                    &format!("EventKind::{variant} never recorded"),
-                    format!(
-                        "`EventKind::{variant}` is declared but never recorded by \
-                         {OBSERVER_FILE}"
-                    ),
-                    Some(format!(
-                        "emit the event from the matching observer hook, or delete \
-                         the `{variant}` variant"
-                    )),
-                ));
-            }
-        }
-        let Some(observer) = ctx.ws.file(OBSERVER_FILE) else {
-            return;
-        };
-        let mut external_refs: HashSet<&str> = HashSet::new();
-        for file in &ctx.ws.files {
-            if file.path.starts_with("crates/obs/") || file.kind == FileKind::Vendored {
-                continue;
-            }
-            for t in &file.tokens {
-                if t.kind == TokKind::Ident && t.text.starts_with("on_") {
-                    external_refs.insert(&t.text);
-                }
-            }
-        }
-        for (hook, line) in hook_defs(observer) {
-            if !external_refs.contains(hook.as_str()) {
-                out.push(Finding::new(
-                    "L7",
-                    OBSERVER_FILE,
-                    line,
-                    &format!("hook {hook} never called"),
-                    format!(
-                        "observer hook `{hook}` is never invoked outside crates/obs \
-                         — an instrumentation point got designed, then dropped"
-                    ),
-                    Some(format!(
-                        "call `{hook}` from the engine or CLI, or remove the hook"
-                    )),
-                ));
-            }
-        }
-    }
-}
-
-/// L8 — the estimator ingestion vocabulary stays unified.
-///
-/// The estimator traits expose `ingest` / `ingest_batch`; the legacy
-/// verbs (`push`, `update`, `push_batch`, `update_batch`) are gone
-/// from the traits entirely. This lint flags any *impl block of an
-/// estimator trait* in library code that defines one of the old verbs
-/// — and, in `crates/baseline/` (where the exact reference tables
-/// *are* the estimators), any non-test impl block at all — so the
-/// legacy vocabulary cannot quietly come back.
-pub struct LegacyIngestVerbs;
-
-/// The banned method names inside estimator-trait impl blocks.
-const LEGACY_VERBS: &[&str] = &["push", "update", "push_batch", "update_batch"];
-
-impl crate::Lint for LegacyIngestVerbs {
-    fn id(&self) -> &'static str {
-        "L8"
-    }
-    fn summary(&self) -> &'static str {
-        "no push/update/*_batch definitions inside estimator-trait impls"
-    }
-    fn run(&self, ctx: &Analysis, out: &mut Vec<Finding>) {
-        for imp in &ctx.resolver.impls {
-            let file = &ctx.ws.files[imp.file];
-            if file.kind != FileKind::Library || imp.in_test || !ctx.should_lint(&file.path) {
-                continue;
-            }
-            let is_estimator = imp
-                .trait_name
-                .as_deref()
-                .is_some_and(|t| ESTIMATOR_TRAITS.contains(&t));
-            let in_baseline = file.path.contains("crates/baseline/");
-            if !is_estimator && !in_baseline {
-                continue;
-            }
-            for &fid in &imp.fn_ids {
-                let f = &ctx.resolver.fns[fid];
-                if !LEGACY_VERBS.contains(&f.name.as_str()) || f.in_test {
+        let audited = |i: &&ImplInfo| ctx.ws.files[i.file].library && !i.in_test;
+        for row in COVERAGE {
+            let mut reported: HashSet<(&str, usize)> = HashSet::new();
+            for imp in ctx.resolver.impls.iter().filter(audited) {
+                let Some(tr) = imp.trait_name.as_deref().filter(|t| row.traits.contains(t)) else {
+                    continue;
+                };
+                let file = &ctx.ws.files[imp.file];
+                if !row.crates.is_empty() && !row.crates.iter().any(|c| file.path.starts_with(c)) {
                     continue;
                 }
-                let (snippet, message) = if is_estimator {
-                    (
-                        format!("fn {} in estimator impl", f.name),
-                        format!(
-                            "estimator-trait impl re-defines legacy verb `{}`; the \
-                             unified vocabulary is ingest/ingest_batch",
-                            f.name
+                let ty = imp.self_ty.as_str();
+                for (n, (need, snippet, fix)) in row.needs.iter().enumerate() {
+                    let (met, gap) = match need {
+                        Need::Impl(companion) => (
+                            ctx.resolver.impls.iter().filter(audited).any(|i| {
+                                i.self_ty == ty && i.trait_name.as_deref() == Some(*companion)
+                            }),
+                            format!("has no `{companion}` impl"),
                         ),
-                    )
-                } else {
-                    (
-                        format!("fn {} in baseline impl", f.name),
-                        format!(
-                            "baseline table defines legacy verb `{}`; the exact \
-                             references use the same ingest/ingest_batch vocabulary \
-                             as the sketches they calibrate",
-                            f.name
+                        Need::Method(name) => (
+                            !ctx.resolver.methods_of(ty, name).is_empty(),
+                            format!("has no `{name}` method"),
                         ),
-                    )
-                };
-                out.push(Finding::new(
-                    "L8",
-                    &file.path,
-                    f.line,
-                    &snippet,
-                    message,
-                    Some(
-                        "implement `ingest` (and optionally `ingest_batch`) instead"
-                            .to_string(),
-                    ),
-                ));
+                        Need::Suite(suite) => (
+                            ctx.ws
+                                .file(suite)
+                                .is_some_and(|f| f.tokens.iter().any(|t| t.is_ident(ty))),
+                            format!("is not referenced from {suite}"),
+                        ),
+                    };
+                    if !met && reported.insert((ty, n)) {
+                        out.push(Finding::new(
+                            row.lint,
+                            &file.path,
+                            imp.line,
+                            &format!("{ty} {snippet}"),
+                            format!("`{tr}` impl for `{ty}` {gap}"),
+                            Some((*fix).to_string()),
+                        ));
+                    }
+                }
             }
         }
     }
@@ -1062,9 +775,6 @@ impl crate::Lint for PanicReachability {
     fn summary(&self) -> &'static str {
         "no unwrap/expect/panic!-family or unguarded indexing reachable from ingest/merge/query"
     }
-    fn cross_file(&self) -> bool {
-        true
-    }
     fn run(&self, ctx: &Analysis, out: &mut Vec<Finding>) {
         let r = &ctx.resolver;
         let entries: Vec<usize> = r
@@ -1072,7 +782,7 @@ impl crate::Lint for PanicReachability {
             .iter()
             .enumerate()
             .filter(|(_, f)| {
-                ctx.ws.files[f.file].kind == FileKind::Library
+                ctx.ws.files[f.file].library
                     && !f.in_test
                     && !f.gated
                     && is_entry(&f.name)
@@ -1083,7 +793,7 @@ impl crate::Lint for PanicReachability {
 
         // Prong (a): the panic family, everywhere in library code.
         for (file_idx, file) in ctx.ws.files.iter().enumerate() {
-            if file.kind != FileKind::Library {
+            if !file.library {
                 continue;
             }
             let toks = &file.tokens;
@@ -1110,12 +820,6 @@ impl crate::Lint for PanicReachability {
                     None
                 };
                 let Some(snippet) = snippet else { continue };
-                if file.path == FAULT_SEAM && snippet == "panic!" && seam_is_seeded(file) {
-                    // The seam's `detonate` panic IS the product: an
-                    // injected kill must travel the genuine worker
-                    // crash path. unwrap/expect stay banned there.
-                    continue;
-                }
                 let owner = fn_at(r, file_idx, i);
                 if let Some(fid) = owner {
                     if r.fns[fid].in_test || r.fns[fid].gated {
@@ -1156,7 +860,7 @@ impl crate::Lint for PanicReachability {
                 continue;
             }
             let file = &ctx.ws.files[f.file];
-            if file.kind != FileKind::Library {
+            if !file.library {
                 continue;
             }
             let Some(body) = f.def.body else { continue };
@@ -1598,10 +1302,9 @@ impl crate::Lint for OverflowUnsafety {
     }
     fn run(&self, ctx: &Analysis, out: &mut Vec<Finding>) {
         for (file_idx, file) in ctx.ws.files.iter().enumerate() {
-            if file.kind != FileKind::Library
+            if !file.library
                 || !L10_SCOPE.iter().any(|p| file.path.starts_with(p))
                 || file.path == "crates/hashing/src/field.rs"
-                || !ctx.should_lint(&file.path)
             {
                 continue;
             }
@@ -1756,308 +1459,6 @@ impl crate::Lint for OverflowUnsafety {
     }
 }
 
-/// L11 — every `Mergeable` type is digestible, persistable, covered.
-///
-/// Structural successor to the retired L5/L6. For each non-test
-/// `impl Mergeable for T` in library code, four facts must hold:
-///
-/// 1. `T` has a `Snapshot` impl (the engine checkpoints by
-///    snapshotting each shard — a mergeable type without a durable
-///    encoding silently excludes itself from crash recovery);
-/// 2. `T` has a `state_digest` method (the debug-invariant layer
-///    fingerprints shard state around merges; a type without a digest
-///    is invisible to the divergence checks);
-/// 3. `T` is referenced from `tests/merge_semantics.rs` (merge-vs-
-///    concatenated-stream law);
-/// 4. `T` is referenced from `tests/snapshot_roundtrip.rs` (round-trip
-///    law + corruption totality).
-///
-/// Unlike the retired token scans, the impl inventory and the
-/// `state_digest` lookup come from the resolver, so `#[cfg(test)]`
-/// helper types and gated methods are classified correctly.
-pub struct DigestSnapshotCoverage;
-
-/// The merge-law suite L11 checks membership against.
-const MERGE_SUITE: &str = "tests/merge_semantics.rs";
-/// The persistence suite L11 checks membership against.
-const ROUNDTRIP_SUITE: &str = "tests/snapshot_roundtrip.rs";
-
-impl crate::Lint for DigestSnapshotCoverage {
-    fn id(&self) -> &'static str {
-        "L11"
-    }
-    fn summary(&self) -> &'static str {
-        "every Mergeable type has Snapshot + state_digest and is covered by both suites"
-    }
-    fn cross_file(&self) -> bool {
-        true
-    }
-    fn run(&self, ctx: &Analysis, out: &mut Vec<Finding>) {
-        let merge_refs = ident_set(ctx.ws.file(MERGE_SUITE));
-        let roundtrip_refs = ident_set(ctx.ws.file(ROUNDTRIP_SUITE));
-        let snapshot_types: HashSet<&str> = ctx
-            .resolver
-            .impls
-            .iter()
-            .filter(|i| {
-                ctx.ws.files[i.file].kind == FileKind::Library
-                    && !i.in_test
-                    && i.trait_name.as_deref() == Some("Snapshot")
-            })
-            .map(|i| i.self_ty.as_str())
-            .collect();
-        let mut reported: HashSet<String> = HashSet::new();
-        for imp in &ctx.resolver.impls {
-            let file = &ctx.ws.files[imp.file];
-            if file.kind != FileKind::Library
-                || imp.in_test
-                || imp.trait_name.as_deref() != Some("Mergeable")
-            {
-                continue;
-            }
-            let ty = imp.self_ty.as_str();
-            if !snapshot_types.contains(ty) && reported.insert(format!("snapshot:{ty}")) {
-                out.push(Finding::new(
-                    "L11",
-                    &file.path,
-                    imp.line,
-                    &format!("{ty} not persistable"),
-                    format!(
-                        "`Mergeable` impl for `{ty}` has no `Snapshot` impl — the engine \
-                         cannot checkpoint shards hosting it"
-                    ),
-                    Some(format!(
-                        "implement `Snapshot` for `{ty}` (versioned frame, total decode)"
-                    )),
-                ));
-            }
-            if ctx.resolver.methods_of(ty, "state_digest").is_empty()
-                && reported.insert(format!("digest:{ty}"))
-            {
-                out.push(Finding::new(
-                    "L11",
-                    &file.path,
-                    imp.line,
-                    &format!("{ty} missing state_digest"),
-                    format!(
-                        "`Mergeable` impl for `{ty}` has no `state_digest` method — the \
-                         debug-invariant layer cannot fingerprint it around merges"
-                    ),
-                    Some(format!(
-                        "add a `#[cfg(feature = \"debug_invariants\")] pub fn \
-                         state_digest(&self) -> u64` (FNV-1a over the logical state) to \
-                         an inherent impl of `{ty}`"
-                    )),
-                ));
-            }
-            if !merge_refs.contains(ty) && reported.insert(format!("merge:{ty}")) {
-                out.push(Finding::new(
-                    "L11",
-                    &file.path,
-                    imp.line,
-                    &format!("{ty} missing merge test"),
-                    format!(
-                        "`Mergeable` impl for `{ty}` is not exercised by {MERGE_SUITE}"
-                    ),
-                    Some(format!(
-                        "add a split-stream merge-vs-concatenation test for `{ty}`"
-                    )),
-                ));
-            }
-            if !roundtrip_refs.contains(ty) && reported.insert(format!("roundtrip:{ty}")) {
-                out.push(Finding::new(
-                    "L11",
-                    &file.path,
-                    imp.line,
-                    &format!("{ty} missing snapshot round-trip test"),
-                    format!(
-                        "`{ty}` is not referenced by {ROUNDTRIP_SUITE}, the suite \
-                         asserting the round-trip law and corruption totality"
-                    ),
-                    Some(format!(
-                        "add a round-trip + corruption case for `{ty}` to \
-                         {ROUNDTRIP_SUITE}"
-                    )),
-                ));
-            }
-        }
-    }
-}
-
-/// L12 — feature-gate consistency for the debug-invariant layer.
-///
-/// The `debug_invariant!` macro self-gates via
-/// `#[cfg(feature = "debug_invariants")]` **in its expansion**, which
-/// rustc resolves against the *expanding* crate's feature set. A crate
-/// that uses the macro without declaring the feature compiles — and
-/// silently never checks anything. This lint closes that hole with
-/// three manifest-level rules, evaluated per crate (crates without a
-/// `Cargo.toml` in the analysed set are skipped):
-///
-/// * **A (declare)** — a crate whose library code uses
-///   `debug_invariant!` or defines `state_digest` must declare a
-///   `debug_invariants` feature in its `Cargo.toml`;
-/// * **B (forward)** — such a crate must forward the feature to every
-///   non-test `hindex_*` dependency that itself declares it
-///   (`"hindex-common/debug_invariants"`-style), so enabling the
-///   feature at the top enables it transitively;
-/// * **C (gate)** — every non-test `fn state_digest` in library code
-///   must sit behind `#[cfg(feature = "debug_invariants")]`; an
-///   ungated digest silently bloats release builds.
-pub struct FeatureGateConsistency;
-
-/// The feature name the debug-invariant layer is gated on.
-const GATE_FEATURE: &str = "debug_invariants";
-
-/// Collects the `hindex_*` crates named by non-test `use` items.
-fn non_test_use_targets(items: &[Item], in_test: bool, out: &mut BTreeSet<String>) {
-    for item in items {
-        let in_test = in_test || item.is_cfg_test();
-        if let ItemKind::Use { segments } = &item.kind {
-            if !in_test {
-                if let Some(first) = segments.first() {
-                    if first.starts_with("hindex_") {
-                        out.insert(first.clone());
-                    }
-                }
-            }
-        }
-        non_test_use_targets(item.children(), in_test, out);
-    }
-}
-
-impl crate::Lint for FeatureGateConsistency {
-    fn id(&self) -> &'static str {
-        "L12"
-    }
-    fn summary(&self) -> &'static str {
-        "debug_invariant!/state_digest usage implies feature declaration, forwarding, gating"
-    }
-    fn cross_file(&self) -> bool {
-        true
-    }
-    fn run(&self, ctx: &Analysis, out: &mut Vec<Finding>) {
-        for m in &ctx.ws.manifests {
-            let Some(pkg) = &m.package_name else { continue };
-            let manifest_path = if m.dir.is_empty() {
-                "Cargo.toml".to_string()
-            } else {
-                format!("{}/Cargo.toml", m.dir)
-            };
-            let crate_files: Vec<(usize, &SourceFile)> = ctx
-                .ws
-                .files
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.kind == FileKind::Library && f.crate_dir() == m.dir)
-                .collect();
-            if crate_files.is_empty() {
-                continue;
-            }
-            let uses_invariant = crate_files.iter().any(|(_, f)| {
-                f.tokens.windows(2).any(|w| {
-                    w[0].is_ident("debug_invariant")
-                        && w[1].is_punct('!')
-                        && !f.in_test_code(w[0].line)
-                })
-            });
-            let digest_fns: Vec<&FnInfo> = ctx
-                .resolver
-                .fns
-                .iter()
-                .filter(|fi| {
-                    fi.name == "state_digest"
-                        && !fi.in_test
-                        && crate_files.iter().any(|(idx, _)| *idx == fi.file)
-                })
-                .collect();
-            let usage = uses_invariant || !digest_fns.is_empty();
-            let declared = m.feature(GATE_FEATURE);
-
-            // Rule A: usage implies declaration.
-            if usage && declared.is_none() {
-                out.push(Finding::new(
-                    "L12",
-                    &manifest_path,
-                    1,
-                    &format!("{pkg} missing {GATE_FEATURE} feature"),
-                    format!(
-                        "`{pkg}` uses debug_invariant!/state_digest but its Cargo.toml \
-                         declares no `{GATE_FEATURE}` feature — the checks can never be \
-                         enabled for this crate"
-                    ),
-                    Some(format!(
-                        "add `{GATE_FEATURE} = []` (plus forwarding entries) under \
-                         [features] in {manifest_path}"
-                    )),
-                ));
-            }
-
-            // Rule B: forward the feature to declaring dependencies.
-            if usage {
-                let mut deps = BTreeSet::new();
-                for (_, f) in &crate_files {
-                    non_test_use_targets(&f.items, false, &mut deps);
-                }
-                for dep in deps {
-                    let dep_pkg = dep.replace('_', "-");
-                    if dep_pkg == *pkg {
-                        continue;
-                    }
-                    let dep_declares = ctx.ws.manifests.iter().any(|dm| {
-                        dm.package_name.as_deref() == Some(dep_pkg.as_str())
-                            && dm.feature(GATE_FEATURE).is_some()
-                    });
-                    if !dep_declares {
-                        continue;
-                    }
-                    let fwd = format!("{dep_pkg}/{GATE_FEATURE}");
-                    if !declared.is_some_and(|l| l.iter().any(|e| e == &fwd)) {
-                        out.push(Finding::new(
-                            "L12",
-                            &manifest_path,
-                            1,
-                            &format!("{pkg} does not forward {GATE_FEATURE} to {dep_pkg}"),
-                            format!(
-                                "`{pkg}` uses the debug-invariant layer and depends on \
-                                 `{dep_pkg}` (which declares `{GATE_FEATURE}`) but does \
-                                 not forward the feature — enabling it at the top leaves \
-                                 the dependency's checks off"
-                            ),
-                            Some(format!(
-                                "add \"{fwd}\" to the `{GATE_FEATURE}` list in \
-                                 {manifest_path}"
-                            )),
-                        ));
-                    }
-                }
-            }
-
-            // Rule C: digests are gated.
-            for fi in &digest_fns {
-                if !fi.gated {
-                    let file = &ctx.ws.files[fi.file];
-                    out.push(Finding::new(
-                        "L12",
-                        &file.path,
-                        fi.line,
-                        "ungated state_digest",
-                        "`fn state_digest` is not gated behind \
-                         #[cfg(feature = \"debug_invariants\")] — it ships in release \
-                         builds where nothing can call it"
-                            .to_string(),
-                        Some(
-                            "add `#[cfg(feature = \"debug_invariants\")]` to the fn (or \
-                             its enclosing impl)"
-                                .to_string(),
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2073,160 +1474,23 @@ mod tests {
         let ctx = crate::Analysis::build(ws);
         let mut out = Vec::new();
         lint.run(&ctx, &mut out);
-        crate::sort_findings(&mut out);
+        out.sort_by_key(|f| f.line);
         out
     }
 
     #[test]
-    fn l4_exempts_the_clock_seam_only() {
-        let ws = ws(&[
-            (CLOCK_SEAM, "#![forbid(unsafe_code)]\nuse std::time::Instant;\n"),
-            ("crates/core/src/bad.rs", "use std::time::Instant;\n"),
-        ]);
-        let findings = run_lint(&ForbidNondeterminism, &ws);
-        let clocky: Vec<_> = findings
-            .iter()
-            .filter(|f| f.snippet.contains("Instant"))
-            .collect();
-        assert_eq!(clocky.len(), 1, "{findings:?}");
-        assert_eq!(clocky[0].file, "crates/core/src/bad.rs");
-    }
-
-    #[test]
-    fn l4_and_l9_exempt_the_fault_seam_only_while_seeded() {
-        let seeded = "use std::time::SystemTime;\n\
-                      fn seed() -> u64 { let _ = StdRng::seed_from_u64(0); 7 }\n\
-                      pub fn detonate(msg: &str) -> ! { panic!(\"injected fault: {msg}\") }\n";
-        let unseeded = "use std::time::SystemTime;\n\
-                        pub fn detonate(msg: &str) -> ! { panic!(\"injected fault: {msg}\") }\n";
-
-        // Seeded: both the wall-clock ident and the panic are exempt.
-        let ws_ok = ws(&[(FAULT_SEAM, seeded)]);
-        assert!(run_lint(&ForbidNondeterminism, &ws_ok).is_empty());
-        assert!(run_lint(&PanicReachability, &ws_ok)
-            .iter()
-            .all(|f| !f.snippet.contains("panic")));
-
-        // Unseeded: the exemption is void and both lints fire.
-        let ws_bad = ws(&[(FAULT_SEAM, unseeded)]);
-        let l4 = run_lint(&ForbidNondeterminism, &ws_bad);
-        assert!(l4.iter().any(|f| f.snippet.contains("SystemTime")), "{l4:?}");
-        let l9 = run_lint(&PanicReachability, &ws_bad);
-        assert!(l9.iter().any(|f| f.snippet == "panic!"), "{l9:?}");
-
-        // The seeded exemption never leaks to other files.
-        let ws_other = ws(&[("crates/core/src/bad.rs", seeded)]);
-        let l4 = run_lint(&ForbidNondeterminism, &ws_other);
-        assert!(l4.iter().any(|f| f.snippet.contains("SystemTime")), "{l4:?}");
-    }
-
-    #[test]
-    fn l9_still_flags_unwrap_inside_the_fault_seam() {
+    fn l9_has_no_fault_module_exemption() {
+        // The injected kill is baselined, not exempted in code: the
+        // fault module's `panic!` and `unwrap()` lint like any other.
         let src = "fn seed() -> u64 { StdRng::seed_from_u64(0); 7 }\n\
-                   fn helper(v: Option<u64>) -> u64 { v.unwrap() }\n";
-        let ws = ws(&[(FAULT_SEAM, src)]);
-        let findings = run_lint(&PanicReachability, &ws);
-        assert!(findings.iter().any(|f| f.snippet == "unwrap()"), "{findings:?}");
-    }
-
-    #[test]
-    fn l7_flags_unrecorded_variant_and_uncalled_hook() {
-        let ws = ws(&[
-            (
-                TRACE_FILE,
-                "pub enum EventKind { Flush, Ghost }\n",
-            ),
-            (
-                OBSERVER_FILE,
-                "pub fn on_flush(&self) { record(EventKind::Flush); }\n\
-                 pub fn on_orphan(&self) {}\n",
-            ),
-            (
-                "crates/engine/src/lib.rs",
-                "fn f(o: &EngineObserver) { o.on_flush(); }\n",
-            ),
-        ]);
-        let findings = run_lint(&ObservabilityWiring, &ws);
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings.iter().any(|f| f.message.contains("Ghost")));
-        assert!(findings.iter().any(|f| f.message.contains("on_orphan")));
-    }
-
-    #[test]
-    fn l7_scan_handles_the_real_trace_file() {
-        let contents = std::fs::read_to_string(
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../obs/src/trace.rs"),
-        )
-        .unwrap();
-        let f = SourceFile::parse(TRACE_FILE.into(), &contents);
-        let names: Vec<String> =
-            event_kind_variants(&f).into_iter().map(|(n, _)| n).collect();
-        assert_eq!(names.len(), 16, "{names:?}");
-        assert!(names.contains(&"PushBatch".to_string()));
-        assert!(names.contains(&"SnapshotDecode".to_string()));
-        assert!(names.contains(&"BankBatch".to_string()));
-        assert!(names.contains(&"ShardRestart".to_string()));
-        assert!(names.contains(&"FaultInjected".to_string()));
-        assert!(names.contains(&"ViewPublished".to_string()));
-    }
-
-    #[test]
-    fn l7_event_variant_scan() {
-        let f = SourceFile::parse(
-            TRACE_FILE.into(),
-            "pub enum EventKind {\n    PushBatch,\n    Flush,\n    Merge,\n}\n\
-             pub struct Event { pub kind: EventKind }\n",
-        );
-        let names: Vec<String> =
-            event_kind_variants(&f).into_iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["PushBatch", "Flush", "Merge"]);
-    }
-
-    #[test]
-    fn l8_flags_legacy_verbs_only_in_estimator_impls() {
-        let ws = ws(&[(
-            "crates/sketch/src/x.rs",
-            "impl AggregateEstimator for Foo {\n\
-                 fn ingest(&mut self, v: u64) {}\n\
-                 fn push(&mut self, v: u64) { self.ingest(v) }\n\
-             }\n\
-             impl Ring {\n\
-                 fn push(&mut self, v: u64) {}\n\
-             }\n\
-             impl Iterator for Foo {\n\
-                 fn update(&mut self) {}\n\
-             }\n",
-        )]);
-        let findings = run_lint(&LegacyIngestVerbs, &ws);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].snippet.contains("fn push"));
-        assert_eq!(findings[0].line, 3);
-    }
-
-    #[test]
-    fn l8_flags_inherent_legacy_verbs_in_baseline() {
-        let ws = ws(&[
-            (
-                "crates/baseline/src/table.rs",
-                "impl Table {\n\
-                     pub fn update(&mut self, i: u64, d: i64) {}\n\
-                     pub fn h_index(&self) -> u64 { 0 }\n\
-                 }\n\
-                 #[cfg(test)]\n\
-                 mod tests {\n\
-                     impl Helper { fn push(&mut self, v: u64) {} }\n\
-                 }\n",
-            ),
-            // The same inherent verb outside baseline stays legal.
-            (
-                "crates/sketch/src/ring.rs",
-                "impl Ring { pub fn push(&mut self, v: u64) {} }\n",
-            ),
-        ]);
-        let findings = run_lint(&LegacyIngestVerbs, &ws);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].snippet.contains("fn update in baseline impl"));
-        assert_eq!(findings[0].line, 2);
+                   fn helper(v: Option<u64>) -> u64 { v.unwrap() }\n\
+                   pub fn detonate(msg: &str) -> ! { panic!(\"injected fault: {msg}\") }\n";
+        let ws = ws(&[("crates/engine/src/faults.rs", src)]);
+        let snippets: Vec<String> = run_lint(&PanicReachability, &ws)
+            .into_iter()
+            .map(|f| f.snippet)
+            .collect();
+        assert_eq!(snippets, ["unwrap()", "panic!"]);
     }
 
     #[test]
@@ -2242,7 +1506,7 @@ mod tests {
             ),
             ("tests/space_contracts.rs", "fn t() { let _ = Good::default(); }\n"),
         ]);
-        let findings = run_lint(&SpaceContract, &ws);
+        let findings = run_lint(&Coverage, &ws);
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings.iter().all(|f| f.message.contains("Bad")));
     }
@@ -2387,62 +1651,39 @@ mod tests {
                 "fn t() { let _ = Covered::default(); }\n",
             ),
         ]);
-        let findings = run_lint(&DigestSnapshotCoverage, &ws);
+        let findings = run_lint(&Coverage, &ws);
         assert_eq!(findings.len(), 4, "{findings:?}");
         assert!(
-            findings.iter().all(|f| f.snippet.contains("Naked")),
+            findings
+                .iter()
+                .all(|f| f.lint == "L11" && f.snippet.contains("Naked")),
             "{findings:?}"
         );
     }
 
     #[test]
-    fn l12_checks_declaration_forwarding_and_gating() {
-        let ws = ws(&[
-            (
-                "crates/core/Cargo.toml",
-                "[package]\nname = \"hindex-core\"\n\n[features]\ndebug_invariants = []\n",
-            ),
-            (
-                "crates/core/src/lib.rs",
-                "#![forbid(unsafe_code)]\n\
-                 use hindex_common::debug_invariant;\n\
-                 pub fn go() { debug_invariant!(true, \"x\"); }\n\
-                 pub fn state_digest() -> u64 { 0 }\n",
-            ),
-            (
-                "crates/common/Cargo.toml",
-                "[package]\nname = \"hindex-common\"\n\n[features]\ndebug_invariants = []\n",
-            ),
-            ("crates/common/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-        ]);
-        let findings = run_lint(&FeatureGateConsistency, &ws);
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(
-            findings.iter().any(|f| f.message.contains("does not forward")),
+    fn coverage_rows_report_a_type_under_each_row() {
+        // `Both` is an estimator and Mergeable with none of the
+        // companions: the shared loop must not dedupe across rows.
+        let ws = ws(&[(
+            "crates/core/src/both.rs",
+            "impl AggregateEstimator for Both {}\n\
+             impl Mergeable for Both { fn merge(&mut self, o: &Self) {} }\n",
+        )]);
+        let findings = run_lint(&Coverage, &ws);
+        let ids: Vec<(&str, u32)> = findings.iter().map(|f| (f.lint, f.line)).collect();
+        assert_eq!(
+            ids,
+            [
+                ("L2", 1),
+                ("L2", 1),
+                ("L11", 2),
+                ("L11", 2),
+                ("L11", 2),
+                ("L11", 2)
+            ],
             "{findings:?}"
         );
-        assert!(
-            findings.iter().any(|f| f.snippet.contains("ungated state_digest")),
-            "{findings:?}"
-        );
-    }
-
-    #[test]
-    fn l12_usage_without_declaration_is_rule_a() {
-        let ws = ws(&[
-            (
-                "crates/stream/Cargo.toml",
-                "[package]\nname = \"hindex-stream\"\n",
-            ),
-            (
-                "crates/stream/src/lib.rs",
-                "#![forbid(unsafe_code)]\n\
-                 pub fn go() { debug_invariant!(true, \"x\"); }\n",
-            ),
-        ]);
-        let findings = run_lint(&FeatureGateConsistency, &ws);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("declares no"));
-        assert_eq!(findings[0].file, "crates/stream/Cargo.toml");
+        assert!(findings.iter().all(|f| f.snippet.starts_with("Both ")));
     }
 }

@@ -1,27 +1,14 @@
 //! CLI driver for the hindex workspace lint pass.
 //!
 //! ```text
-//! cargo run -p hindex-analysis --                       # report findings
-//! cargo run -p hindex-analysis -- --deny                # exit 1 on new findings (CI)
-//! cargo run -p hindex-analysis -- --quick               # file-local lints only
-//! cargo run -p hindex-analysis -- --format sarif \
-//!     --output target/analysis.sarif                    # machine-readable report
-//! cargo run -p hindex-analysis -- --list                # print the lint catalogue
+//! cargo run -p hindex-analysis                  # lint the repo; exit 1 on anything new
+//! cargo run -p hindex-analysis -- --list        # print the lint catalogue
 //! ```
-//!
-//! Runs are incremental by default: file hashes and per-file findings
-//! are cached in `target/analysis-cache.json`, so unchanged files are
-//! replayed instead of re-linted (see [`hindex_analysis::cache`]).
 #![forbid(unsafe_code)]
 
 use hindex_analysis::baseline::{apply, Baseline};
-use hindex_analysis::cache::{self, Cache, CachedFile};
-use hindex_analysis::emit::{render_json, render_sarif, render_text, Format};
-use hindex_analysis::workspace::{fnv1a_bytes, Workspace};
-use hindex_analysis::{
-    all_lints, run_cross_lints, run_file_local_lints, sort_findings, Analysis, Finding,
-};
-use std::collections::{BTreeMap, HashSet};
+use hindex_analysis::workspace::Workspace;
+use hindex_analysis::{all_lints, run_lints};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -32,255 +19,77 @@ USAGE:
     hindex-analysis [OPTIONS]
 
 OPTIONS:
-    --root <DIR>       Repository root to analyse (default: .)
-    --baseline <FILE>  Baseline file (default: <root>/crates/analysis/baseline.txt)
-    --deny             Exit nonzero on new findings or unjustified baseline entries
-    --quick            Run only file-local lints (skips cross-file L2/L7/L9/L11/L12)
-    --format <FMT>     Report format: text (default), json, or sarif
-    --output <FILE>    Write the report to FILE instead of stdout
-    --no-cache         Ignore and do not write target/analysis-cache.json
-    --list             Print the lint catalogue and exit
-    --help             Show this help
+    --root <DIR>    Repository root to analyse (default: .)
+    --list          Print the lint catalogue and exit
+    --help          Show this help
 
-Stale baseline entries are a hard error on full runs: a key that no
-longer matches any finding must be deleted, not carried. `--quick`
-downgrades this to a warning (cross-file findings are invisible to a
-quick run, so their baseline entries would look stale).
+Subtracts the baseline at <root>/crates/analysis/baseline.txt and exits
+nonzero on any new finding, any baseline entry without a justification,
+and any stale entry (a key that no longer matches a finding must be
+deleted, not carried).
 
 See docs/ANALYSIS.md for lint rationale and the baseline policy.";
 
-struct Options {
-    root: PathBuf,
-    baseline: Option<PathBuf>,
-    deny: bool,
-    quick: bool,
-    list: bool,
-    format: Format,
-    output: Option<PathBuf>,
-    no_cache: bool,
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        root: PathBuf::from("."),
-        baseline: None,
-        deny: false,
-        quick: false,
-        list: false,
-        format: Format::Text,
-        output: None,
-        no_cache: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+fn main() -> ExitCode {
+    let mut root = PathBuf::from(".");
+    let mut list = false;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--root" => {
-                let v = it.next().ok_or("--root needs a directory argument")?;
-                opts.root = PathBuf::from(v);
-            }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a file argument")?;
-                opts.baseline = Some(PathBuf::from(v));
-            }
-            "--format" => {
-                let v = it.next().ok_or("--format needs an argument")?;
-                opts.format = Format::parse(v)?;
-            }
-            "--output" => {
-                let v = it.next().ok_or("--output needs a file argument")?;
-                opts.output = Some(PathBuf::from(v));
-            }
-            "--deny" => opts.deny = true,
-            "--quick" => opts.quick = true,
-            "--no-cache" => opts.no_cache = true,
-            "--list" => opts.list = true,
+            "--root" => match args.next() {
+                Some(dir) => root = PathBuf::from(dir),
+                None => {
+                    eprintln!("error: --root needs a directory argument");
+                    return ExitCode::from(2);
+                }
+            },
+            "--list" => list = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
-                std::process::exit(0);
+                return ExitCode::SUCCESS;
             }
-            other => return Err(format!("unknown argument `{other}` (try --help)")),
-        }
-    }
-    Ok(opts)
-}
-
-/// What one lint pass produced, however it was computed.
-struct PassResult {
-    findings: Vec<Finding>,
-    /// Total workspace `.rs` files.
-    rs_files: usize,
-    /// Files whose file-local findings came from the cache.
-    hits: usize,
-    /// Files that were (re-)linted this run.
-    misses: usize,
-}
-
-/// Runs the lints over `root`, replaying cached per-file results where
-/// content hashes match. Returns the merged findings plus hit/miss
-/// accounting for the summary line.
-fn run_pass(opts: &Options) -> std::io::Result<PassResult> {
-    let sources = Workspace::read_sources(&opts.root)?;
-    let hashes: BTreeMap<String, u64> = sources
-        .iter()
-        .map(|(p, c)| (p.clone(), fnv1a_bytes(c.as_bytes())))
-        .collect();
-    let rs_count = |m: &BTreeMap<String, u64>| m.keys().filter(|p| p.ends_with(".rs")).count();
-    let cache_path = cache::default_path(&opts.root);
-    let cached = if opts.no_cache { None } else { Cache::load(&cache_path) };
-
-    // Fast path: nothing changed since the last full run — replay the
-    // whole report (file-local AND cross findings) without parsing.
-    if !opts.quick {
-        if let Some(c) = &cached {
-            if c.full_hit(&hashes) {
-                let mut findings: Vec<Finding> = c
-                    .files
-                    .values()
-                    .flat_map(|e| e.findings.iter().cloned())
-                    .chain(c.cross.iter().cloned())
-                    .collect();
-                sort_findings(&mut findings);
-                let rs_files = rs_count(&hashes);
-                return Ok(PassResult { findings, rs_files, hits: rs_files, misses: 0 });
+            other => {
+                eprintln!("error: unknown argument `{other}` (try --help)");
+                return ExitCode::from(2);
             }
         }
     }
 
-    let ws = Workspace::from_sources(sources);
-    let rs_files = ws.files.len();
-
-    // Dirty set: files the cache cannot vouch for.
-    let dirty: HashSet<String> = ws
-        .files
-        .iter()
-        .filter(|f| {
-            cached.as_ref().is_none_or(|c| {
-                c.files.get(&f.path).is_none_or(|e| e.hash != f.content_hash)
-            })
-        })
-        .map(|f| f.path.clone())
-        .collect();
-    let misses = dirty.len();
-    let hits = rs_files - misses;
-
-    let ctx = Analysis::with_dirty(&ws, dirty.clone());
-    let mut local = run_file_local_lints(&ctx);
-    // Replay the recorded file-local findings for every clean file.
-    if let Some(c) = &cached {
-        for f in &ws.files {
-            if !dirty.contains(&f.path) {
-                if let Some(entry) = c.files.get(&f.path) {
-                    local.extend(entry.findings.iter().cloned());
-                }
-            }
-        }
-    }
-    let cross = if opts.quick { Vec::new() } else { run_cross_lints(&ctx) };
-
-    // Persist — but never from a --quick run, whose report is partial.
-    if !opts.no_cache && !opts.quick {
-        let mut files: BTreeMap<String, CachedFile> = hashes
-            .iter()
-            .map(|(p, &hash)| (p.clone(), CachedFile { hash, findings: Vec::new() }))
-            .collect();
-        for f in &local {
-            if let Some(entry) = files.get_mut(&f.file) {
-                entry.findings.push(f.clone());
-            }
-        }
-        let next = Cache {
-            registry_hash: cache::registry_hash(),
-            files,
-            cross: cross.clone(),
-        };
-        if let Err(e) = next.save(&cache_path) {
-            eprintln!("warning: could not write {}: {e}", cache_path.display());
-        }
-    }
-
-    let mut findings = local;
-    findings.extend(cross);
-    sort_findings(&mut findings);
-    Ok(PassResult { findings, rs_files, hits, misses })
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if opts.list {
+    if list {
         println!("hindex-analysis lint catalogue:");
         for lint in all_lints() {
-            let scope = if lint.cross_file() {
-                "cross-file"
-            } else {
-                "file-local"
-            };
-            println!("  {:<3} [{:>10}] {}", lint.id(), scope, lint.summary());
+            println!("  {:<6} {}", lint.id(), lint.summary());
         }
         return ExitCode::SUCCESS;
     }
 
-    let pass = match run_pass(&opts) {
-        Ok(p) => p,
+    let ws = match Workspace::load(&root) {
+        Ok(ws) => ws,
         Err(e) => {
-            eprintln!("error: cannot read workspace at {}: {e}", opts.root.display());
+            eprintln!("error: cannot read workspace at {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
+    let baseline_path = root.join("crates/analysis/baseline.txt");
+    let baseline = std::fs::read_to_string(&baseline_path)
+        .map(|text| Baseline::parse(&text))
+        .unwrap_or_default();
+    let applied = apply(&baseline, run_lints(&ws));
 
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| opts.root.join("crates/analysis/baseline.txt"));
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => Baseline::parse(&text),
-        Err(_) => Baseline::default(),
-    };
-    let applied = apply(&baseline, pass.findings);
-
-    let report = match opts.format {
-        Format::Text => render_text(&applied),
-        Format::Json => render_json(&applied, pass.rs_files),
-        Format::Sarif => render_sarif(&applied),
-    };
-    if let Some(path) = &opts.output {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            let _ = std::fs::create_dir_all(dir);
+    for f in &applied.new {
+        println!("{}:{}: [{}] {}", f.file, f.line, f.lint, f.message);
+        if let Some(s) = &f.suggestion {
+            println!("    suggestion: {s}");
         }
-        if let Err(e) = std::fs::write(path, &report) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    } else {
-        print!("{report}");
+        println!("    baseline key: {}", f.key());
     }
-
-    // Baseline hygiene. Stale entries are a hard error on full runs:
-    // the finding was fixed, so the suppression must go too. Quick
-    // runs cannot see cross-file findings, so they only warn.
     for e in &applied.stale {
-        if opts.quick {
-            eprintln!(
-                "warning: possibly stale baseline entry at {}:{} (quick run): {}",
-                baseline_path.display(),
-                e.line,
-                e.key
-            );
-        } else {
-            eprintln!(
-                "error: baseline entry at {}:{} matches no finding — remove stale suppression: {}",
-                baseline_path.display(),
-                e.line,
-                e.key
-            );
-        }
+        eprintln!(
+            "error: baseline entry at {}:{} matches no finding — remove stale suppression: {}",
+            baseline_path.display(),
+            e.line,
+            e.key
+        );
     }
     for e in &applied.unjustified {
         eprintln!(
@@ -290,25 +99,17 @@ fn main() -> ExitCode {
             e.key
         );
     }
-
-    let mode = if opts.quick { " (quick: file-local lints only)" } else { "" };
-    let cache_note = if opts.no_cache {
-        "cache off".to_string()
-    } else {
-        format!("cache {} hit / {} miss", pass.hits, pass.misses)
-    };
     println!(
-        "hindex-analysis: {} file(s), {} new finding(s), {} baselined, {} stale entr(ies), {cache_note}{mode}",
-        pass.rs_files,
+        "hindex-analysis: {} file(s), {} new finding(s), {} baselined, {} stale entr(ies)",
+        ws.files.len(),
         applied.new.len(),
         applied.silenced,
         applied.stale.len(),
     );
 
-    let stale_failure = !opts.quick && !applied.stale.is_empty();
-    let deny_failure = opts.deny && (!applied.new.is_empty() || !applied.unjustified.is_empty());
-    if stale_failure || deny_failure {
-        return ExitCode::FAILURE;
+    if applied.new.is_empty() && applied.stale.is_empty() && applied.unjustified.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-    ExitCode::SUCCESS
 }

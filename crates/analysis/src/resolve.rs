@@ -12,8 +12,8 @@
 //! reachability-style lints, over-approximation is the sound
 //! direction.
 
-use crate::ast::{Field, FnDef, Item, ItemKind, Span};
-use crate::workspace::{FileKind, SourceFile, Workspace};
+use crate::ast::{Field, FnDef, Item, ItemKind};
+use crate::workspace::{SourceFile, Workspace};
 use std::collections::HashMap;
 
 /// Who owns a function.
@@ -59,7 +59,8 @@ pub struct FnInfo {
     /// 1-based line of the item (first token, attributes included).
     pub line: u32,
     /// True if the fn lives under `#[test]`/`#[cfg(test)]` (directly
-    /// or via an enclosing module) or in a Test-classified file.
+    /// or via an enclosing module). Whole test files are told apart by
+    /// [`crate::workspace::SourceFile::library`] instead.
     pub in_test: bool,
     /// True if the fn is gated behind
     /// `#[cfg(feature = "debug_invariants")]` (directly or enclosing).
@@ -77,7 +78,7 @@ pub struct ImplInfo {
     pub self_ty: String,
     /// 1-based line of the impl item.
     pub line: u32,
-    /// True if under test cfg (or in a Test file).
+    /// True if under test cfg.
     pub in_test: bool,
     /// Function ids (into [`Resolver::fns`]) of the impl's methods.
     pub fn_ids: Vec<usize>,
@@ -116,7 +117,7 @@ impl Resolver {
         for (file_idx, file) in ws.files.iter().enumerate() {
             let ctx = Ctx {
                 file: file_idx,
-                in_test: file.kind == FileKind::Test,
+                in_test: false,
                 gated: false,
                 owner: Owner::Free,
             };
@@ -129,11 +130,6 @@ impl Resolver {
                     .entry((ty.to_string(), f.name.clone()))
                     .or_default()
                     .push(id);
-            }
-            if let Owner::TraitDecl(_) = f.owner {
-                // Trait default methods dispatch to any implementor,
-                // so they are also reachable "methods" — indexed under
-                // the trait's own name as the type.
             }
         }
         r
@@ -227,12 +223,6 @@ impl Resolver {
         self.by_method
             .get(&(ty.to_string(), name.to_string()))
             .map_or(&[], Vec::as_slice)
-    }
-
-    /// The body token span of a function, if it has one.
-    #[must_use]
-    pub fn body(&self, id: usize) -> Option<Span> {
-        self.fns[id].def.body
     }
 
     /// Head identifiers appearing in a rendered type string —

@@ -37,7 +37,7 @@ impl TurnstileTable {
         }
         if old > 0 {
             // Same lockstep argument as `CashTable::ingest`: degrade
-            // instead of panicking (lint L3), with the invariant layer
+            // instead of panicking (lint L9), with the invariant layer
             // asserting sync in debug runs.
             hindex_common::debug_invariant!(
                 self.histogram.contains_key(&(old as u64)),

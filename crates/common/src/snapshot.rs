@@ -294,7 +294,7 @@ impl<'a> Reader<'a> {
 /// Implementors provide the per-type payload codec; the trait supplies
 /// the uniform frame (magic, version, tag, length prefix, checksum) via
 /// [`Snapshot::write_into`] / [`Snapshot::read_from`]. The contract,
-/// pinned by `tests/snapshot_roundtrip.rs` (lint L6):
+/// pinned by `tests/snapshot_roundtrip.rs` (lint L11):
 ///
 /// * `read_from(write_into(x)) ≡ x` — bit-identical state, as observed
 ///   by `state_digest()` where available, plus estimates/decodes;

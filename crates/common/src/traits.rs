@@ -28,8 +28,9 @@
 //! query verb shared by all three traits (their supertrait). The
 //! historical verbs (`push`/`update`/`push_batch`/`update_batch`)
 //! survived one release as `#[deprecated]` delegating shims and are now
-//! gone; the `ingest` spelling is the only one, and analysis lint L8
-//! (see `docs/ANALYSIS.md`) keeps the old verbs from creeping back in.
+//! gone; the `ingest` spelling is the only one. Since the traits no
+//! longer declare the old verbs, rustc rejects any estimator impl that
+//! defines one (E0407), so they cannot creep back in.
 //!
 //! Two additions support the sharded ingestion engine
 //! (`hindex-engine`):

@@ -94,8 +94,8 @@
 //!    the only cross-thread traffic is by-value message passing
 //!    (`sync_channel`) plus the read plane's epoch cell (an atomic
 //!    epoch over one `RwLock`-guarded `Arc` of an immutable view),
-//!    queries clone a snapshot rather than lock, and
-//!    `#![forbid(unsafe_code)]` (lint L4) rules out hand-rolled
+//!    queries clone a snapshot rather than lock, and rustc's
+//!    `#![forbid(unsafe_code)]` on the crate rules out hand-rolled
 //!    sharing. A worker that panics poisons nothing: the engine joins
 //!    it, harvests the panic payload, and — once healing is out of
 //!    budget — `finish`/`query` return [`EngineError::ShardDead`]

@@ -1,13 +1,14 @@
 //! The library stack's single wall-clock seam.
 //!
-//! Lint L4 bans `Instant`/`SystemTime` from library code so estimator
-//! behaviour replays bit-identically; latency profiling still needs a
-//! real clock. The compromise: this module — and only this module —
-//! may read it (the lint carries an explicit exemption for this file),
-//! and nothing here ever feeds timing back into estimator state. A
-//! [`Stopwatch`] is handed across crate boundaries as an opaque value,
-//! so callers measure durations without naming a clock type
-//! themselves.
+//! `clippy.toml` bans `Instant`/`SystemTime` workspace-wide
+//! (`disallowed_types`) so estimator behaviour replays bit-identically;
+//! latency profiling still needs a real clock. The compromise: this
+//! module — the library stack's only timing code — may read it (it
+//! carries an `allow`), and nothing here ever feeds timing back into
+//! estimator state. A [`Stopwatch`] is handed across crate boundaries
+//! as an opaque value, so callers measure durations without naming a
+//! clock type themselves.
+#![allow(clippy::disallowed_types)]
 
 use std::time::Instant;
 

@@ -15,7 +15,7 @@
 //!   [`Event`]s stamped with *logical* time, so identical seeded runs
 //!   produce identical traces;
 //! * [`clock`] — the **only** module in the library stack allowed to
-//!   touch the wall clock (see `docs/ANALYSIS.md`, lint L4); every
+//!   time with the wall clock (`clippy.toml` bans it elsewhere); every
 //!   wall-time measurement flows through its [`Stopwatch`];
 //! * [`observer`] — [`EngineObserver`], the hook object the sharded
 //!   engine drives, plus [`MetricsSnapshot`] and its Prometheus-style
@@ -52,7 +52,7 @@ use std::sync::{Mutex, MutexGuard};
 /// Observability state is monotone (counters, ring buffers): a panic
 /// in some other thread holding the lock cannot leave it in a state
 /// worse than "slightly stale", so recovering is always safe and keeps
-/// the no-panic contract of the library stack (lint L3).
+/// the no-panic contract of the library stack (lint L9).
 pub(crate) fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,

@@ -73,7 +73,7 @@ impl SpaceUsage for RateMeter {
 #[derive(Debug, Clone)]
 pub struct BatchStats {
     /// `None` only if the hard-coded ε were invalid, which is
-    /// statically impossible; kept total instead of panicking (L3).
+    /// statically impossible; kept total instead of panicking (L9).
     hist: Option<ExponentialHistogram>,
     max: u64,
     sum: u64,

@@ -334,7 +334,7 @@ impl DistinctCounter for Kmv {
             return self.mins.len() as u64;
         }
         // `len() == k ≥ 2` here, so a back element exists; fall back to
-        // the exact count rather than panic (lint L3).
+        // the exact count rather than panic (lint L9).
         let Some(&kth) = self.mins.iter().next_back() else {
             return self.mins.len() as u64;
         };

@@ -11,6 +11,10 @@
 //! cargo run --release --example sharded_engine
 //! ```
 
+// The example prints elapsed wall time; it never reaches estimator state
+// (see clippy.toml).
+#![allow(clippy::disallowed_types)]
+
 use hindex::prelude::*;
 use hindex_baseline::CashTable;
 use hindex_common::SpaceUsage;

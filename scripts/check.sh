@@ -7,19 +7,11 @@ cd "$(dirname "$0")/.."
 echo "==> build (release, offline)"
 cargo build --release --offline --workspace
 
-echo "==> tests"
+echo "==> tests (includes the hindex-analysis repository gate)"
 cargo test -q --offline --workspace
 
 echo "==> clippy"
 cargo clippy --offline --workspace --all-targets -- -D warnings
-
-echo "==> hindex-analysis (repo lints, deny mode, SARIF report)"
-cargo run -q --offline -p hindex-analysis -- --deny \
-    --format sarif --output target/analysis.sarif
-
-echo "==> hindex-analysis cache effectiveness (second run must fully hit)"
-cargo run -q --offline -p hindex-analysis -- --deny \
-    | grep -q "cache [0-9]* hit / 0 miss"
 
 echo "==> observability layer (metrics, tracing, determinism)"
 cargo test -q --offline -p hindex-obs

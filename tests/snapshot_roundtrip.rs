@@ -8,7 +8,7 @@
 //!    [`SnapshotError`], never a panic and never an unbounded
 //!    allocation.
 //!
-//! Lint L6 (`SnapshotCoverage`) checks that every `Mergeable`
+//! Lint L11 (`hindex-analysis`) checks that every `Mergeable`
 //! implementor appears here by name: `CashTable`,
 //! `ExponentialHistogram`, `OneHeavyHitter`, `HeavyHitters`,
 //! `TurnstileHIndex`, `StreamingGIndex`, `CashRegisterHIndex`.
