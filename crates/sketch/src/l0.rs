@@ -9,10 +9,10 @@
 //! Construction (Jowhari–Sağlam–Tardos, the paper's \[9\]): a level
 //! hash assigns each index a geometric level (`Pr[level ≥ j] = 2⁻ʲ`);
 //! level `j` maintains an s-sparse recovery of the sub-vector of indices
-//! with level ≥ j. At query time, the sparsest populated level that
-//! decodes has `Θ(s)` expected survivors; the survivor with the minimum
-//! hash value is the sample. Uniformity follows because the level hash
-//! is independent of the values.
+//! with level ≥ j. The non-zero coordinate with the minimum hash value
+//! survives into every populated level and is the sample; the query
+//! reads it from the sparsest populated level that decodes. Uniformity
+//! follows because the level hash is independent of the values.
 
 use crate::sparse::{DecodeScratch, SparseRecovery};
 use hindex_common::snapshot::{Reader, Snapshot, SnapshotError, Writer};
@@ -374,30 +374,35 @@ impl L0Sampler {
     /// non-zero coordinate, or `None` on failure (zero vector, or all
     /// populated levels too dense/undecodable — probability ≤ δ by
     /// construction).
+    ///
+    /// The sample is the non-zero coordinate with the smallest level
+    /// hash. Levels are nested — level `j` sketches the coordinates
+    /// whose top level is `≥ j` — and the top level never falls as the
+    /// hash shrinks, so that coordinate lies in every non-empty level
+    /// and is the min-hash survivor of every level that decodes. The
+    /// search therefore starts at the sparse end: it walks down from
+    /// the deepest level, steps over levels that decode empty or fail
+    /// to decode, and answers from the first level that decodes to a
+    /// non-empty support. Never-touched levels are lazily empty and
+    /// cost nothing, so a sample costs about one real decode, where a
+    /// walk up from level 0 first decodes and rejects every level too
+    /// dense to peel.
+    ///
+    /// Both walks fail exactly when no non-empty level decodes, and
+    /// they return different samples only if the residual-checksum
+    /// test wrongly accepts some level's decode: the fingerprint
+    /// failure event every decode already carries.
     #[must_use]
     pub fn sample(&self) -> Option<(u64, i64)> {
-        // One scratch serves every level probed: the level search
-        // allocates for the first decode and reuses from then on.
+        // One scratch serves every level probed.
         let mut scratch = DecodeScratch::default();
-        for level in &self.levels {
-            if let Some(support) = level.decode_with(&mut scratch) {
-                if support.is_empty() {
-                    // This level's sub-vector is empty; deeper levels are
-                    // subsets and therefore empty too.
-                    return None;
-                }
-                // Min-hash survivor: uniform among the level's support.
-                return support
-                    .iter()
-                    .copied()
-                    .min_by(|&(i, _), &(j, _)| {
-                        self.level_hash
-                            .hash(i)
-                            .cmp(&self.level_hash.hash(j))
-                    });
-            }
-        }
-        None
+        self.levels.iter().rev().find_map(|level| {
+            let support = level.decode_with(&mut scratch)?;
+            support
+                .iter()
+                .copied()
+                .min_by_key(|&(i, _)| self.level_hash.hash(i))
+        })
     }
 
     /// Number of levels.
@@ -420,6 +425,9 @@ impl L0Sampler {
     /// `ℓ₀/2ʲ`, so `m·2ʲ` estimates the norm with relative error
     /// `≈ √(2/s)`. Exact whenever `ℓ₀ ≤ s` (level 0 decodes). `None`
     /// on total decode failure.
+    ///
+    /// Unlike [`Self::sample`], the answer depends on which level
+    /// decodes, so this search keeps its order: up from level 0.
     #[must_use]
     pub fn l0_estimate(&self) -> Option<u64> {
         let mut scratch = DecodeScratch::default();
@@ -611,10 +619,62 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
 
     fn sampler(seed: u64) -> L0Sampler {
         L0Sampler::with_defaults(&mut StdRng::seed_from_u64(seed))
+    }
+
+    /// The search `sample` replaced, kept as its reference: the
+    /// min-hash survivor of the first level, counted up from level 0,
+    /// that decodes.
+    fn sample_bottom_up(s: &L0Sampler) -> Option<(u64, i64)> {
+        let mut scratch = DecodeScratch::default();
+        for level in &s.levels {
+            if let Some(support) = level.decode_with(&mut scratch) {
+                if support.is_empty() {
+                    return None;
+                }
+                return support
+                    .iter()
+                    .copied()
+                    .min_by(|&(i, _), &(j, _)| s.level_hash.hash(i).cmp(&s.level_hash.hash(j)));
+            }
+        }
+        None
+    }
+
+    /// A stream over `support` shaped by `mode`. Mode 0 only inserts
+    /// (cash register). The others are turnstile: odd indices carry
+    /// negative values, and then mode 1 retracts every third coordinate
+    /// fully and halves the rest, mode 2 retracts everything, and mode
+    /// 3 retracts exactly the coordinates on `s`'s deepest populated
+    /// level, which leaves that level touched but empty.
+    fn shaped_stream(s: &L0Sampler, support: &BTreeMap<u64, i64>, mode: u8) -> Vec<(u64, i64)> {
+        let signed: Vec<(u64, i64)> = support
+            .iter()
+            .map(|(&i, &v)| (i, if mode > 0 && i % 2 == 1 { -v } else { v }))
+            .collect();
+        let top = signed
+            .iter()
+            .map(|&(i, _)| s.level_of(i))
+            .max()
+            .unwrap_or(0);
+        let mut updates = signed.clone();
+        for (k, &(i, v)) in signed.iter().enumerate() {
+            let retract = match mode {
+                0 => 0,
+                1 if k % 3 == 0 => v,
+                1 => v / 2,
+                2 => v,
+                _ if s.level_of(i) == top => v,
+                _ => 0,
+            };
+            if retract != 0 {
+                updates.push((i, -retract));
+            }
+        }
+        updates
     }
 
     #[test]
@@ -874,6 +934,29 @@ mod tests {
     }
 
     #[test]
+    fn top_down_walk_falls_through_an_undecodable_top_level() {
+        // One row of two cells: the deepest populated level fails to
+        // peel whenever two of its coordinates share a cell, and the
+        // walk must then answer from a denser level.
+        let params = L0SamplerParams { sparsity: 1, rows: 1, ..L0SamplerParams::default() };
+        let mut fell_through = 0;
+        for seed in 0..300u64 {
+            let mut s = L0Sampler::new(params, &mut StdRng::seed_from_u64(seed));
+            let support: Vec<u64> = (0..2 + seed % 4).map(|k| k * 7919 + seed).collect();
+            for &i in &support {
+                s.update(i, 1);
+            }
+            let sample = s.sample();
+            assert_eq!(sample, sample_bottom_up(&s), "seed {seed}");
+            let top = support.iter().map(|&i| s.level_of(i)).max().unwrap();
+            if s.levels[top].decode().is_none() && sample.is_some() {
+                fell_through += 1;
+            }
+        }
+        assert!(fell_through > 0, "no seed made the walk fall through");
+    }
+
+    #[test]
     fn params_for_delta_scale() {
         let loose = L0SamplerParams::for_failure_probability(0.5);
         let tight = L0SamplerParams::for_failure_probability(0.001);
@@ -909,6 +992,36 @@ mod tests {
             }
             if let Some((i, v)) = s.sample() {
                 proptest::prop_assert_eq!(support.get(&i), Some(&v));
+            }
+        }
+
+        #[test]
+        fn prop_sample_matches_bottom_up_reference(
+            seed in proptest::num::u64::ANY,
+            sparsity in 1usize..9,
+            rows in 1usize..7,
+            support in proptest::collection::btree_map(0u64..100_000, 1i64..100, 1..300),
+            mode in 0u8..4,
+            split in 0usize..600,
+        ) {
+            let params = L0SamplerParams { sparsity, rows, ..L0SamplerParams::default() };
+            let proto = L0Sampler::new(params, &mut StdRng::seed_from_u64(seed));
+            let updates = shaped_stream(&proto, &support, mode);
+            let mut serial = proto.clone();
+            let (mut left, mut right) = (proto.clone(), proto);
+            for (k, &(i, d)) in updates.iter().enumerate() {
+                serial.update(i, d);
+                if k < split { left.update(i, d) } else { right.update(i, d) }
+            }
+            left.merge(&right);
+            let (restored, _) = L0Sampler::read_from(&serial.to_bytes()).unwrap();
+            let want = sample_bottom_up(&serial);
+            if mode == 2 {
+                proptest::prop_assert_eq!(want, None);
+            }
+            for s in [&serial, &left, &restored] {
+                proptest::prop_assert_eq!(s.sample(), want);
+                proptest::prop_assert_eq!(sample_bottom_up(s), want);
             }
         }
     }

@@ -19,7 +19,7 @@
 use hindex_common::snapshot::{Reader, Snapshot, SnapshotError, Writer};
 use hindex_common::SpaceUsage;
 use hindex_hashing::field::MERSENNE_P;
-use hindex_hashing::{from_i64, mersenne_add, mersenne_mul, mersenne_pow};
+use hindex_hashing::{from_i64, mersenne_add, mersenne_mul, mersenne_pow, PowerLadder};
 use rand::Rng;
 
 /// Maximum index accepted by the sketches: indices live in the Mersenne
@@ -162,21 +162,34 @@ impl OneSparseRecovery {
     /// Attempts to decode the sketched vector.
     #[must_use]
     pub fn decode(&self) -> Recovery {
+        self.decode_by(|index| mersenne_pow(self.r, index))
+    }
+
+    /// [`Self::decode`] with the candidate's `rⁱ` read from a ladder
+    /// for this sketch's point: at most 8 lookups and 7 multiplies
+    /// instead of a square-and-multiply chain, and bit-identical to it
+    /// ([`PowerLadder::pow`] equals `mersenne_pow`). This is the check
+    /// an s-sparse grid runs on every cell of every decode.
+    pub(crate) fn decode_with_ladder(&self, ladder: &PowerLadder) -> Recovery {
+        debug_assert_eq!(ladder.base(), self.r, "ladder is for another point");
+        self.decode_by(|index| ladder.pow(index))
+    }
+
+    /// The one decode body; `pow(i)` must return `rⁱ mod p`.
+    fn decode_by(&self, pow: impl FnOnce(u64) -> u64) -> Recovery {
         if self.ell == 0 && self.z == 0 && self.fingerprint == 0 {
             return Recovery::Zero;
         }
-        if self.ell != 0 && self.z % self.ell == 0 {
+        // `checked_rem` is `None` exactly where `/` would panic: ℓ = 0,
+        // and ℓ = −1 with z = i128::MIN, whose quotient 2¹²⁷ lies
+        // outside the field anyway. Neither state is 1-sparse.
+        if self.z.checked_rem(self.ell) == Some(0) {
             let index = self.z / self.ell;
             if (0..=i128::from(MAX_INDEX)).contains(&index) {
                 let index = index as u64;
-                let value = self.ell;
-                if let Ok(value64) = i64::try_from(value) {
-                    let expected = mersenne_mul(from_i64(value64), mersenne_pow(self.r, index));
-                    if expected == self.fingerprint {
-                        return Recovery::One {
-                            index,
-                            value: value64,
-                        };
+                if let Ok(value) = i64::try_from(self.ell) {
+                    if mersenne_mul(from_i64(value), pow(index)) == self.fingerprint {
+                        return Recovery::One { index, value };
                     }
                 }
             }

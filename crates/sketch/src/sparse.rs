@@ -340,7 +340,7 @@ impl SparseRecovery {
             let newly = &mut scratch.newly;
             newly.clear();
             for cell in cells.iter() {
-                if let Recovery::One { index, value } = cell.decode() {
+                if let Recovery::One { index, value } = cell.decode_with_ladder(&self.ladder) {
                     // `seen` holds every index in `found` or `newly`,
                     // so the duplicate check is O(1) instead of the old
                     // O(|found| + |newly|) scan per candidate.
@@ -352,7 +352,7 @@ impl SparseRecovery {
             if newly.is_empty() {
                 // Last resort: a 1-sparse residual is readable from the
                 // checksum itself.
-                if let Recovery::One { index, value } = checksum.decode() {
+                if let Recovery::One { index, value } = checksum.decode_with_ladder(&self.ladder) {
                     if seen.insert(index) {
                         newly.push((index, value));
                     }
@@ -373,7 +373,7 @@ impl SparseRecovery {
         }
         // Verify: the residual checksum must be exactly zero, which
         // catches both missed coordinates and spurious cell decodes.
-        match checksum.decode() {
+        match checksum.decode_with_ladder(&self.ladder) {
             Recovery::Zero => {
                 found.sort_unstable_by_key(|&(i, _)| i);
                 Some(found)

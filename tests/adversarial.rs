@@ -291,6 +291,53 @@ fn one_sparse_survives_extreme_index_and_delta() {
     );
 }
 
+/// Regression: the 1-sparse decode computed `z % ℓ`, which overflows
+/// and panics at `ℓ = −1`, `z = i128::MIN`. This 49-update turnstile
+/// stream puts exactly that state in every whole-vector checksum:
+/// `ℓ = 32·(−2⁶²) + 16·(2⁶³ − 1) + 15 = −1` and
+/// `z = 32·2⁶⁰·(−2⁶²) = −2¹²⁷`. The vector it sketches, `V[0] = 2⁶⁷ − 1`
+/// and `V[2⁶⁰] = −2⁶⁷`, is not 1-sparse and neither value fits the
+/// `i64` a decode returns, so every entry point must decline to decode
+/// instead of panicking. Snapshot decoding accepts any `ℓ` and `z`, so
+/// hostile bytes reach the same state.
+#[test]
+fn decode_survives_remainder_overflow_state() {
+    use hindex_common::snapshot::{fnv1a, Snapshot};
+    use hindex_sketch::{L0Sampler, OneSparseRecovery, Recovery, SparseRecovery};
+    let mut stream = vec![(1u64 << 60, -(1i64 << 62)); 32];
+    stream.extend([(0, i64::MAX); 16]);
+    stream.push((0, 15));
+    let mut cell = OneSparseRecovery::with_point(123_456_789);
+    let mut grid = SparseRecovery::new(4, 6, &mut StdRng::seed_from_u64(1));
+    let mut sampler = L0Sampler::with_defaults(&mut StdRng::seed_from_u64(2));
+    let mut turnstile = TurnstileHIndex::with_sampler_count(
+        eps(0.4),
+        Delta::new(0.3).unwrap(),
+        9,
+        &mut StdRng::seed_from_u64(3),
+    );
+    for &(i, d) in &stream {
+        cell.update(i, d);
+        grid.update(i, d);
+        sampler.update(i, d);
+        TurnstileEstimator::ingest(&mut turnstile, i, d);
+    }
+    assert_eq!(cell.decode(), Recovery::NotSparse);
+    assert_eq!(grid.decode(), None);
+    assert_eq!(sampler.sample(), None);
+    assert_eq!(turnstile.estimate(), 0);
+
+    // The same (ℓ, z) written over a valid frame, checksum resealed.
+    let mut frame = OneSparseRecovery::with_point(123_456_789).to_bytes();
+    frame[14..30].copy_from_slice(&(-1i128).to_le_bytes());
+    frame[30..46].copy_from_slice(&i128::MIN.to_le_bytes());
+    let end = frame.len() - 8;
+    let checksum = fnv1a(&frame[..end]);
+    frame[end..].copy_from_slice(&checksum.to_le_bytes());
+    let (hostile, _) = OneSparseRecovery::read_from(&frame).unwrap();
+    assert_eq!(hostile.decode(), Recovery::NotSparse);
+}
+
 /// Regression: the turnstile batch path coalesces per-paper deltas in
 /// `i128` and clamps to `i64` — `i64::MIN` (whose negation overflows
 /// `i64`) and saturating mixes around it must match the serial
