@@ -37,8 +37,8 @@ const PUBLISH_WAIT_MS: u64 = 5_000;
 /// `--obs on`, an [`EngineObserver`] is attached and its metrics
 /// snapshot is appended to the report. With `--faults SPEC` (or
 /// `--supervise on`), the run goes through the self-healing
-/// [`SupervisedEngine`]: micro-checkpoints, bounded replay, and
-/// restart-from-checkpoint on worker death — the printed `digest` is
+/// [`SupervisedEngine`]: recovery cuts, bounded replay, and restart
+/// from the retained base on worker death — the printed `digest` is
 /// bit-comparable with a fault-free run's. With `--publish-interval N`
 /// the engine carries a read plane and the report is answered from
 /// its final published view (`--fresh on` forces the synchronous
@@ -194,7 +194,7 @@ struct Outcome {
     /// Frame digest of the answering state: the final published view
     /// when the read plane answered, the synchronous merge otherwise.
     digest: u64,
-    /// Recovery scratch words (replay logs + retained frames) at the
+    /// Recovery scratch words (replay logs + retained bases) at the
     /// end of the stream.
     scratch: usize,
     /// Shards whose updates are lost for good.

@@ -68,7 +68,7 @@ pub fn usage() -> &'static str {
               --shards S (4)  --batch B (1024)  --eps E (0.2)  --delta D (0.1)\n\
               --algorithm sketch|exact (sketch)  --seed S (0)  --obs on|off (off)\n\
               --supervise on (self-healing engine)  --faults SPEC (implies supervise;\n\
-              SPEC = kill@T:S | fail@T:S=K | stall@T:S=MS | corrupt@T:S | sweep@T=STRIDE\n\
+              SPEC = kill@T:S | fail@T:S=K | stall@T:S=MS | sweep@T=STRIDE\n\
               | rand=N@SEED, comma-separated)  --ckpt-interval N (4)\n\
               --max-restarts R (8)  --replay-words W (1048576)\n\
               --publish-interval N (0: off; answer from the read plane,\n\

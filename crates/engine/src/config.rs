@@ -179,24 +179,26 @@ impl EngineConfigBuilder {
 
 /// Knobs of the self-healing engine (see [`crate::SupervisedEngine`]).
 ///
-/// The defaults favour cheap steady-state operation: a micro-checkpoint
+/// The defaults favour cheap steady-state operation: a recovery cut
 /// every 4 batches, a 1 Mi-word replay budget per shard, 4 restarts per
 /// shard before the engine gives the shard up, and no backoff (so
 /// deterministic tests run at full speed — production chaos runs set
 /// `backoff_ms`). A `max_restarts` of 0 is the fail-hard policy
-/// [`crate::ShardedEngine::new`] builds: no frames, no replay log, and
-/// the first death is terminal.
+/// [`crate::ShardedEngine::new`] builds: no recovery cuts, no replay
+/// log, and the first death is terminal.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Batches between per-shard micro-checkpoints. Must be ≥ 1; the
-    /// worker also emits one checkpoint immediately at spawn, so a
-    /// restart always has a base frame.
+    /// Logged batches between per-shard recovery cuts. Must be ≥ 1.
+    /// Each worker's first command is also a cut, so a restart always
+    /// has a base; a healed worker keeps the cadence of the lineage it
+    /// replaces. Each cut clones the shard state on the worker thread,
+    /// so a lower interval means a shorter replay and more cloning.
     pub checkpoint_interval: u64,
     /// Per-shard replay-log budget, in words. When the log outgrows
     /// the budget its oldest batches are evicted; until the next
-    /// micro-checkpoint covers the eviction point the shard is
-    /// honestly *unrecoverable* — a crash then is terminal, never a
-    /// silently wrong answer.
+    /// recovery base covers the eviction point the shard is honestly
+    /// *unrecoverable* — a crash then is terminal, never a silently
+    /// wrong answer.
     pub max_replay_words: usize,
     /// Restarts per shard before the engine declares it dead. `0`
     /// turns supervision off (the other knobs then go unused).

@@ -2,12 +2,13 @@
 //!
 //! A [`FaultPlan`] is a finite, ordered set of faults — kill a shard's
 //! worker at a stream tick, fail the next *k* sends to a shard, stall
-//! a worker, corrupt a micro-checkpoint frame — that the engine checks
-//! at every batch dispatch, before it drains frames. Fault *decisions* are pure functions of the plan and the
-//! engine's logical tick, so a seeded chaos run is replayable: the
-//! same plan against the same stream injects the same faults at the
-//! same points and (within replay-log bounds) recovers to the same
-//! bits. Every injection is traced (`FaultInjected`) and counted.
+//! a worker — that the engine checks at every batch dispatch, before
+//! it drains recovery bases. Fault *decisions* are pure functions of
+//! the plan and the engine's logical tick, so a seeded chaos run is
+//! replayable: the same plan against the same stream injects the same
+//! faults at the same points and (within replay-log bounds) recovers
+//! to the same bits. Every injection is traced (`FaultInjected`) and
+//! counted.
 //!
 //! # Nondeterminism seam
 //!
@@ -37,16 +38,9 @@ pub enum FaultKind {
     /// but not delivered, and the worker lineage is retired so the
     /// healed lineage replays them in order.
     FailSends,
-    /// Make the worker sleep `arg` milliseconds (delays checkpoint
-    /// arrival and backpressures the router; never changes results).
+    /// Make the worker sleep `arg` milliseconds (delays its cuts and
+    /// backpressures the router; never changes results).
     Stall,
-    /// Corrupt one micro-checkpoint frame: the first one, as the
-    /// engine drains it, whose batch ordinal is at least the number of
-    /// batches dispatched to the shard before the fault fired. The
-    /// frame checksum catches it and recovery falls back to an older
-    /// frame, or degrades honestly. Under a zero restart budget there
-    /// are no frames, so nothing is corrupted.
-    Corrupt,
 }
 
 impl FaultKind {
@@ -57,7 +51,6 @@ impl FaultKind {
             FaultKind::Kill => 1,
             FaultKind::FailSends => 2,
             FaultKind::Stall => 3,
-            FaultKind::Corrupt => 4,
         }
     }
 
@@ -68,7 +61,6 @@ impl FaultKind {
             FaultKind::Kill => "kill",
             FaultKind::FailSends => "fail",
             FaultKind::Stall => "stall",
-            FaultKind::Corrupt => "corrupt",
         }
     }
 }
@@ -130,8 +122,8 @@ impl FaultPlan {
     }
 
     /// `n` seeded random faults over `shards` shards and ticks
-    /// `[0, horizon)`. Kind is drawn uniformly from kill / fail / stall
-    /// / corrupt; `fail` gets 1–4 sends, `stall` 1–8 ms.
+    /// `[0, horizon)`. Kind is drawn uniformly from kill / fail /
+    /// stall; `fail` gets 1–4 sends, `stall` 1–8 ms.
     #[must_use]
     pub fn random(n: usize, shards: usize, horizon: u64, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -139,16 +131,15 @@ impl FaultPlan {
         let horizon = horizon.max(1);
         let faults = (0..n)
             .map(|_| {
-                let kind = match rng.random_range(0u32..4) {
+                let kind = match rng.random_range(0u32..3) {
                     0 => FaultKind::Kill,
                     1 => FaultKind::FailSends,
-                    2 => FaultKind::Stall,
-                    _ => FaultKind::Corrupt,
+                    _ => FaultKind::Stall,
                 };
                 let arg = match kind {
+                    FaultKind::Kill => 0,
                     FaultKind::FailSends => rng.random_range(1u64..5),
                     FaultKind::Stall => rng.random_range(1u64..9),
-                    _ => 0,
                 };
                 Fault {
                     kind,
@@ -166,8 +157,6 @@ impl FaultPlan {
     /// * `kill@T:S` — kill shard `S` at tick `T`
     /// * `fail@T:S=K` — fail the next `K` sends to shard `S` from tick `T`
     /// * `stall@T:S=MS` — stall shard `S` for `MS` ms at tick `T`
-    /// * `corrupt@T:S` — at tick `T`, corrupt shard `S`'s first frame whose
-    ///   ordinal is at least the batches dispatched to `S` so far
     /// * `sweep@T=STRIDE` — kill every shard once, shard `s` at `T + s×STRIDE`
     /// * `rand=N@SEED` — `N` seeded random faults; `SEED` may be `now`
     ///   (wall-clock seed, echoed in [`FaultPlan::seed`])
@@ -214,7 +203,6 @@ impl FaultPlan {
                 "kill" => FaultKind::Kill,
                 "fail" => FaultKind::FailSends,
                 "stall" => FaultKind::Stall,
-                "corrupt" => FaultKind::Corrupt,
                 other => return Err(format!("`{op}`: unknown fault kind `{other}`")),
             };
             let (tick_str, target) = rest
@@ -272,29 +260,17 @@ pub(crate) fn detonate(msg: &str) -> ! {
     panic!("injected fault: {msg}")
 }
 
-/// Flips one payload byte of an encoded snapshot frame, leaving length
-/// fields intact so the corruption is caught by the frame *checksum*
-/// (the realistic torn-write failure), not by a short read.
-pub(crate) fn corrupt_frame(bytes: &mut [u8]) {
-    let mid = bytes.len() / 2;
-    if let Some(b) = bytes.get_mut(mid) {
-        *b ^= 0xFF;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn parses_every_kind() {
-        let plan = FaultPlan::parse("kill@500:1, fail@900:0=3, stall@100:2=20, corrupt@700:3", 4, 10_000)
-            .unwrap();
-        assert_eq!(plan.faults.len(), 4);
+        let plan = FaultPlan::parse("kill@500:1, fail@900:0=3, stall@100:2=20", 4, 10_000).unwrap();
+        assert_eq!(plan.faults.len(), 3);
         assert_eq!(plan.faults[0], Fault { kind: FaultKind::Kill, tick: 500, shard: 1, arg: 0 });
         assert_eq!(plan.faults[1], Fault { kind: FaultKind::FailSends, tick: 900, shard: 0, arg: 3 });
         assert_eq!(plan.faults[2], Fault { kind: FaultKind::Stall, tick: 100, shard: 2, arg: 20 });
-        assert_eq!(plan.faults[3], Fault { kind: FaultKind::Corrupt, tick: 700, shard: 3, arg: 0 });
         assert_eq!(plan.seed, None);
     }
 
@@ -325,6 +301,7 @@ mod tests {
     fn hostile_specs_are_typed_errors() {
         for bad in [
             "explode@1:0",
+            "corrupt@1:0",
             "kill@x:0",
             "kill@1:9",
             "fail@1:0",
@@ -336,13 +313,5 @@ mod tests {
             assert!(FaultPlan::parse(bad, 4, 1_000).is_err(), "{bad} should not parse");
         }
         assert!(FaultPlan::parse("", 4, 1_000).unwrap().is_empty());
-    }
-
-    #[test]
-    fn corrupt_frame_breaks_the_checksum() {
-        let mut bytes: Vec<u8> = (0..64u8).collect();
-        let before = hindex_common::snapshot::fnv1a(&bytes);
-        corrupt_frame(&mut bytes);
-        assert_ne!(hindex_common::snapshot::fnv1a(&bytes), before);
     }
 }

@@ -19,8 +19,10 @@
 //!             │ (batches,  │── channel ──▶│ shard 1  │ estimator clone
 //!             │  by author)│── channel ──▶│   ...    │
 //!             └────────────┘              └─────┬────┘
-//!                          query: snapshot + merge
+//!                          one Cut command, three sinks:
+//!                          query: clone + merge
 //!                          publish: epoch views ─▶ aggregator ─▶ ReadHandle
+//!                          recovery: retained bases ─▶ supervisor
 //! ```
 //!
 //! * There is one engine type, [`Shards`], under two names with two
@@ -43,10 +45,11 @@
 //!   Cloning (rather than building per shard) is what satisfies
 //!   [`Mergeable`]'s shared-randomness precondition: the linear
 //!   sketches inside then merge to exactly the single-stream state.
-//! * Queries are *anytime*: `query` flushes pending batches, snapshots
-//!   every shard in place, and merges the snapshots into one estimator
-//!   without stopping ingestion. `finish` retires the workers and
-//!   returns the final merged estimator.
+//! * Queries are *anytime*: `query` flushes pending batches, cuts every
+//!   shard in place (a clone taken at the cut's place in the shard's
+//!   FIFO), and merges the clones into one estimator without stopping
+//!   ingestion. `finish` retires the workers and returns the final
+//!   merged estimator.
 //!
 //! Estimators plug in through [`BatchIngest`], which is implemented
 //! automatically for every
@@ -94,7 +97,7 @@
 //!    the only cross-thread traffic is by-value message passing
 //!    (`sync_channel`) plus the read plane's epoch cell (an atomic
 //!    epoch over one `RwLock`-guarded `Arc` of an immutable view),
-//!    queries clone a snapshot rather than lock, and rustc's
+//!    queries clone the state at a cut rather than lock, and rustc's
 //!    `#![forbid(unsafe_code)]` on the crate rules out hand-rolled
 //!    sharing. A worker that panics poisons nothing: the engine joins
 //!    it, harvests the panic payload, and — once healing is out of
@@ -105,10 +108,11 @@
 //!
 //! # Crash recovery
 //!
-//! `checkpoint` flushes, snapshots every shard, and packages the states
+//! `checkpoint` flushes, cuts every shard, and packages the states
 //! with the engine geometry and the stream offset (items routed so far)
 //! into an [`EngineCheckpoint`] — a
-//! [`Snapshot`]-serialisable value when the estimator is.
+//! [`Snapshot`](hindex_common::Snapshot)-serialisable value when the
+//! estimator is.
 //! [`ShardedEngine::restore`] validates the checkpoint and respawns the
 //! workers from those states; replaying the stream from
 //! [`EngineCheckpoint::stream_offset`] then reproduces the never-killed
@@ -117,20 +121,21 @@
 //!
 //! # Self-healing
 //!
-//! With a nonzero [`SupervisorConfig::max_restarts`], every worker
-//! encodes a per-shard micro-checkpoint every
-//! [`SupervisorConfig::checkpoint_interval`] batches (on the worker
-//! thread, so the router never stalls), the engine keeps a bounded
-//! replay log of batches since each shard's last micro-checkpoint, and
-//! on worker death it respawns the shard from its checkpoint and
-//! replays the log — bit-identical to an uninterrupted run. With a
-//! budget of zero (what [`ShardedEngine::new`] builds) the engine
-//! spawns no frame hook, keeps no log, and moves each batch to its
-//! worker; a death is terminal at once. A deterministic, seeded
-//! [`FaultPlan`] injects worker kills, send failures, stalls, and
-//! checkpoint corruption for chaos testing (`hindex engine --faults`).
-//! See `docs/RECOVERY.md` for the supervision state machine and the
-//! degradation ladder.
+//! With a nonzero [`SupervisorConfig::max_restarts`], the router cuts
+//! every worker at spawn and then every
+//! [`SupervisorConfig::checkpoint_interval`] batches: the worker clones
+//! its state at the cut (on the worker thread, so the router never
+//! stalls), and the engine retains the newest clone as the shard's
+//! recovery base. It also keeps a bounded replay log of batches since
+//! that base, and on worker death it clones the base into a fresh
+//! worker and replays the log — bit-identical to an uninterrupted run,
+//! because a clone taken at a FIFO marker is an exact restart point.
+//! With a budget of zero (what [`ShardedEngine::new`] builds) the
+//! engine takes no recovery cuts, keeps no log, and moves each batch to
+//! its worker; a death is terminal at once. A deterministic, seeded
+//! [`FaultPlan`] injects worker kills, send failures, and stalls for
+//! chaos testing (`hindex engine --faults`). See `docs/RECOVERY.md`
+//! for the supervision state machine and the degradation ladder.
 //!
 //! # Observability
 //!
@@ -176,7 +181,7 @@ pub use router::{mix64, Routable};
 use faults::Fault;
 use hindex_common::{
     AggregateEstimator, BankCounters, CashRegisterEstimator, Estimate, Guarantee, Mergeable,
-    Snapshot, SpaceUsage, TurnstileEstimator,
+    SpaceUsage, TurnstileEstimator,
 };
 use hindex_obs::Stopwatch;
 use read_plane::ReadPlane;
@@ -230,8 +235,8 @@ impl<E: TurnstileEstimator> BatchIngest<(u64, i64)> for E {
 pub type ShardedEngine<E, T> = Shards<E, T, false>;
 
 /// The self-healing engine: [`Shards`] under a [`SupervisorConfig`].
-/// Worker death triggers restart-from-micro-checkpoint plus replay
-/// instead of data loss, bounded by the restart budget and the
+/// Worker death triggers a restart from the shard's recovery base plus
+/// replay instead of data loss, bounded by the restart budget and the
 /// replay-log budget.
 pub type SupervisedEngine<E, T> = Shards<E, T, true>;
 
@@ -241,8 +246,8 @@ pub type SupervisedEngine<E, T> = Shards<E, T, true>;
 ///
 /// `HEAL` only selects the constructor set (and keeps the two names
 /// distinct types). Behaviour follows from
-/// [`SupervisorConfig::max_restarts`]: at zero the engine spawns no
-/// frame hook, keeps no replay log, and a dead shard is terminal at
+/// [`SupervisorConfig::max_restarts`]: at zero the engine takes no
+/// recovery cuts, keeps no replay log, and a dead shard is terminal at
 /// once; above zero it heals (see the crate docs).
 ///
 /// ```
@@ -302,7 +307,7 @@ pub struct Shards<E, T, const HEAL: bool> {
 
 impl<E, T> Shards<E, T, false>
 where
-    E: BatchIngest<T> + Mergeable + Snapshot + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
+    E: BatchIngest<T> + Mergeable + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
     T: Routable + Clone + Send + 'static,
 {
     /// Spawns the worker shards, each owning a clone of `prototype`,
@@ -359,7 +364,7 @@ where
 
 impl<E, T> Shards<E, T, true>
 where
-    E: BatchIngest<T> + Mergeable + Snapshot + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
+    E: BatchIngest<T> + Mergeable + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
     T: Routable + Clone + Send + 'static,
 {
     /// Supervised engine without injected faults.
@@ -402,11 +407,13 @@ fn fail_hard() -> SupervisorConfig {
 
 impl<E, T, const HEAL: bool> Shards<E, T, HEAL>
 where
-    E: BatchIngest<T> + Mergeable + Snapshot + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
+    E: BatchIngest<T> + Mergeable + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
     T: Routable + Clone + Send + 'static,
 {
     /// Spawns one worker per state; `tick` is the restored stream
-    /// offset (0 for a fresh engine).
+    /// offset (0 for a fresh engine). Under a nonzero restart budget
+    /// each worker's first command is its spawn cut, so the clone runs
+    /// on the worker thread, not here.
     fn spawn_all(
         config: EngineConfig,
         sup: SupervisorConfig,
@@ -426,7 +433,8 @@ where
             sup,
         };
         for (shard, state) in states.into_iter().enumerate() {
-            engine.spawn(shard, state, 0);
+            engine.spawn(shard, state);
+            engine.recovery_cut(shard);
         }
         engine
     }
@@ -474,8 +482,11 @@ where
         let offset = self.router.tick();
         let epoch = self.plane.as_mut()?.begin_epoch(offset);
         for shard in 0..self.shards.len() {
-            let marker = || Command::Publish { epoch, offset };
-            while self.shards[shard].sender.as_ref().is_none_or(|tx| tx.send(marker()).is_err()) {
+            loop {
+                let marker = Command::Cut(self.plane.as_ref()?.marker(shard, epoch, offset)?);
+                if self.shards[shard].sender.as_ref().is_some_and(|tx| tx.send(marker).is_ok()) {
+                    break;
+                }
                 self.join_lineage(shard);
                 if !self.heal(shard) {
                     return None; // the issued epoch stays incomplete
@@ -485,11 +496,11 @@ where
         Some(epoch)
     }
 
-    /// The query path: flushes, snapshots every shard, and merges the
-    /// live ones. `strict` refuses once any shard is dead for good.
+    /// The query path: flushes, cuts every shard, and merges the live
+    /// ones. `strict` refuses once any shard is dead for good.
     fn merged(&mut self, strict: bool) -> Result<Degraded<E>, EngineError> {
         self.flush();
-        let states = self.snapshot_states();
+        let states = self.cut_states();
         if let Some(err) = self.first_dead_error().filter(|_| strict) {
             return Err(err);
         }
@@ -537,7 +548,7 @@ where
 /// contract every verb honours.
 impl<E, T, const HEAL: bool> Engine<T> for Shards<E, T, HEAL>
 where
-    E: BatchIngest<T> + Mergeable + Snapshot + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
+    E: BatchIngest<T> + Mergeable + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
     T: Routable + Clone + Send + 'static,
 {
     type Output = E;
@@ -591,9 +602,9 @@ where
         }
     }
 
-    /// Anytime query: flushes, snapshots every shard *in place* (the
+    /// Anytime query: flushes, cuts every shard *in place* (the
     /// workers keep running; down lineages heal first), and merges the
-    /// snapshots into one estimator equivalent to one that ingested
+    /// clones into one estimator equivalent to one that ingested
     /// everything pushed so far. [`EngineError::ShardDead`] once any
     /// shard is dead for good — an exact answer no longer exists.
     fn query(&mut self) -> Result<E, EngineError> {
@@ -622,15 +633,15 @@ where
         })
     }
 
-    /// Checkpoint for crash recovery: flushes, snapshots every shard,
-    /// and returns the states with the geometry and the stream offset.
+    /// Checkpoint for crash recovery: flushes, cuts every shard, and
+    /// returns the states with the geometry and the stream offset.
     /// Strict like `query` — a checkpoint taken after a shard died
     /// would silently drop that shard's history on restore. Supervision
     /// state (replay logs, budgets) is transient and not persisted.
     fn checkpoint(&mut self) -> Result<EngineCheckpoint<E>, EngineError> {
         let sw = Stopwatch::start();
         self.flush();
-        let states = self.snapshot_states();
+        let states = self.cut_states();
         if let Some(err) = self.first_dead_error() {
             return Err(err);
         }
@@ -670,23 +681,21 @@ where
 }
 
 /// One ledger for both names. `space_words` is the whole pipeline: the
-/// live shard estimators (by snapshot; dead shards hold nothing), the
-/// bounded channel capacity and the router's buffers (one word per
-/// item word), and the latest published view. Recovery state — the
-/// retained micro-checkpoint frames and the replay logs — is
+/// live shard estimators (read in place by a cut that clones nothing;
+/// dead shards hold nothing), the bounded channel capacity and the
+/// router's buffers (one word per item word), and the latest published
+/// view. Recovery state — the retained bases and the replay logs — is
 /// `scratch_words`: transient, and zero under a zero restart budget.
 impl<E, T, const HEAL: bool> SpaceUsage for Shards<E, T, HEAL>
 where
-    E: BatchIngest<T> + Mergeable + Snapshot + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
+    E: BatchIngest<T> + Mergeable + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
     T: Routable + Clone + Send + 'static,
 {
     fn space_words(&self) -> usize {
-        let replies: Vec<_> = (0..self.shards.len()).filter_map(|s| self.request(s)).collect();
-        let shard_words: usize = replies
-            .iter()
-            .filter_map(|rx| rx.recv().ok())
-            .map(|state| state.space_words())
-            .sum();
+        let replies: Vec<_> = (0..self.shards.len())
+            .filter_map(|shard| self.cut(shard, |state: &E| state.space_words()))
+            .collect();
+        let shard_words: usize = replies.iter().filter_map(|rx| rx.recv().ok()).sum();
         let item_words = std::mem::size_of::<T>().div_ceil(std::mem::size_of::<u64>());
         let channel_words =
             self.config.shards * self.config.queue_depth * self.config.batch_size * item_words;
@@ -725,6 +734,8 @@ mod tests {
     use hindex_baseline::CashTable;
     use hindex_common::{Epsilon, Estimate, Snapshot};
     use hindex_core::ExponentialHistogram;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn staircase_updates(papers: u64, rounds: u64) -> Vec<(u64, u64)> {
         // Interleaved unit updates: paper p ends with `rounds` total.
@@ -844,10 +855,19 @@ mod tests {
     }
 
     /// Exact table that panics on the poison paper id `u64::MAX` —
-    /// a stand-in for any worker-side fault.
-    #[derive(Debug, Clone, Default)]
+    /// a stand-in for any worker-side fault — and counts its clones
+    /// across every copy of one prototype.
+    #[derive(Debug, Default)]
     pub(crate) struct Exploding {
         pub(crate) table: CashTable,
+        clones: Arc<AtomicUsize>,
+    }
+
+    impl Clone for Exploding {
+        fn clone(&self) -> Self {
+            self.clones.fetch_add(1, Ordering::Relaxed);
+            Self { table: self.table.clone(), clones: Arc::clone(&self.clones) }
+        }
     }
 
     impl BatchIngest<(u64, u64)> for Exploding {
@@ -877,18 +897,23 @@ mod tests {
         }
     }
 
-    impl Snapshot for Exploding {
-        const TAG: u8 = CashTable::TAG;
-
-        fn write_payload(&self, w: &mut hindex_common::snapshot::Writer<'_>) {
-            self.table.write_payload(w);
+    // Regression: `space_words` used to clone every shard's state just
+    // to read its size, so `report` cloned each shard twice.
+    #[test]
+    fn space_words_clones_nothing_and_report_clones_each_shard_once() {
+        let shards = 3;
+        let prototype = Exploding::default();
+        let clones = Arc::clone(&prototype.clones);
+        let mut engine = ShardedEngine::new(EngineConfig::with_shards(shards), prototype);
+        for k in 0..500u64 {
+            engine.ingest((k, 1));
         }
-
-        fn read_payload(
-            r: &mut hindex_common::snapshot::Reader<'_>,
-        ) -> Result<Self, hindex_common::snapshot::SnapshotError> {
-            Ok(Self { table: CashTable::read_payload(r)? })
-        }
+        let before = clones.load(Ordering::Relaxed);
+        assert!(engine.space_words() > 0);
+        assert_eq!(clones.load(Ordering::Relaxed) - before, 0, "space_words cloned a shard");
+        let report = engine.report(None).unwrap();
+        assert_eq!(report.estimate, 1);
+        assert_eq!(clones.load(Ordering::Relaxed) - before, shards, "report clones once per shard");
     }
 
     #[test]

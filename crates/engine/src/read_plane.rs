@@ -2,16 +2,17 @@
 //! concurrent readers without blocking the router.
 //!
 //! Every anytime query through the engine's `query` verb pays a full
-//! snapshot-and-merge and needs `&mut` access — one reader at a time.
+//! clone-and-merge and needs `&mut` access — one reader at a time.
 //! The read plane inverts that: at a configurable
 //! `publish_interval` (see
 //! [`EngineConfigBuilder::publish_interval`]), the router flushes its
-//! partial batches and threads a [`Command::Publish`] marker through
-//! every shard's FIFO channel; each worker replies with a clone of its
-//! state, and a dedicated **aggregator** thread merges the clones in
-//! shard order and swaps the merged view into an [`EpochCell`]. Any
-//! number of cloned [`ReadHandle`]s then answer queries from the
-//! latest view with `&self`, never touching the router or the workers.
+//! partial batches and threads a marker through every shard's FIFO
+//! channel: a [`Command::Cut`] whose sink clones the shard's state into
+//! the view channel. A dedicated **aggregator** thread merges the
+//! clones in shard order and swaps the merged view into an
+//! [`EpochCell`]. Any number of cloned [`ReadHandle`]s then answer
+//! queries from the latest view with `&self`, never touching the
+//! router or the workers.
 //!
 //! # Consistency contract
 //!
@@ -40,10 +41,10 @@
 //!   missing a shard's updates — see `tests/engine_faults.rs`.
 //!
 //! [`EngineConfigBuilder::publish_interval`]: crate::EngineConfigBuilder::publish_interval
-//! [`Command::Publish`]: crate::runtime::Command
+//! [`Command::Cut`]: crate::runtime::Command
 
 use crate::error::QueryReport;
-use crate::runtime::merge_all;
+use crate::runtime::{merge_all, Sink};
 use hindex_common::{Estimate, Guarantee, Mergeable, SpaceUsage};
 use hindex_obs::{EngineObserver, Stopwatch};
 use std::collections::BTreeMap;
@@ -54,11 +55,11 @@ use std::thread::JoinHandle;
 
 /// One shard's contribution to an epoch: its state clone after exactly
 /// its share of the first `offset` routed items.
-pub(crate) struct ShardView<E> {
-    pub shard: usize,
-    pub epoch: u64,
-    pub offset: u64,
-    pub state: E,
+struct ShardView<E> {
+    shard: usize,
+    epoch: u64,
+    offset: u64,
+    state: E,
 }
 
 /// A fully merged, immutable published view.
@@ -152,10 +153,19 @@ impl<E: Mergeable + Send + Sync + 'static> ReadPlane<E> {
         }
     }
 
-    /// A clone of the worker-facing view sender (each worker lineage
-    /// gets one at spawn).
-    pub(crate) fn view_sender(&self) -> Option<Sender<ShardView<E>>> {
-        self.view_tx.clone()
+    /// The sink of `shard`'s marker for `epoch`: it clones the shard's
+    /// state into the aggregator as its share of the first `offset`
+    /// routed items. `None` once the plane is shutting down.
+    pub(crate) fn marker(&self, shard: usize, epoch: u64, offset: u64) -> Option<Sink<E>>
+    where
+        E: Clone,
+    {
+        let views = self.view_tx.clone()?;
+        Some(Box::new(move |state: &E| {
+            // The aggregator may already be gone at shutdown; a worker
+            // never dies over a dropped read plane.
+            let _ = views.send(ShardView { shard, epoch, offset, state: state.clone() });
+        }))
     }
 
     /// Whether the router owes a publish at stream offset `tick`.
@@ -194,8 +204,8 @@ impl<E: Mergeable + Send + Sync + 'static> ReadPlane<E> {
 impl<E> Drop for ReadPlane<E> {
     fn drop(&mut self) {
         // The engine joins its workers before its fields drop, so
-        // every worker-held sender clone is already gone; dropping
-        // ours lets the aggregator drain and exit.
+        // every sender clone a queued marker held is already gone;
+        // dropping ours lets the aggregator drain and exit.
         self.view_tx = None;
         if let Some(agg) = self.agg.take() {
             let _ = agg.join();

@@ -1,18 +1,18 @@
 //! Bounded per-shard replay logs for self-healing shards.
 //!
 //! A [`ReplayLog`] holds every batch dispatched to a shard since the
-//! newest micro-checkpoint known to cover it, as a contiguous ordinal
-//! range `[start, next)`. Recovery resends the suffix `[frame, next)`
-//! after respawning the shard from a micro-checkpoint taken at batch
-//! ordinal `frame`; that is exactly the stream the dead worker would
+//! newest recovery base known to cover it, as a contiguous ordinal
+//! range `[start, next)`. Recovery resends the suffix `[base, next)`
+//! after respawning the shard from a recovery base cut at batch
+//! ordinal `base`; that is exactly the stream the dead worker would
 //! have applied next, so the healed shard is bit-identical to an
 //! uninterrupted one.
 //!
 //! The log is *bounded*: when it outgrows its word budget it evicts
 //! its oldest entries. Eviction is honest — the engine learns how
 //! many entries (and how many never-delivered ones) were dropped, and
-//! a shard whose newest usable checkpoint falls before `start` is
-//! declared unrecoverable rather than silently replayed from a gap.
+//! a shard whose newest base falls before `start` is declared
+//! unrecoverable rather than silently replayed from a gap.
 //!
 //! Space accounting: log words are *scratch* (transient recovery
 //! state), reported through
@@ -128,7 +128,7 @@ impl<T: Clone> ReplayLog<T> {
     }
 
     /// Drops every entry with ordinal `< upto` — they are covered by a
-    /// micro-checkpoint and will never be replayed.
+    /// recovery base and will never be replayed.
     pub(crate) fn trim_to(&mut self, upto: u64) {
         while self.start < upto {
             let Some(front) = self.entries.pop_front() else { break };

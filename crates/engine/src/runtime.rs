@@ -3,60 +3,38 @@
 //!
 //! The engine ([`Shards`](crate::Shards), under either name) decides
 //! *when* workers spawn, die, and respawn; the runtime defines *what a
-//! worker is*. There is exactly one worker loop in the crate —
-//! supervision enters through the [`WorkerCtx::on_applied`] hook (the
-//! micro-checkpoint frames, absent under a zero restart budget), and
-//! the read plane's shard views flow out through [`WorkerCtx::views`].
+//! worker is*. There is exactly one worker loop in the crate, and one
+//! way to read a worker's state: a [`Command::Cut`], whose sink runs on
+//! the state at its place in the FIFO. Queries, read-plane publishes
+//! and recovery bases are all cuts; they differ only in their sinks.
 
 use crate::faults;
-use crate::read_plane::ShardView;
 use crate::BatchIngest;
 use hindex_common::Mergeable;
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
-/// Commands a shard worker understands: `Batch`/`Snapshot`/`Publish`
-/// carry the stream and the queries; stalls and poisons exist only for
-/// fault injection.
+/// What a cut does with the worker's state: clone it into a reply,
+/// a shard view or a recovery base, or read one figure off it.
+pub(crate) type Sink<E> = Box<dyn FnOnce(&E) + Send>;
+
+/// Commands a shard worker understands: `Batch` and `Cut` carry the
+/// stream and every read of it; stalls and poisons exist only for fault
+/// injection.
 pub(crate) enum Command<E, T> {
     /// Apply one batch of items.
     Batch(Vec<T>),
-    /// Reply with a clone of the current state (anytime query).
-    Snapshot(Sender<E>),
-    /// Read-plane marker: clone the current state and hand it to the
-    /// aggregator as this shard's contribution to `epoch`. Ordered
-    /// through the same FIFO channel as batches, so the clone covers
-    /// exactly the batches dispatched before the marker — which is
-    /// what makes published views bit-identical to an on-demand merge
-    /// at `offset`.
-    Publish {
-        /// The epoch this view contributes to.
-        epoch: u64,
-        /// Items the router had dispatched when it issued the marker.
-        offset: u64,
-    },
+    /// Run the sink on the current state. Ordered through the same
+    /// FIFO channel as batches, so the sink sees exactly the batches
+    /// sent before the cut — a consistent per-shard state, which is
+    /// what makes query merges, published views and healed shards
+    /// bit-identical to a serial run.
+    Cut(Sink<E>),
     /// Injected delay: sleep this many milliseconds (backpressures the
-    /// router and delays frames; never changes results).
+    /// router and delays cuts; never changes results).
     Stall(u64),
     /// Injected kill: panic on the worker thread with this message.
     Poison(String),
-}
-
-/// Worker-thread hook invoked with `(state, applied_batches)`.
-pub(crate) type AppliedHook<E> = Box<dyn FnMut(&E, u64) + Send>;
-
-/// Per-worker wiring the engine hands to [`spawn_worker`].
-pub(crate) struct WorkerCtx<E> {
-    /// This worker's shard index (stamped onto published shard views).
-    pub shard: usize,
-    /// Called with `(state, applied)` once at spawn (with the base
-    /// ordinal) and after every applied batch. Frame emission lives in
-    /// this closure; under a zero restart budget it is `None` and the
-    /// worker pays nothing.
-    pub on_applied: Option<AppliedHook<E>>,
-    /// Read-plane sink for [`Command::Publish`] replies; `None` when
-    /// the read plane is disabled.
-    pub views: Option<Sender<ShardView<E>>>,
 }
 
 /// One live worker lineage: its command channel and thread handle.
@@ -65,66 +43,29 @@ pub(crate) struct Lineage<E, T> {
     pub handle: JoinHandle<E>,
 }
 
-/// Spawns one worker owning `state`, with `base` applied batches
-/// behind it (0 for a fresh spawn; the frame ordinal for a heal).
-pub(crate) fn spawn_worker<E, T>(
-    queue_depth: usize,
-    state: E,
-    base: u64,
-    ctx: WorkerCtx<E>,
-) -> Lineage<E, T>
+/// Spawns one worker owning `state`.
+pub(crate) fn spawn_worker<E, T>(queue_depth: usize, state: E) -> Lineage<E, T>
 where
-    E: BatchIngest<T> + Clone + Send + 'static,
+    E: BatchIngest<T> + Send + 'static,
     T: Send + 'static,
 {
     let (sender, rx) = sync_channel::<Command<E, T>>(queue_depth);
-    let handle = std::thread::spawn(move || worker(state, base, &rx, ctx));
+    let handle = std::thread::spawn(move || worker(state, &rx));
     Lineage { sender, handle }
 }
 
-/// The one worker loop in the crate: apply batches, answer snapshots,
-/// contribute read-plane views, honour injected stalls/poisons, and
-/// fire the `on_applied` hook after every applied batch.
-fn worker<E, T>(mut estimator: E, base: u64, rx: &Receiver<Command<E, T>>, mut ctx: WorkerCtx<E>) -> E
+/// The one worker loop in the crate: apply batches, run cut sinks, and
+/// honour injected stalls and poisons. Returns the final state once
+/// every sender is gone.
+fn worker<E, T>(mut estimator: E, rx: &Receiver<Command<E, T>>) -> E
 where
-    E: BatchIngest<T> + Clone,
+    E: BatchIngest<T>,
 {
-    // The spawn callback: a healing lineage emits its base frame here,
-    // before the first recv, so FIFO guarantees it is drainable at any
-    // later join.
-    if let Some(cb) = &mut ctx.on_applied {
-        cb(&estimator, base);
-    }
-    let mut applied = base;
     while let Ok(cmd) = rx.recv() {
         match cmd {
-            Command::Batch(batch) => {
-                estimator.apply_batch(&batch);
-                applied += 1;
-                if let Some(cb) = &mut ctx.on_applied {
-                    cb(&estimator, applied);
-                }
-            }
-            Command::Snapshot(reply) => {
-                // The query side may have given up (dropped receiver);
-                // ingestion must not die with it.
-                let _ = reply.send(estimator.clone());
-            }
-            Command::Publish { epoch, offset } => {
-                if let Some(views) = &ctx.views {
-                    // The aggregator may already be gone at shutdown;
-                    // a worker never dies over a dropped read plane.
-                    let _ = views.send(ShardView {
-                        shard: ctx.shard,
-                        epoch,
-                        offset,
-                        state: estimator.clone(),
-                    });
-                }
-            }
-            Command::Stall(ms) => {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
+            Command::Batch(batch) => estimator.apply_batch(&batch),
+            Command::Cut(sink) => sink(&estimator),
+            Command::Stall(ms) => std::thread::sleep(std::time::Duration::from_millis(ms)),
             Command::Poison(msg) => faults::detonate(&msg),
         }
     }

@@ -6,28 +6,32 @@
 //! can use. With a nonzero budget there are three additions over a
 //! plain handoff:
 //!
-//! 1. **Micro-checkpoints.** Every worker encodes its estimator state
-//!    (a [`Snapshot`] frame) once at spawn and then every
-//!    [`SupervisorConfig::checkpoint_interval`] applied batches, on the
-//!    *worker* thread — the router never stalls for encoding. Frame
-//!    emission is the `on_applied` hook of the worker's [`WorkerCtx`].
-//!    Frames flow back over an unbounded channel and are drained at
-//!    dispatch boundaries and synchronously after every join.
+//! 1. **Recovery cuts.** The router sends each worker a recovery cut —
+//!    a [`Command::Cut`] whose sink clones the state into the shard's
+//!    base channel, tagged with its batch ordinal — as its first
+//!    command, and again after every
+//!    [`SupervisorConfig::checkpoint_interval`] logged batches. The
+//!    clone runs on the *worker* thread at the cut's place in the
+//!    FIFO, so the router never stalls for it, and it covers exactly
+//!    the batches below its ordinal. Bases are drained at dispatch
+//!    boundaries and synchronously after every join and query.
 //! 2. **Replay logs.** Every batch dispatched to a shard is also
-//!    appended to that shard's bounded [`ReplayLog`]; a frame at batch
+//!    appended to that shard's bounded [`ReplayLog`]; a base at batch
 //!    ordinal *n* lets the log discard everything below *n*.
 //! 3. **Heal.** When a worker dies (panic, injected kill, failed
-//!    send), the engine joins it, harvests the panic payload, decodes
-//!    the newest checksum-valid frame, respawns the shard from it, and
-//!    replays the log suffix — FIFO order makes the healed shard
-//!    **bit-identical** to one that never crashed.
+//!    send), the engine joins it, harvests the panic payload, clones the
+//!    newest retained base into a fresh worker, and replays the log
+//!    suffix — FIFO order makes the healed shard **bit-identical** to
+//!    one that never crashed. The base stays retained, so a lineage
+//!    that dies again before its next cut heals from it too.
 //!
-//! With a budget of zero none of that exists: no frame hook, no log,
-//! each batch moves to its worker, and the first death is terminal.
+//! With a budget of zero none of that exists: no recovery cuts, no
+//! log, each batch moves to its worker, and the first death is
+//! terminal.
 //!
 //! The degradation ladder when healing cannot proceed (restart budget
-//! exhausted, replay log overflowed past the newest frame, no
-//! decodable frame) is *honest*: the shard goes terminal
+//! exhausted, no base yet, replay log overflowed past the newest base)
+//! is *honest*: the shard goes terminal
 //! ([`EngineError::ShardDead`](crate::EngineError::ShardDead) with the
 //! harvested reason), its never-delivered updates are counted as lost,
 //! and strict queries refuse rather than silently under-count. See
@@ -35,17 +39,14 @@
 //!
 //! # Determinism
 //!
-//! Fault decisions, heal points, frame contents, and replay suffixes
-//! are all pure functions of the input stream and the [`FaultPlan`] —
-//! worker scheduling only affects *when* frames are drained, never
-//! which frame is newest at a join (joins synchronise the drain,
-//! because a dead worker's frames are all already in its channel).
-//! Faults fire before a dispatch drains, and `corrupt` targets the
-//! first frame whose ordinal is at least the batches dispatched to the
-//! shard before it fired — a frame not yet drained, whatever the
-//! scheduling. Identical seeded runs therefore produce identical
-//! merged states, restart counts, and event traces; the only racy
-//! observables are gauge readings taken mid-run, same as queue depths.
+//! Fault decisions, cut ordinals, heal points, base contents, and
+//! replay suffixes are all pure functions of the input stream and the
+//! [`FaultPlan`] — worker scheduling only affects *when* bases are
+//! drained, never which base is newest at a join (joins synchronise
+//! the drain, because a dead worker's bases are all already in its
+//! channel). Identical seeded runs therefore produce identical merged
+//! states, restart counts, and event traces; the only racy observables
+//! are gauge readings taken mid-run, same as queue depths.
 //!
 //! # The read plane under supervision
 //!
@@ -59,69 +60,74 @@
 //!
 //! [`Shards`]: crate::Shards
 //! [`FaultPlan`]: crate::FaultPlan
-//! [`WorkerCtx`]: crate::runtime::WorkerCtx
+//! [`Command::Cut`]: crate::runtime::Command
 
 use crate::config::SupervisorConfig;
 use crate::error::panic_message;
-use crate::faults::{self, FaultKind};
-use crate::read_plane::ReadPlane;
+use crate::faults::FaultKind;
 use crate::replay::ReplayLog;
-use crate::runtime::{spawn_worker, AppliedHook, Command, WorkerCtx};
+use crate::runtime::{spawn_worker, Command};
 use crate::{BatchIngest, Engine, Routable, Shards};
-use hindex_common::snapshot::fnv1a;
-use hindex_common::{Estimate, Mergeable, Snapshot, SpaceUsage};
+use hindex_common::{Estimate, Mergeable, SpaceUsage};
 use hindex_obs::Stopwatch;
-use std::sync::mpsc::{channel, Receiver, SyncSender};
+use std::sync::mpsc::{channel, Receiver, Sender, SyncSender};
 use std::thread::JoinHandle;
 
-/// One micro-checkpoint: the estimator's frame bytes after `applied`
-/// batches.
-struct Frame {
-    applied: u64,
-    bytes: Vec<u8>,
-}
+/// The ladder rung for a shard with nothing to heal from.
+const NO_BASE: &str = "no recovery base yet";
 
-/// Whether an encoded frame's trailing FNV-1a checksum matches its
-/// body — the cheap validity test the drain runs on every frame, and
-/// what catches injected (or real torn-write) corruption.
-fn frame_checksum_ok(bytes: &[u8]) -> bool {
-    if bytes.len() < 8 {
-        return false;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let mut checksum = [0u8; 8];
-    checksum.copy_from_slice(tail);
-    fnv1a(body) == u64::from_le_bytes(checksum)
+/// A recovery base: a shard state cut after the batches below
+/// `ordinal`.
+struct Base<E> {
+    ordinal: u64,
+    state: E,
 }
 
 /// A shard's recovery state under a nonzero restart budget.
-pub(crate) struct Recovery<T> {
-    /// The current lineage's frame channel.
-    frames: Receiver<Frame>,
+pub(crate) struct Recovery<E, T> {
+    /// The shard's base channel; every recovery sink holds a clone of
+    /// the sender, whichever lineage runs it.
+    base_tx: Sender<Base<E>>,
+    bases: Receiver<Base<E>>,
     log: ReplayLog<T>,
-    /// Newest checksum-valid frame seen (corrupt frames are dropped).
-    frame: Option<Frame>,
-    /// Corrupt the first frame drained with `applied ≥` this ordinal.
-    corrupt_after: Option<u64>,
+    /// Newest drained base: heal clones it and keeps it.
+    base: Option<Base<E>>,
+    /// Ordinal of the newest recovery cut sent; `None` before the
+    /// spawn cut.
+    last_cut: Option<u64>,
 }
 
-impl<T: Clone> Recovery<T> {
-    /// Words held: the replay log plus the retained frame.
-    pub(crate) fn words(&self) -> usize {
-        let frame_bytes = self.frame.as_ref().map_or(0, |f| f.bytes.len());
-        self.log.words() + frame_bytes.div_ceil(std::mem::size_of::<u64>())
+impl<E: Clone + Send + 'static, T: Clone> Recovery<E, T> {
+    /// The newest usable restart point: a clone of the newest base,
+    /// provided the log still covers every batch after it.
+    fn restart_point(&self) -> Result<(u64, E), &'static str> {
+        let base = self.base.as_ref().ok_or(NO_BASE)?;
+        if base.ordinal < self.log.start() {
+            return Err("replay log overflowed past the newest recovery base");
+        }
+        Ok((base.ordinal, base.state.clone()))
     }
 
-    /// The newest usable restart point: the decoded newest frame,
-    /// provided the log still covers every batch after it.
-    fn restart_point<E: Snapshot>(&self) -> Result<(u64, E), &'static str> {
-        let frame = self.frame.as_ref().ok_or("no usable micro-checkpoint")?;
-        if frame.applied < self.log.start() {
-            return Err("replay log overflowed past the newest micro-checkpoint");
+    /// A recovery cut at the log's next ordinal, when one is due: the
+    /// lineage has then been handed every batch below that ordinal.
+    fn cut_if_due(&mut self, interval: u64) -> Option<Command<E, T>> {
+        let ordinal = self.log.next();
+        if self.last_cut.is_some_and(|last| ordinal - last < interval) {
+            return None;
         }
-        let (state, _) =
-            E::read_from(&frame.bytes).map_err(|_| "micro-checkpoint failed to decode")?;
-        Ok((frame.applied, state))
+        self.last_cut = Some(ordinal);
+        let bases = self.base_tx.clone();
+        Some(Command::Cut(Box::new(move |state: &E| {
+            // The engine owns the receiver for the shard's lifetime.
+            let _ = bases.send(Base { ordinal, state: state.clone() });
+        })))
+    }
+}
+
+impl<E: SpaceUsage, T: Clone> Recovery<E, T> {
+    /// Words held: the replay log plus the retained base.
+    pub(crate) fn words(&self) -> usize {
+        self.log.words() + self.base.as_ref().map_or(0, |b| b.state.space_words())
     }
 }
 
@@ -129,8 +135,8 @@ impl<T: Clone> Recovery<T> {
 pub(crate) struct Shard<E, T> {
     pub(crate) sender: Option<SyncSender<Command<E, T>>>,
     pub(crate) handle: Option<JoinHandle<E>>,
-    /// Frames and replay log; `None` under a zero restart budget.
-    pub(crate) recovery: Option<Recovery<T>>,
+    /// Bases and replay log; `None` under a zero restart budget.
+    pub(crate) recovery: Option<Recovery<E, T>>,
     /// Worker deaths observed (panics only, not clean retirements).
     deaths: u64,
     /// Restarts consumed from [`SupervisorConfig::max_restarts`].
@@ -147,11 +153,15 @@ impl<E, T: Clone> Shard<E, T> {
     /// A shard with no lineage yet; it keeps recovery state only when
     /// it has restarts to spend.
     pub(crate) fn new(sup: &SupervisorConfig) -> Self {
-        let recovery = (sup.max_restarts > 0).then(|| Recovery {
-            frames: channel().1, // replaced by every spawn
-            log: ReplayLog::new(sup.max_replay_words),
-            frame: None,
-            corrupt_after: None,
+        let recovery = (sup.max_restarts > 0).then(|| {
+            let (base_tx, bases) = channel();
+            Recovery {
+                base_tx,
+                bases,
+                log: ReplayLog::new(sup.max_replay_words),
+                base: None,
+                last_cut: None,
+            }
         });
         Self {
             sender: None,
@@ -168,34 +178,31 @@ impl<E, T: Clone> Shard<E, T> {
 
 impl<E, T, const HEAL: bool> Shards<E, T, HEAL>
 where
-    E: BatchIngest<T> + Mergeable + Snapshot + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
+    E: BatchIngest<T> + Mergeable + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
     T: Routable + Clone + Send + 'static,
 {
-    /// Spawns a worker for `shard` owning `state`, `base` applied
-    /// batches into its stream. With recovery state the worker also
-    /// encodes a frame at spawn and every `checkpoint_interval` applied
-    /// batches; without, it gets no hook and pays nothing.
-    pub(crate) fn spawn(&mut self, shard: usize, state: E, base: u64) {
+    /// Spawns a worker for `shard` owning `state`.
+    pub(crate) fn spawn(&mut self, shard: usize, state: E) {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
-        let interval = self.sup.checkpoint_interval;
+        let lineage = spawn_worker(self.config.queue_depth, state);
         let s = &mut self.shards[shard];
-        let on_applied = s.recovery.as_mut().map(|r| {
-            let (frame_tx, frames) = channel();
-            r.frames = frames;
-            let hook: AppliedHook<E> = Box::new(move |estimator: &E, applied: u64| {
-                // `applied == base` at spawn: every lineage emits its
-                // base frame before its first recv.
-                if (applied - base).is_multiple_of(interval) {
-                    let _ = frame_tx.send(Frame { applied, bytes: estimator.to_bytes() });
-                }
-            });
-            hook
-        });
-        let views = self.plane.as_ref().and_then(ReadPlane::view_sender);
-        let ctx = WorkerCtx { shard, on_applied, views };
-        let lineage = spawn_worker(self.config.queue_depth, state, base, ctx);
         s.sender = Some(lineage.sender);
         s.handle = Some(lineage.handle);
+    }
+
+    /// Sends `shard`'s live lineage a recovery cut when one is due: the
+    /// spawn cut, then one every `checkpoint_interval` logged batches.
+    /// Call it only after a hand-off, so the lineage holds every logged
+    /// batch. A no-op under a zero restart budget.
+    pub(crate) fn recovery_cut(&mut self, shard: usize) {
+        debug_assert!(shard < self.shards.len(), "shard index computed by the router");
+        let s = &mut self.shards[shard];
+        let (Some(tx), Some(r)) = (&s.sender, &mut s.recovery) else { return };
+        if let Some(cut) = r.cut_if_due(self.sup.checkpoint_interval) {
+            // A lineage that died meanwhile drops the cut; its heal
+            // uses the older base.
+            let _ = tx.send(cut);
+        }
     }
 
     /// Counts `items` routed to `shard` that no worker will apply.
@@ -206,11 +213,12 @@ where
     }
 
     /// The one delivery path: fire due faults, log the batch (when
-    /// healing), drain frames, then hand it over — directly to a live
-    /// lineage, by heal-and-replay to a down one. A flush is recorded
-    /// only once the batch reaches a worker; a batch that cannot is
-    /// counted lost, so flushed-item telemetry never counts updates
-    /// that no estimator ingested.
+    /// healing), drain bases, then hand it over — directly to a live
+    /// lineage, followed by a recovery cut when one is due, or by
+    /// heal-and-replay to a down one. A flush is recorded only once the
+    /// batch reaches a worker; a batch that cannot is counted lost, so
+    /// flushed-item telemetry never counts updates that no estimator
+    /// ingested.
     pub(crate) fn dispatch(&mut self, shard: usize, batch: Vec<T>) {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
         let len = batch.len() as u64;
@@ -235,7 +243,7 @@ where
                 return self.terminal(shard, "replay log overflowed past undelivered batches");
             }
         }
-        self.drain_frames(shard);
+        self.drain_bases(shard);
         let s = &mut self.shards[shard];
         if s.fail_remaining > 0 {
             // An injected send failure retires the lineage; the batch
@@ -253,6 +261,7 @@ where
             if let Some(r) = &mut s.recovery {
                 r.log.mark_newest_delivered();
             }
+            self.recovery_cut(shard);
             if let Some(o) = &self.config.observer {
                 o.on_flush(self.router.tick(), shard, len, full);
             }
@@ -306,39 +315,23 @@ where
                         let _ = tx.send(Command::Stall(fault.arg));
                     }
                 }
-                FaultKind::Corrupt => {
-                    if let Some(r) = &mut s.recovery {
-                        r.corrupt_after = Some(r.log.next());
-                    }
-                }
             }
         }
     }
 
-    /// Non-blocking drain of `shard`'s frame channel: validate, apply
-    /// armed corruption, keep the newest good frame, trim the log.
-    fn drain_frames(&mut self, shard: usize) {
+    /// Non-blocking drain of `shard`'s base channel: retain the newest
+    /// base and trim the log to its ordinal. Cuts run in FIFO order, so
+    /// bases arrive in ordinal order.
+    fn drain_bases(&mut self, shard: usize) {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
         let Some(r) = &mut self.shards[shard].recovery else { return };
         let obs = &self.config.observer;
-        while let Ok(mut frame) = r.frames.try_recv() {
+        while let Ok(base) = r.bases.try_recv() {
             if let Some(o) = obs {
-                o.on_micro_checkpoint(shard, frame.bytes.len() as u64);
+                o.on_micro_checkpoint(shard);
             }
-            if r.corrupt_after.is_some_and(|min| frame.applied >= min) {
-                faults::corrupt_frame(&mut frame.bytes);
-                r.corrupt_after = None;
-            }
-            // A corrupt frame (injected or a real torn write) fails its
-            // checksum and is dropped — recovery falls back to the
-            // previous good frame, which the log still covers because
-            // trimming only follows *accepted* frames.
-            if frame_checksum_ok(&frame.bytes)
-                && r.frame.as_ref().is_none_or(|f| frame.applied >= f.applied)
-            {
-                r.log.trim_to(frame.applied);
-                r.frame = Some(frame);
-            }
+            r.log.trim_to(base.ordinal);
+            r.base = Some(base);
         }
         if let Some(o) = obs {
             o.on_replay_words(shard, r.log.words() as u64);
@@ -347,8 +340,8 @@ where
 
     /// The one worker-death path. Closes `shard`'s channel and joins
     /// its worker: the final state on a clean exit; on a panic, records
-    /// the death (payload, trace) and returns `None`. Drains the frames
-    /// the lineage emitted either way. Call it only once the worker has
+    /// the death (payload, trace) and returns `None`. Drains the bases
+    /// the lineage cut either way. Call it only once the worker has
     /// been told to stop or has provably exited (a send or receive on
     /// its channels failed), so the join cannot block for long.
     pub(crate) fn join_lineage(&mut self, shard: usize) -> Option<E> {
@@ -366,7 +359,7 @@ where
                 None
             }
         };
-        self.drain_frames(shard);
+        self.drain_bases(shard);
         state
     }
 
@@ -386,12 +379,12 @@ where
         }
     }
 
-    /// Restart-from-checkpoint with replay. Returns `true` when the
-    /// shard is live again; `false` means it went terminal.
+    /// Restart from the retained base with replay. Returns `true` when
+    /// the shard is live again; `false` means it went terminal.
     ///
     /// Loops because a replayed batch can re-kill the worker (a
     /// deterministic estimator bug): each attempt consumes one restart
-    /// from the budget until the budget, the frame, or the log gives
+    /// from the budget until the budget, the base, or the log gives
     /// out — the degradation ladder's last rungs. A zero budget goes
     /// terminal at once.
     pub(crate) fn heal(&mut self, shard: usize) -> bool {
@@ -407,10 +400,7 @@ where
                 self.terminal(shard, "restart budget exhausted");
                 return false;
             }
-            let point = match &s.recovery {
-                Some(r) => r.restart_point::<E>(),
-                None => Err("no usable micro-checkpoint"),
-            };
+            let point = s.recovery.as_ref().map_or(Err(NO_BASE), Recovery::restart_point);
             let (base, state) = match point {
                 Ok(point) => point,
                 Err(what) => {
@@ -424,7 +414,7 @@ where
                 let shift = self.shards[shard].restarts.saturating_sub(1).min(6);
                 std::thread::sleep(std::time::Duration::from_millis(self.sup.backoff_ms << shift));
             }
-            self.spawn(shard, state, base);
+            self.spawn(shard, state);
             // Only batches are replayed — epoch markers are not logged,
             // so a healed lineage never re-contributes to an old epoch.
             let s = &mut self.shards[shard];
@@ -478,28 +468,39 @@ where
         }
     }
 
-    /// Asks `shard`'s live worker for an in-place snapshot; the reply
-    /// arrives on the returned channel.
-    pub(crate) fn request(&self, shard: usize) -> Option<Receiver<E>> {
+    /// Cuts `shard`'s live worker in place: `read` runs on its state
+    /// and the result arrives on the returned channel. `None` when the
+    /// lineage is down; the channel disconnects if it dies first.
+    pub(crate) fn cut<R: Send + 'static>(
+        &self,
+        shard: usize,
+        read: impl FnOnce(&E) -> R + Send + 'static,
+    ) -> Option<Receiver<R>> {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
         let (reply_tx, reply_rx) = channel();
+        let sink = Box::new(move |state: &E| {
+            // The query side may have given up (dropped receiver);
+            // ingestion must not die with it.
+            let _ = reply_tx.send(read(state));
+        });
         let tx = self.shards[shard].sender.as_ref()?;
-        tx.send(Command::Snapshot(reply_tx)).ok()?;
+        tx.send(Command::Cut(sink)).ok()?;
         Some(reply_rx)
     }
 
-    /// Snapshots every shard in place, in shard order; `None` =
-    /// terminal. Requests are *pipelined*: all go out before any reply
-    /// is awaited, so the shards clone concurrently and a query stalls
+    /// Clones every shard's state in place, in shard order; `None` =
+    /// terminal. Cuts are *pipelined*: all go out before any reply is
+    /// awaited, so the shards clone concurrently and a query stalls
     /// ingestion for one clone's worth of time, not `shards` of them. A
-    /// lineage that is down, or dies before replying, is healed and
-    /// asked again; each heal spends budget, so every shard ends up
-    /// answering or terminal.
-    pub(crate) fn snapshot_states(&mut self) -> Vec<Option<E>> {
+    /// lineage that is down, or dies before replying, is healed and cut
+    /// again; each heal spends budget, so every shard ends up answering
+    /// or terminal. A reply also means every earlier recovery cut has
+    /// run, so its base is drained here.
+    pub(crate) fn cut_states(&mut self) -> Vec<Option<E>> {
         let replies: Vec<_> = (0..self.shards.len())
             .map(|shard| {
                 self.ensure_live(shard);
-                self.request(shard)
+                self.cut(shard, E::clone)
             })
             .collect();
         let mut states = Vec::with_capacity(replies.len());
@@ -508,11 +509,12 @@ where
             while state.is_none() && self.shards[shard].terminal.is_none() {
                 self.join_lineage(shard);
                 state = if self.heal(shard) {
-                    self.request(shard).and_then(|rx| rx.recv().ok())
+                    self.cut(shard, E::clone).and_then(|rx| rx.recv().ok())
                 } else {
                     None
                 };
             }
+            self.drain_bases(shard);
             states.push(state);
         }
         states
@@ -551,7 +553,7 @@ mod tests {
     use crate::tests::Exploding;
     use crate::{EngineConfig, EngineError, FaultPlan, SupervisedEngine};
     use hindex_baseline::CashTable;
-    use hindex_common::{CashRegisterEstimator, Estimate};
+    use hindex_common::{CashRegisterEstimator, Estimate, Snapshot};
 
     fn staircase(papers: u64, rounds: u64) -> Vec<(u64, u64)> {
         (0..rounds).flat_map(|_| (0..papers).map(|p| (p, 1))).collect()
@@ -627,7 +629,7 @@ mod tests {
         let updates = staircase(40, 40);
         let clean = ShardedEngineRef::run(&updates);
         let plan = FaultPlan::parse(
-            "kill@100:0, fail@300:1=2, stall@200:2=5, corrupt@400:0, kill@900:0",
+            "kill@100:0, fail@300:1=2, stall@200:2=5, kill@900:0",
             3,
             updates.len() as u64,
         )
@@ -702,29 +704,29 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_only_frame_goes_terminal_not_wrong() {
-        // Corrupt the spawn frame before any other exists, then kill:
-        // no usable checkpoint → terminal, with max_restarts > 0.
+    fn the_base_survives_a_heal() {
+        // Interval so large only the spawn cut is ever taken: both
+        // heals must start from that one base, so the first must clone
+        // it, not move it into the worker.
+        let observer = std::sync::Arc::new(hindex_obs::EngineObserver::new(1));
         let config = EngineConfig {
             shards: 1,
-            batch_size: 8,
-            queue_depth: 2,
+            batch_size: 16,
             ..EngineConfig::default()
-        };
-        // Interval so large only the spawn frame is ever emitted.
+        }
+        .with_observer(std::sync::Arc::clone(&observer));
         let sup = SupervisorConfig { checkpoint_interval: 1 << 40, ..SupervisorConfig::default() };
-        let plan = FaultPlan::parse("corrupt@0:0, kill@50:0", 1, 10_000).unwrap();
+        let plan = FaultPlan::parse("kill@500:0, kill@1500:0", 1, 4_000).unwrap();
+        let updates: Vec<(u64, u64)> = (0..4_000u64).map(|k| (k % 170, 1 + k % 3)).collect();
         let mut engine =
             SupervisedEngine::with_faults(config, sup, plan, CashTable::new()).unwrap();
-        for k in 0..200u64 {
-            engine.ingest((k % 10, 1));
-        }
-        engine.flush();
-        assert_eq!(engine.dead_shard_indices(), vec![0]);
-        assert!(matches!(
-            engine.finish_degraded().unwrap_err(),
-            EngineError::AllShardsDead
-        ));
+        engine.ingest_batch(&updates);
+        let merged = engine.finish().unwrap();
+        assert_eq!(merged.frame_digest(), ShardedEngineRef::run(&updates).frame_digest());
+        let metrics = observer.snapshot();
+        assert_eq!(metrics.restarts, 2);
+        // Both replays start at ordinal 0: batches 0..=31, then 0..=93.
+        assert_eq!(metrics.replayed_batches, 32 + 94);
     }
 
     #[test]

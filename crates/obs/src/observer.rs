@@ -209,7 +209,7 @@ impl EngineObserver {
             .record(EventKind::ShardPanicked, tick, u32::try_from(shard).ok(), deaths);
     }
 
-    /// The supervisor respawned `shard` from its micro-checkpoint and
+    /// The supervisor respawned `shard` from its recovery base and
     /// replayed `replayed` batches from the log, taking `nanos`.
     pub fn on_shard_restart(&self, tick: u64, shard: usize, replayed: u64, nanos: u64) {
         self.restarts.inc();
@@ -219,13 +219,13 @@ impl EngineObserver {
             .record(EventKind::ShardRestart, tick, u32::try_from(shard).ok(), replayed);
     }
 
-    /// A per-shard micro-checkpoint frame was received by the
-    /// supervisor. Counter-only (no trace event): frames are encoded on
-    /// worker threads and drained opportunistically, so their *arrival
+    /// The supervisor retained a recovery cut of `shard` as its newest
+    /// base. Counter-only (no trace event): cuts are cloned on worker
+    /// threads and drained opportunistically, so their *arrival
     /// instant* is scheduler-dependent even though the set drained by
     /// any join barrier is deterministic.
-    pub fn on_micro_checkpoint(&self, shard: usize, bytes: u64) {
-        let _ = (shard, bytes);
+    pub fn on_micro_checkpoint(&self, shard: usize) {
+        let _ = shard;
         self.micro_checkpoints.inc();
     }
 
@@ -250,7 +250,7 @@ impl EngineObserver {
 
     /// A shard's replay log outgrew its budget and evicted `evicted`
     /// of its oldest batches; the shard is unrecoverable until a
-    /// fresher micro-checkpoint covers the gap.
+    /// fresher recovery base covers the gap.
     pub fn on_replay_overflow(&self, tick: u64, shard: usize, evicted: u64) {
         self.replay_overflows.inc();
         self.tracer
@@ -385,11 +385,11 @@ pub struct MetricsSnapshot {
     pub restores: u64,
     /// Worker deaths detected (panic payload harvested when possible).
     pub shard_panics: u64,
-    /// Shard respawns from a micro-checkpoint by the supervisor.
+    /// Shard respawns from a recovery base by the supervisor.
     pub restarts: u64,
     /// Batches re-sent from replay logs during restarts.
     pub replayed_batches: u64,
-    /// Per-shard micro-checkpoint frames received by the supervisor.
+    /// Per-shard recovery cuts retained by the supervisor.
     pub micro_checkpoints: u64,
     /// Replay-log budget overflows (oldest batches evicted).
     pub replay_overflows: u64,
@@ -514,11 +514,11 @@ impl MetricsSnapshot {
         metric(&mut s, "hindex_engine_shard_panics_total", "counter",
             "Worker deaths detected.", self.shard_panics);
         metric(&mut s, "hindex_engine_restarts_total", "counter",
-            "Shard respawns from a micro-checkpoint.", self.restarts);
+            "Shard respawns from a recovery base.", self.restarts);
         metric(&mut s, "hindex_engine_replayed_batches_total", "counter",
             "Batches re-sent from replay logs during restarts.", self.replayed_batches);
         metric(&mut s, "hindex_engine_micro_checkpoints_total", "counter",
-            "Per-shard micro-checkpoint frames received.", self.micro_checkpoints);
+            "Per-shard recovery cuts retained.", self.micro_checkpoints);
         metric(&mut s, "hindex_engine_replay_overflows_total", "counter",
             "Replay-log budget overflows (oldest batches evicted).", self.replay_overflows);
         metric(&mut s, "hindex_engine_batches_lost_total", "counter",
@@ -629,7 +629,7 @@ mod tests {
         o.on_snapshot_decode(9, 128, 700);
         o.on_shard_panicked(10, 1, 1);
         o.on_shard_restart(10, 1, 3, 4_000);
-        o.on_micro_checkpoint(1, 256);
+        o.on_micro_checkpoint(1);
         o.on_replay_words(1, 48);
         o.on_batch_lost(11, 0, 7);
         o.on_replay_overflow(12, 0, 2);

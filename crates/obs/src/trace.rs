@@ -42,7 +42,7 @@ pub enum EventKind {
     /// A shard worker's death was detected and its panic payload
     /// harvested (`value` = times this shard has now died).
     ShardPanicked,
-    /// The supervisor respawned a shard from its micro-checkpoint
+    /// The supervisor respawned a shard from its recovery base
     /// (`value` = batches replayed from the log).
     ShardRestart,
     /// A batch could not be delivered and its updates are lost
@@ -50,7 +50,7 @@ pub enum EventKind {
     BatchLost,
     /// A shard's replay log outgrew its budget and evicted its oldest
     /// batches (`value` = batches evicted); the shard is unrecoverable
-    /// until a fresher micro-checkpoint covers the gap.
+    /// until a fresher recovery base covers the gap.
     ReplayOverflow,
     /// The fault harness injected a planned fault (`value` = the
     /// fault's kind code).

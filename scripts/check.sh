@@ -25,7 +25,7 @@ cargo run -q --release --offline -p hindex-cli --bin hindex -- \
 echo "==> chaos smoke (seeded kill-sweep must answer bit-identically)"
 # A supervised run that kills every shard mid-stream must print the
 # same `digest` line as an untouched run of the same stream and seed:
-# restart-from-micro-checkpoint + replay is exact, not approximate.
+# restart from a recovery cut + replay is exact, not approximate.
 chaos_stream=$(seq 0 3999 | awk '{ print $1 % 170, 1 + $1 % 3 }')
 clean_digest=$(echo "${chaos_stream}" | cargo run -q --release --offline -p hindex-cli --bin hindex -- \
     engine --algorithm exact --shards 3 --batch 32 | grep '^digest')
@@ -38,6 +38,20 @@ echo "${chaos_stream}" | cargo run -q --release --offline -p hindex-cli --bin hi
     engine --algorithm exact --shards 3 --batch 32 --faults "sweep@100=200" \
     | grep -q "degraded  : no" || {
     echo "    FAIL: kill-sweep did not heal every shard"; exit 1; }
+# The same contract on the Alg 6 sketch with a read plane attached, so
+# the sketch state and the published view are healed at the CLI
+# boundary too: the answering view must match the clean run's.
+sketch_stream=$(seq 0 5999 | awk '{ print ($1*7919) % 900, 1 + $1 % 3 }')
+sketch_clean=$(echo "${sketch_stream}" | cargo run -q --release --offline -p hindex-cli --bin hindex -- \
+    engine --shards 2 --batch 64 --publish-interval 512 | grep '^digest')
+sketch_chaos=$(echo "${sketch_stream}" | cargo run -q --release --offline -p hindex-cli --bin hindex -- \
+    engine --shards 2 --batch 64 --publish-interval 512 --faults "sweep@700=900")
+sketch_chaos_digest=$(echo "${sketch_chaos}" | grep '^digest')
+echo "    sketch clean ${sketch_clean#digest    : }  chaos ${sketch_chaos_digest#digest    : }"
+[ "${sketch_clean}" = "${sketch_chaos_digest}" ] || {
+    echo "    FAIL: Alg 6 chaos digest diverged from the clean run"; exit 1; }
+echo "${sketch_chaos}" | grep -q "degraded  : no" || {
+    echo "    FAIL: Alg 6 kill-sweep did not heal every shard"; exit 1; }
 
 echo "==> chaos tests (fault injection, replay, honest degradation)"
 cargo test -q --offline -p hindex --test engine_faults

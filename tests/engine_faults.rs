@@ -203,8 +203,8 @@ fn terminal_shard_error_carries_the_panic_payload() {
 
 #[test]
 fn fault_plan_parser_round_trips_the_grammar() {
-    let plan = FaultPlan::parse("kill@5:0, fail@9:1=3, stall@2:2=7, corrupt@4:0", 3, 100).unwrap();
-    assert_eq!(plan.faults.len(), 4);
+    let plan = FaultPlan::parse("kill@5:0, fail@9:1=3, stall@2:2=7", 3, 100).unwrap();
+    assert_eq!(plan.faults.len(), 3);
     assert!(FaultPlan::parse("kill@5:9", 3, 100).is_err(), "shard out of range");
     assert!(FaultPlan::parse("fail@5:0=0", 3, 100).is_err(), "zero send failures");
     assert!(FaultPlan::parse("nonsense", 3, 100).is_err());
@@ -214,8 +214,7 @@ fn fault_plan_parser_round_trips_the_grammar() {
 }
 
 /// Builds a comma-separated fault spec from proptest-generated
-/// primitives: kinds 0/1/2 → kill/fail/stall (corrupt is excluded —
-/// it can legitimately end in honest degradation, not recovery).
+/// primitives: kinds 0/1/2 → kill/fail/stall.
 fn spec_from(parts: &[(u8, u64, u8, u64)], shards: usize, horizon: u64) -> String {
     parts
         .iter()

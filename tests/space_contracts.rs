@@ -352,15 +352,15 @@ fn supervised_replay_log_is_scratch_not_space() {
     let scratch = engine.scratch_words();
     let space = engine.space_words();
     // (u64, u64) items are two words per logged slot; ~125 batches of
-    // 16 are outstanding past the spawn frame.
+    // 16 are outstanding past the spawn cut.
     assert!(scratch >= 100 * 16 * 2, "replay log unaccounted: {scratch}");
-    // The paper-facing ledger is bounded by channels + retained
-    // frames (buffers are empty after `flush`) — it must not have
-    // absorbed the log.
+    // The paper-facing ledger is bounded by channels + the two live
+    // shard tables (buffers are empty after `flush`) — it must not
+    // have absorbed the log or the retained bases.
     let channel_words = 2 * 2 * 16 * 2;
-    let frame_words = 2 * 1_024; // two retained spawn/interval frames, generously
+    let state_words = 2 * 1_024; // two tables of 97 papers, generously
     assert!(
-        space <= channel_words + frame_words,
+        space <= channel_words + state_words,
         "replay words leaked into space_words: {space}"
     );
     assert!(engine.finish().is_ok());
@@ -369,7 +369,7 @@ fn supervised_replay_log_is_scratch_not_space() {
 /// One ledger for both engine names: on the same fault-free stream the
 /// fail-hard and the supervised engine report the same `space_words`
 /// (their live shard states are identical), and the zero-restart name
-/// holds no recovery state at all — no frames, no replay log.
+/// holds no recovery state at all — no bases, no replay log.
 #[test]
 fn both_engine_names_report_one_space_ledger() {
     use std::sync::Arc;
@@ -379,6 +379,8 @@ fn both_engine_names_report_one_space_ledger() {
         delta: Delta::new(0.2).unwrap(),
     };
     let prototype = CashRegisterHIndex::new(params, &mut StdRng::seed_from_u64(8));
+    // Theorem 14: a shard state's space does not depend on the stream.
+    let state_words = prototype.space_words();
     let updates: Vec<(u64, u64)> = (0..4_000u64).map(|i| (i % 700, 1)).collect();
     let config = |observer: &Arc<EngineObserver>| {
         EngineConfig::builder()
@@ -398,7 +400,12 @@ fn both_engine_names_report_one_space_ledger() {
     let plain_space = plain.report(None).unwrap().space_words;
     assert_eq!(plain_space, supervised.report(None).unwrap().space_words);
     assert_eq!(plain.scratch_words(), 0);
-    assert!(supervised.scratch_words() > 0, "frames and logs are scratch");
+    // Each shard retains one recovery base, a full state clone.
+    assert!(
+        supervised.scratch_words() >= 2 * state_words,
+        "retained bases are scratch: {} < 2 × {state_words}",
+        supervised.scratch_words()
+    );
     plain.finish().unwrap();
     supervised.finish().unwrap();
     assert_eq!(plain_obs.snapshot().micro_checkpoints, 0);
