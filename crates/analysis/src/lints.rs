@@ -178,28 +178,25 @@ impl crate::Lint for FieldArithmetic {
 ///   `crates/{core,sketch,baseline}` implements `SpaceUsage` and is
 ///   referenced from `tests/space_contracts.rs`, so the space bounds
 ///   of the paper's theorems stay pinned by tests;
-/// * **L11 (digest and snapshot)** — a `Mergeable` type implements
-///   `Snapshot` (the engine checkpoints a shard by snapshotting it),
-///   has a `state_digest` method (the invariant layer fingerprints
-///   state around merges), and is referenced from
-///   `tests/merge_semantics.rs` (merge-vs-concatenation law) and from
-///   `tests/snapshot_roundtrip.rs` (round-trip law, corruption
-///   totality).
+/// * **L11 (snapshot)** — a `Mergeable` type implements `Snapshot`
+///   (the engine checkpoints a shard by snapshotting it, and
+///   `Snapshot::frame_digest` is the state digest the bit-identity
+///   tests compare), and is referenced from `tests/merge_semantics.rs`
+///   (merge-vs-concatenation law) and from `tests/snapshot_roundtrip.rs`
+///   (round-trip law, corruption totality).
 ///
 /// A missing companion is reported once per type and row, at the
 /// type's first audited impl; a type under both rows is reported under
-/// both. The impl inventory and the method lookup come from the
-/// resolver, so generic headers, `#[cfg(test)]` helper types and gated
-/// methods are classified structurally; a suite reference is the
-/// type's name appearing anywhere in the suite file.
+/// both. The impl inventory comes from the resolver, so generic
+/// headers and `#[cfg(test)]` helper types are classified
+/// structurally; a suite reference is the type's name appearing
+/// anywhere in the suite file.
 pub struct Coverage;
 
 /// A companion every audited type must have.
 enum Need {
     /// `impl <trait> for T` in non-test library code.
     Impl(&'static str),
-    /// A method of this name on `T` (inherent or trait impl).
-    Method(&'static str),
     /// A mention of `T` in this test suite.
     Suite(&'static str),
 }
@@ -217,7 +214,7 @@ struct Row {
 }
 
 /// The coverage table: the paper's space theorems (L2) and the
-/// engine's merge, checkpoint and bit-identity contracts (L11).
+/// engine's merge and checkpoint contracts (L11).
 const COVERAGE: &[Row] = &[
     Row {
         lint: "L2",
@@ -251,12 +248,6 @@ const COVERAGE: &[Row] = &[
                 "implement Snapshot (versioned frame, total decode)",
             ),
             (
-                Need::Method("state_digest"),
-                "missing state_digest",
-                "add a `#[cfg(feature = \"debug_invariants\")] pub fn state_digest(&self) -> u64` \
-                 (FNV-1a over the logical state) to an inherent impl",
-            ),
-            (
                 Need::Suite("tests/merge_semantics.rs"),
                 "missing merge test",
                 "add a split-stream merge-vs-concatenation test",
@@ -276,7 +267,7 @@ impl crate::Lint for Coverage {
     }
     fn summary(&self) -> &'static str {
         "estimators have SpaceUsage + a space_contracts test (L2); Mergeable types have \
-         Snapshot, state_digest, merge and round-trip tests (L11)"
+         Snapshot, merge and round-trip tests (L11)"
     }
     fn run(&self, ctx: &Analysis, out: &mut Vec<Finding>) {
         let audited = |i: &&ImplInfo| ctx.ws.files[i.file].library && !i.in_test;
@@ -298,10 +289,6 @@ impl crate::Lint for Coverage {
                                 i.self_ty == ty && i.trait_name.as_deref() == Some(*companion)
                             }),
                             format!("has no `{companion}` impl"),
-                        ),
-                        Need::Method(name) => (
-                            !ctx.resolver.methods_of(ty, name).is_empty(),
-                            format!("has no `{name}` method"),
                         ),
                         Need::Suite(suite) => (
                             ctx.ws
@@ -1630,16 +1617,12 @@ mod tests {
     }
 
     #[test]
-    fn l11_requires_digest_snapshot_and_both_suites() {
+    fn l11_requires_snapshot_and_both_suites() {
         let ws = ws(&[
             (
                 "crates/core/src/x.rs",
                 "impl Mergeable for Covered { fn merge(&mut self, o: &Self) {} }\n\
                  impl Snapshot for Covered {}\n\
-                 impl Covered {\n\
-                   #[cfg(feature = \"debug_invariants\")]\n\
-                   pub fn state_digest(&self) -> u64 { 0 }\n\
-                 }\n\
                  impl Mergeable for Naked { fn merge(&mut self, o: &Self) {} }\n",
             ),
             (
@@ -1652,7 +1635,7 @@ mod tests {
             ),
         ]);
         let findings = run_lint(&Coverage, &ws);
-        assert_eq!(findings.len(), 4, "{findings:?}");
+        assert_eq!(findings.len(), 3, "{findings:?}");
         assert!(
             findings
                 .iter()
@@ -1677,7 +1660,6 @@ mod tests {
             [
                 ("L2", 1),
                 ("L2", 1),
-                ("L11", 2),
                 ("L11", 2),
                 ("L11", 2),
                 ("L11", 2)

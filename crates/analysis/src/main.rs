@@ -4,7 +4,6 @@
 //! cargo run -p hindex-analysis                  # lint the repo; exit 1 on anything new
 //! cargo run -p hindex-analysis -- --list        # print the lint catalogue
 //! ```
-#![forbid(unsafe_code)]
 
 use hindex_analysis::baseline::{apply, Baseline};
 use hindex_analysis::workspace::Workspace;

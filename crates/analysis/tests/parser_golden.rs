@@ -85,10 +85,10 @@ fn golden_one_heavy_hitter() {
             "impl `{impl_name}` not found: {facts:?}"
         );
     }
-    // The L11 contract method parses as a child of an inherent impl.
+    // Inherent methods parse as children of the inherent impl.
     assert!(
-        facts.iter().any(|(k, n)| *k == "fn" && n == "state_digest"),
-        "state_digest should be visible to the parser: {facts:?}"
+        facts.iter().any(|(k, n)| *k == "fn" && n == "decode"),
+        "decode should be visible to the parser: {facts:?}"
     );
 }
 

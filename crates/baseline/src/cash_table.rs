@@ -96,29 +96,29 @@ impl CashRegisterEstimator for CashTable {
 }
 
 impl CashTable {
-    /// FNV digest over the logical state: the per-paper totals in
-    /// sorted order (hash-map iteration order must not leak into the
-    /// digest), then the derived histogram, `h`, and `above` tallies —
-    /// so a lockstep desync changes the digest even while the totals
-    /// agree. Only compiled under `debug_invariants`.
+    /// The derived `histogram`, `h` and `above` agree with a
+    /// recomputation from `counts`. The frame (and so `frame_digest`)
+    /// carries only `counts`, so this is what catches a desync of the
+    /// incremental tallies. Only compiled under `debug_invariants`.
     #[cfg(feature = "debug_invariants")]
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        let mut bytes =
-            Vec::with_capacity((self.counts.len() + self.histogram.len()) * 16 + 16);
-        let mut counts: Vec<(u64, u64)> =
-            self.counts.iter().map(|(&p, &c)| (p, c)).collect();
-        counts.sort_unstable();
-        let mut hist: Vec<(u64, u64)> =
-            self.histogram.iter().map(|(&v, &n)| (v, n)).collect();
-        hist.sort_unstable();
-        for (a, b) in counts.into_iter().chain(hist) {
-            bytes.extend_from_slice(&a.to_le_bytes());
-            bytes.extend_from_slice(&b.to_le_bytes());
+    fn assert_lockstep(&self) {
+        let mut histogram: HashMap<u64, u64> = HashMap::new();
+        for &count in self.counts.values() {
+            *histogram.entry(count).or_insert(0) += 1;
         }
-        bytes.extend_from_slice(&self.h.to_le_bytes());
-        bytes.extend_from_slice(&self.above.to_le_bytes());
-        hindex_common::snapshot::fnv1a(&bytes)
+        let values: Vec<u64> = self.counts.values().copied().collect();
+        let h = hindex_common::h_index(&values);
+        let above = values.iter().filter(|&&v| v > h).count() as u64;
+        assert!(
+            self.histogram == histogram,
+            "histogram out of lockstep with counts"
+        );
+        assert!(
+            (self.h, self.above) == (h, above),
+            "h/above out of lockstep with counts: ({}, {}), want ({h}, {above})",
+            self.h,
+            self.above
+        );
     }
 }
 
@@ -131,6 +131,8 @@ impl Mergeable for CashTable {
         for (&paper, &count) in &other.counts {
             self.ingest(paper, count);
         }
+        #[cfg(feature = "debug_invariants")]
+        self.assert_lockstep();
     }
 }
 
@@ -170,6 +172,8 @@ impl Snapshot for CashTable {
             prev = Some(paper);
             table.ingest(paper, count);
         }
+        #[cfg(feature = "debug_invariants")]
+        table.assert_lockstep();
         Ok(table)
     }
 }
@@ -270,6 +274,16 @@ mod tests {
         assert_eq!(a.estimate(), truth);
         assert_eq!(a.estimate(), whole.estimate());
         assert_eq!(a.distinct(), whole.distinct());
+    }
+
+    #[cfg(feature = "debug_invariants")]
+    #[test]
+    #[should_panic(expected = "out of lockstep")]
+    fn desynced_table_trips_the_lockstep_check() {
+        let mut t = CashTable::new();
+        t.ingest(1, 3);
+        t.h += 1;
+        t.merge(&CashTable::new());
     }
 
     proptest::proptest! {

@@ -7,10 +7,8 @@
 //! save:
 //!
 //! * [`FullStore`] — stores every aggregate value; `n` words.
-//! * [`HeapExact`] — the tightest exact online algorithm: a min-heap of
-//!   the current H-support, `h + O(1)` words
-//!   (re-exported from `hindex-common`; see
-//!   [`hindex_common::IncrementalHIndex`]).
+//! * [`hindex_common::IncrementalHIndex`] — the tightest exact online
+//!   algorithm: a min-heap of the current H-support, `h + O(1)` words.
 //! * [`CashTable`] — exact cash-register baseline: a full
 //!   paper → citation-count table plus a value-bucket array answering
 //!   H-index queries in `O(h)`; `Θ(distinct papers)` words.
@@ -20,7 +18,6 @@
 //! * [`TurnstileTable`] — exact H-index with retractions (negative
 //!   updates), the baseline for the turnstile extension.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod author_table;
@@ -32,7 +29,3 @@ pub use author_table::AuthorTable;
 pub use cash_table::CashTable;
 pub use full_store::FullStore;
 pub use turnstile_table::TurnstileTable;
-
-/// The heap-based exact online H-index (alias of
-/// [`hindex_common::IncrementalHIndex`]).
-pub type HeapExact = hindex_common::IncrementalHIndex;

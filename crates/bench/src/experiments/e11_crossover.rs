@@ -11,7 +11,7 @@ use hindex_common::{AggregateEstimator, Epsilon, IncrementalHIndex, SpaceUsage};
 use hindex_core::{ExponentialHistogram, ShiftingWindow};
 
 /// E11: words used by exact-vs-sketch as the planted h* grows.
-pub fn e11() {
+pub(crate) fn e11() {
     println!("\n## E11 — space crossover: exact O(h*) heap vs the sketches (ε = 0.1)\n");
     let eps = Epsilon::new(0.1).unwrap();
     let mut t = Table::new(&[

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// E12: both ablations.
-pub fn e12() {
+pub(crate) fn e12() {
     e12a();
     e12b();
 }

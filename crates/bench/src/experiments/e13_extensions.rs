@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 /// E13: all three extension validations.
-pub fn e13() {
+pub(crate) fn e13() {
     e13a();
     e13b();
     e13c();

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// E14: both parts.
-pub fn e14() {
+pub(crate) fn e14() {
     e14a();
     e14b();
 }

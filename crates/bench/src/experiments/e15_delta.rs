@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// E15: empirical δ versus configured δ.
-pub fn e15() {
+pub(crate) fn e15() {
     println!("\n## E15 — failure-probability calibration: empirical vs configured δ\n");
     let mut t = Table::new(&["component", "configured δ", "trials", "empirical failure rate"]);
 

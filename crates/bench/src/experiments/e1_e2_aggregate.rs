@@ -33,7 +33,7 @@ fn run_one(values: &[u64], eps: f64) -> (u64, u64, usize, usize) {
 
 /// E1: accuracy of Algorithms 1 and 2 under adversarial and random
 /// orders.
-pub fn e1() {
+pub(crate) fn e1() {
     println!("\n## E1 — Theorems 5/6: deterministic (1−ε) approximation (Zipf 2.0 streams)\n");
     let mut t = Table::new(&[
         "n", "eps", "order", "h*", "alg1 mean rel.err", "alg1 max", "alg2 mean rel.err",
@@ -85,7 +85,7 @@ pub fn e1() {
 }
 
 /// E2: space versus n and versus the theorem bounds.
-pub fn e2() {
+pub(crate) fn e2() {
     println!("\n## E2 — space in words: Alg 1 grows with log n, Alg 2 is n-independent\n");
     let mut t = Table::new(&[
         "n", "eps", "alg1 words", "alg1 bound 2/e·ln n", "alg2 words", "alg2 bound 6/e·log(3/e)",

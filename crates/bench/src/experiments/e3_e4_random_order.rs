@@ -25,7 +25,7 @@ fn estimator(eps: f64, n: u64, beta: Option<u64>) -> RandomOrderEstimator {
 }
 
 /// E3: accuracy and constant space across the h* sweep and β choices.
-pub fn e3() {
+pub(crate) fn e3() {
     println!("\n## E3 — Theorem 9: random-order streams, planted h*, n = 4·h*\n");
     let eps = 0.2;
     let mut t = Table::new(&[
@@ -72,7 +72,7 @@ pub fn e3() {
 }
 
 /// E4: the estimator under non-random orders (assumption necessity).
-pub fn e4() {
+pub(crate) fn e4() {
     println!("\n## E4 — Theorem 9's random-order assumption is necessary\n");
     let eps = 0.2;
     let h = 10_000u64;

@@ -17,7 +17,7 @@ const SEEDS: u64 = 8;
 
 /// E5: additive and multiplicative cash-register accuracy versus
 /// sampler budget.
-pub fn e5() {
+pub(crate) fn e5() {
     println!("\n## E5 — Theorem 14: cash-register estimation via ℓ₀-sampling\n");
     let h = 40u64;
     let n = 160usize; // D ≤ 160 distinct papers

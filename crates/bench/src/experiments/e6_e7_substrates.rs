@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// E6: ℓ₀-sampler uniformity and failure probability.
-pub fn e6() {
+pub(crate) fn e6() {
     println!("\n## E6 — ℓ₀-sampler (Def. 3 / Lemma 4): uniformity and failure rate\n");
     let mut t = Table::new(&[
         "support", "deleted", "trials", "fail rate", "TV from uniform", "value errors", "words",
@@ -69,7 +69,7 @@ pub fn e6() {
 }
 
 /// E7: distinct-count accuracy across scales.
-pub fn e7() {
+pub(crate) fn e7() {
     println!("\n## E7 — distinct-count (F₀) estimators: the Algorithm 6 dependency\n");
     let mut t = Table::new(&[
         "true D", "estimator", "eps target", "mean rel.err", "within ε", "words",

@@ -19,7 +19,7 @@ use rand::SeedableRng;
 const SEEDS: u64 = 20;
 
 /// E8: Algorithm 7's detection boundary.
-pub fn e8() {
+pub(crate) fn e8() {
     println!("\n## E8 — Theorem 17: 1-heavy-hitter detection vs competitor strength\n");
     let eps = 0.2;
     let leader = 60u64;
@@ -70,7 +70,7 @@ pub fn e8() {
 }
 
 /// E9: Algorithm 8 precision/recall and space.
-pub fn e9() {
+pub(crate) fn e9() {
     println!("\n## E9 — Theorem 18: heavy hitters end to end\n");
     let mut t = Table::new(&[
         "planted heavies", "eps", "recall", "precision", "mean est rel.err", "sketch words",

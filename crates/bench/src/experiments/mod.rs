@@ -3,16 +3,16 @@
 //! E10 (throughput) is the Criterion suite in `benches/throughput.rs`;
 //! everything else is a subcommand of the `experiments` binary.
 
-pub mod e1_e2_aggregate;
-pub mod e3_e4_random_order;
-pub mod e5_cash;
-pub mod e6_e7_substrates;
-pub mod e8_e9_heavy;
-pub mod e11_crossover;
-pub mod e12_ablations;
-pub mod e13_extensions;
-pub mod e14_distributed;
-pub mod e15_delta;
+pub(crate) mod e1_e2_aggregate;
+pub(crate) mod e3_e4_random_order;
+pub(crate) mod e5_cash;
+pub(crate) mod e6_e7_substrates;
+pub(crate) mod e8_e9_heavy;
+pub(crate) mod e11_crossover;
+pub(crate) mod e12_ablations;
+pub(crate) mod e13_extensions;
+pub(crate) mod e14_distributed;
+pub(crate) mod e15_delta;
 
 /// Runs the experiment with the given id (`"e1"`, …, `"all"`).
 /// Returns false for unknown ids.

@@ -13,10 +13,9 @@
 //! Criterion throughput benches (experiment E10) live in
 //! `benches/throughput.rs`: `cargo bench -p hindex-bench`.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod experiments;
-pub mod stats;
-pub mod table;
+pub(crate) mod stats;
+pub(crate) mod table;
 pub mod workloads;

@@ -2,7 +2,7 @@
 
 /// Arithmetic mean (0 for an empty slice).
 #[must_use]
-pub fn mean(xs: &[f64]) -> f64 {
+pub(crate) fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {
@@ -10,26 +10,15 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Sample standard deviation (0 for fewer than two points).
-#[must_use]
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
-}
-
 /// Maximum (0 for an empty slice).
 #[must_use]
-pub fn max(xs: &[f64]) -> f64 {
+pub(crate) fn max(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(0.0f64, f64::max)
 }
 
 /// Fraction of entries satisfying a predicate.
 #[must_use]
-pub fn fraction<T>(xs: &[T], pred: impl Fn(&T) -> bool) -> f64 {
+pub(crate) fn fraction<T>(xs: &[T], pred: impl Fn(&T) -> bool) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
@@ -39,7 +28,7 @@ pub fn fraction<T>(xs: &[T], pred: impl Fn(&T) -> bool) -> f64 {
 /// Total-variation distance between an empirical count vector and the
 /// uniform distribution over the same support.
 #[must_use]
-pub fn tv_from_uniform(counts: &[u64]) -> f64 {
+pub(crate) fn tv_from_uniform(counts: &[u64]) -> f64 {
     let total: u64 = counts.iter().sum();
     if total == 0 || counts.is_empty() {
         return 0.0;
@@ -56,11 +45,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_stddev() {
+    fn mean_basics() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(stddev(&[5.0]), 0.0);
-        assert!((stddev(&[2.0, 4.0]) - std::f64::consts::SQRT_2).abs() < 1e-12);
     }
 
     #[test]

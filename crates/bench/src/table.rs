@@ -2,7 +2,7 @@
 
 /// A simple markdown table builder.
 #[derive(Debug, Clone)]
-pub struct Table {
+pub(crate) struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
 }
@@ -10,7 +10,7 @@ pub struct Table {
 impl Table {
     /// Creates a table with the given column headers.
     #[must_use]
-    pub fn new(headers: &[&str]) -> Self {
+    pub(crate) fn new(headers: &[&str]) -> Self {
         Self {
             headers: headers.iter().map(ToString::to_string).collect(),
             rows: Vec::new(),
@@ -22,7 +22,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the cell count differs from the header count.
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -34,7 +34,7 @@ impl Table {
 
     /// Renders to a markdown string with aligned columns.
     #[must_use]
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
@@ -64,21 +64,15 @@ impl Table {
     }
 
     /// Prints the rendered table to stdout.
-    pub fn print(&self) {
+    pub(crate) fn print(&self) {
         print!("{}", self.render());
     }
 }
 
 /// Formats a float with 3 decimals.
 #[must_use]
-pub fn f3(x: f64) -> String {
+pub(crate) fn f3(x: f64) -> String {
     format!("{x:.3}")
-}
-
-/// Formats a float with 1 decimal.
-#[must_use]
-pub fn f1(x: f64) -> String {
-    format!("{x:.1}")
 }
 
 #[cfg(test)]
@@ -106,6 +100,5 @@ mod tests {
     #[test]
     fn float_formatting() {
         assert_eq!(f3(0.12345), "0.123");
-        assert_eq!(f1(12.34), "12.3");
     }
 }

@@ -22,7 +22,7 @@ pub fn zipf_counts(n: u64, exponent: f64, seed: u64) -> Vec<u64> {
 
 /// Counts with an exactly planted H-index.
 #[must_use]
-pub fn planted_counts(h: u64, n: usize, seed: u64) -> Vec<u64> {
+pub(crate) fn planted_counts(h: u64, n: usize, seed: u64) -> Vec<u64> {
     planted_h_corpus(h, n, seed).citation_counts()
 }
 
@@ -35,7 +35,7 @@ pub fn hh_corpus(heavy: &[u64], n_noise: u64, seed: u64) -> Corpus {
 
 /// Applies an order with a seeded RNG (convenience for sweeps).
 #[must_use]
-pub fn ordered(values: &[u64], order: StreamOrder, seed: u64) -> Vec<u64> {
+pub(crate) fn ordered(values: &[u64], order: StreamOrder, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
     order.applied(values, &mut rng)
 }

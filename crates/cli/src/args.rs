@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 /// A parsed command line: the subcommand plus `--flag value` pairs.
 #[derive(Debug, Clone)]
-pub struct Parsed {
+pub(crate) struct Parsed {
     /// The subcommand (first positional argument).
     pub command: String,
     flags: HashMap<String, String>,
@@ -18,7 +18,7 @@ impl Parsed {
     ///
     /// Returns a message when no command is given, a flag is missing
     /// its value, or a positional argument appears after the command.
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
+    pub(crate) fn parse(argv: &[String]) -> Result<Self, String> {
         let mut iter = argv.iter();
         let command = iter
             .next()
@@ -45,9 +45,29 @@ impl Parsed {
         Ok(Self { command, flags })
     }
 
+    /// Fails on a flag outside `accepted`, naming it (the first in
+    /// name order, so the message does not depend on hash order).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the unknown flag and the command.
+    pub(crate) fn reject_unknown(&self, accepted: &[&str]) -> Result<(), String> {
+        let unknown = self
+            .flags
+            .keys()
+            .filter(|k| !accepted.contains(&k.as_str()));
+        match unknown.min() {
+            Some(flag) => Err(format!(
+                "unknown flag `--{flag}` for `{}` (see `hindex help`)",
+                self.command
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// A string flag with a default.
     #[must_use]
-    pub fn str_or<'a>(&'a self, name: &str, default: &'a str) -> &'a str {
+    pub(crate) fn str_or<'a>(&'a self, name: &str, default: &'a str) -> &'a str {
         self.flags.get(name).map_or(default, String::as_str)
     }
 
@@ -56,7 +76,7 @@ impl Parsed {
     /// # Errors
     ///
     /// Returns a message naming the missing flag.
-    pub fn str_required(&self, name: &str) -> Result<&str, String> {
+    pub(crate) fn str_required(&self, name: &str) -> Result<&str, String> {
         self.flags
             .get(name)
             .map(String::as_str)
@@ -68,7 +88,7 @@ impl Parsed {
     /// # Errors
     ///
     /// Returns a message on unparsable values.
-    pub fn f64_or(&self, name: &str, default: f64) -> Result<f64, String> {
+    pub(crate) fn f64_or(&self, name: &str, default: f64) -> Result<f64, String> {
         match self.flags.get(name) {
             None => Ok(default),
             Some(v) => v
@@ -82,7 +102,7 @@ impl Parsed {
     /// # Errors
     ///
     /// Returns a message on unparsable values.
-    pub fn u64_or(&self, name: &str, default: u64) -> Result<u64, String> {
+    pub(crate) fn u64_or(&self, name: &str, default: u64) -> Result<u64, String> {
         match self.flags.get(name) {
             None => Ok(default),
             Some(v) => v
@@ -96,7 +116,7 @@ impl Parsed {
     /// # Errors
     ///
     /// Returns a message on unparsable values.
-    pub fn u64_opt(&self, name: &str) -> Result<Option<u64>, String> {
+    pub(crate) fn u64_opt(&self, name: &str) -> Result<Option<u64>, String> {
         match self.flags.get(name) {
             None => Ok(None),
             Some(v) => v

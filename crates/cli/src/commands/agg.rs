@@ -17,7 +17,7 @@ use std::io::Read;
 /// # Errors
 ///
 /// Bad flags or malformed input.
-pub fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
+pub(crate) fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
     let eps_val = parsed.f64_or("eps", 0.1)?;
     let algorithm = parsed.str_or("algorithm", "window");
     let counts = read_counts(input)?;

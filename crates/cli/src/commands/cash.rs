@@ -16,7 +16,7 @@ use std::io::Read;
 /// # Errors
 ///
 /// Bad flags or malformed input.
-pub fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
+pub(crate) fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
     let eps = Epsilon::new(parsed.f64_or("eps", 0.2)?).map_err(|e| e.to_string())?;
     let delta = Delta::new(parsed.f64_or("delta", 0.1)?).map_err(|e| e.to_string())?;
     let algorithm = parsed.str_or("algorithm", "sketch");

@@ -49,7 +49,7 @@ const PUBLISH_WAIT_MS: u64 = 5_000;
 /// Bad flags, malformed input, a malformed `--faults` spec, or
 /// negative deltas (the engine ingests cash-register streams; use
 /// `hindex cash` for turnstile data).
-pub fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
+pub(crate) fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
     let eps = Epsilon::new(parsed.f64_or("eps", 0.2)?).map_err(|e| e.to_string())?;
     let delta = Delta::new(parsed.f64_or("delta", 0.1)?).map_err(|e| e.to_string())?;
     let algorithm = parsed.str_or("algorithm", "sketch");

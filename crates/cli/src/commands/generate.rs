@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 /// # Errors
 ///
 /// Bad flags.
-pub fn run(parsed: &Parsed) -> Result<String, String> {
+pub(crate) fn run(parsed: &Parsed) -> Result<String, String> {
     let kind = parsed.str_required("kind")?;
     let n = parsed.u64_or("n", 1000)?;
     let seed = parsed.u64_or("seed", 0)?;

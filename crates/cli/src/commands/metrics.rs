@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// # Errors
 ///
 /// Bad flags, malformed input, or negative deltas.
-pub fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
+pub(crate) fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
     let shards = parsed.u64_or("shards", 4)? as usize;
     let batch = parsed.u64_or("batch", 64)? as usize;
     let n = parsed.u64_or("n", 10_000)?;

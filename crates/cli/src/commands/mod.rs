@@ -1,9 +1,9 @@
 //! Subcommand implementations.
 
-pub mod agg;
-pub mod cash;
-pub mod engine;
-pub mod generate;
-pub mod hh;
-pub mod metrics;
-pub mod snapshot;
+pub(crate) mod agg;
+pub(crate) mod cash;
+pub(crate) mod engine;
+pub(crate) mod generate;
+pub(crate) mod hh;
+pub(crate) mod metrics;
+pub(crate) mod snapshot;

@@ -38,7 +38,7 @@ fn read_stream(input: &mut dyn Read) -> Result<Vec<(u64, u64)>, String> {
 /// # Errors
 ///
 /// Bad flags, malformed input, or an unwritable `--out` path.
-pub fn run_snapshot(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
+pub(crate) fn run_snapshot(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
     let out_path = parsed.str_required("out")?.to_string();
     let eps = Epsilon::new(parsed.f64_or("eps", 0.2)?).map_err(|e| e.to_string())?;
     let delta = Delta::new(parsed.f64_or("delta", 0.1)?).map_err(|e| e.to_string())?;
@@ -129,7 +129,7 @@ where
 ///
 /// Bad flags, an unreadable or corrupt checkpoint (typed decode errors
 /// are reported, never panics), or a stream shorter than the offset.
-pub fn run_restore(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
+pub(crate) fn run_restore(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
     let in_path = parsed.str_required("in")?.to_string();
     let algorithm = parsed.str_or("algorithm", "sketch").to_string();
     let bytes =

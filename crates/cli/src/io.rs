@@ -27,7 +27,7 @@ fn lines(input: &mut dyn Read) -> impl Iterator<Item = Result<(usize, String), S
 /// # Errors
 ///
 /// Reports the offending line number on malformed input.
-pub fn read_counts(input: &mut dyn Read) -> Result<Vec<u64>, String> {
+pub(crate) fn read_counts(input: &mut dyn Read) -> Result<Vec<u64>, String> {
     let mut out = Vec::new();
     for item in lines(input) {
         let (no, line) = item?;
@@ -73,7 +73,7 @@ pub fn read_updates(input: &mut dyn Read) -> Result<Vec<(u64, i64)>, String> {
 /// # Errors
 ///
 /// Reports the offending line number on malformed input.
-pub fn read_papers(input: &mut dyn Read) -> Result<Vec<Paper>, String> {
+pub(crate) fn read_papers(input: &mut dyn Read) -> Result<Vec<Paper>, String> {
     let mut out = Vec::new();
     for item in lines(input) {
         let (no, line) = item?;

@@ -1,12 +1,12 @@
 //! `hindex` — command-line access to the streaming H-index algorithms.
 //!
 //! ```text
-//! hindex agg   [--eps 0.1] [--algorithm window|histogram|random|heap|store] [--n N] < counts.txt
+//! hindex agg   [--eps 0.1] [--algorithm window|histogram|random|heap|store] [--n N] [--delta 0.1] [--alpha A] [--window W] < counts.txt
 //! hindex cash  [--eps 0.2] [--delta 0.1] [--algorithm sketch|exact] [--seed S] < updates.txt
 //! hindex engine [--shards 4] [--batch 1024] [--eps 0.2] [--delta 0.1] [--algorithm sketch|exact] [--seed S] [--obs on] [--faults SPEC] [--supervise on] [--publish-interval N] [--fresh on] < updates.txt
 //! hindex metrics [--shards 4] [--batch 64] [--n 10000] [--trace K] [< updates.txt]
 //! hindex hh    [--eps 0.2] [--delta 0.1] [--seed S] [--threshold T] < papers.txt
-//! hindex snapshot --out ckpt.bin [--cut K] [engine flags] < updates.txt
+//! hindex snapshot --out ckpt.bin [--cut K] [--shards 4] [--batch 1024] [--eps 0.2] [--delta 0.1] [--algorithm sketch|exact] [--seed S] < updates.txt
 //! hindex restore  --in ckpt.bin [--algorithm sketch|exact] < updates.txt
 //! hindex gen   --kind zipf|planted|heavy [--n N] [--h H] [--exponent A] [--seed S]
 //! ```
@@ -22,11 +22,10 @@
 //! The binary is a thin wrapper over [`run`]; everything is testable
 //! as a library.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod args;
-pub mod commands;
+pub(crate) mod args;
+pub(crate) mod commands;
 pub mod io;
 
 use std::io::Read;
@@ -40,6 +39,9 @@ use std::io::Read;
 /// Returns a human-readable message on bad usage or malformed input.
 pub fn run(argv: &[String], input: &mut dyn Read) -> Result<String, String> {
     let parsed = args::Parsed::parse(argv)?;
+    if let Some(accepted) = accepted_flags(&parsed.command) {
+        parsed.reject_unknown(accepted)?;
+    }
     match parsed.command.as_str() {
         "agg" => commands::agg::run(&parsed, input),
         "cash" => commands::cash::run(&parsed, input),
@@ -54,14 +56,47 @@ pub fn run(argv: &[String], input: &mut dyn Read) -> Result<String, String> {
     }
 }
 
+/// The flags each command reads (`None` for `help` and unknown
+/// commands). Any other flag is a usage error, raised before the
+/// command reads stdin or touches a file.
+fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "agg" => &["eps", "algorithm", "delta", "n", "alpha", "window"],
+        "cash" => &["eps", "delta", "algorithm", "seed"],
+        "engine" => &[
+            "shards",
+            "batch",
+            "eps",
+            "delta",
+            "algorithm",
+            "seed",
+            "obs",
+            "supervise",
+            "faults",
+            "ckpt-interval",
+            "max-restarts",
+            "replay-words",
+            "publish-interval",
+            "fresh",
+        ],
+        "metrics" => &["shards", "batch", "n", "trace"],
+        "hh" => &["eps", "delta", "seed", "threshold"],
+        "snapshot" => &["out", "cut", "shards", "batch", "eps", "delta", "algorithm", "seed"],
+        "restore" => &["in", "algorithm"],
+        "gen" => &["kind", "n", "h", "exponent", "seed"],
+        _ => return None,
+    })
+}
+
 /// The usage text.
 #[must_use]
-pub fn usage() -> &'static str {
+pub(crate) fn usage() -> &'static str {
     "usage: hindex <command> [flags]\n\
      commands:\n\
        agg    estimate the H-index of an aggregate stream (one count per line)\n\
               --eps E (0.1)  --algorithm window|histogram|random|heap|store|g|alpha|sliding\n\
-              --n N (for random)  --alpha A (for alpha)  --window W (for sliding)\n\
+              --n N, --delta D (0.1) (for random)  --alpha A (for alpha)\n\
+              --window W (for sliding)\n\
        cash   estimate from a cash-register update stream (`paper delta` lines)\n\
               --eps E (0.2)  --delta D (0.1)  --algorithm sketch|exact (sketch)  --seed S (0)\n\
        engine sharded parallel ingestion of a cash-register stream\n\
@@ -80,7 +115,8 @@ pub fn usage() -> &'static str {
        hh     find heavy hitters in H-index (`paper authors citations` lines)\n\
               --eps E (0.2)  --delta D (0.1)  --seed S (0)  --threshold T (auto)\n\
        snapshot  ingest a prefix of a cash-register stream, write a checkpoint\n\
-              --out FILE  --cut K (whole stream)  plus the `engine` flags\n\
+              --out FILE  --cut K (whole stream)  --shards S (4)  --batch B (1024)\n\
+              --eps E (0.2)  --delta D (0.1)  --algorithm sketch|exact (sketch)  --seed S (0)\n\
        restore   resume from a checkpoint, replay the stream from its offset\n\
               --in FILE  --algorithm sketch|exact (sketch)\n\
        gen    generate synthetic streams\n\
@@ -89,12 +125,13 @@ pub fn usage() -> &'static str {
        help   show this message"
 }
 
-/// Convenience used by tests: run with string input.
+/// Test helper: run with string input.
 ///
 /// # Errors
 ///
 /// Propagates [`run`] errors.
-pub fn run_str(argv: &[&str], input: &str) -> Result<String, String> {
+#[cfg(test)]
+pub(crate) fn run_str(argv: &[&str], input: &str) -> Result<String, String> {
     let argv: Vec<String> = argv.iter().map(ToString::to_string).collect();
     let mut cursor = std::io::Cursor::new(input.as_bytes().to_vec());
     run(&argv, &mut cursor)
@@ -120,5 +157,52 @@ mod tests {
     fn empty_argv_errors() {
         let err = run_str(&[], "").unwrap_err();
         assert!(err.contains("usage"));
+    }
+
+    /// Input that must never be read.
+    struct Unread;
+
+    impl Read for Unread {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            panic!("stdin was read before the flags were checked");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_named_before_input_is_read() {
+        for (argv, flag) in [
+            (["engine", "--shard", "8"], "`--shard`"),
+            (["agg", "--algoritm", "heap"], "`--algoritm`"),
+        ] {
+            let argv: Vec<String> = argv.iter().map(ToString::to_string).collect();
+            let err = run(&argv, &mut Unread).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_accepted_flags() {
+        // A usage line opens a command's section when its first word is
+        // a command; the flags on it and on the lines below belong there.
+        let mut listed: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in usage().lines().skip(2) {
+            let first = line.split_whitespace().next().unwrap_or_default();
+            if accepted_flags(first).is_some() || first == "help" {
+                listed.push((first, Vec::new()));
+            }
+            let flags = &mut listed.last_mut().unwrap().1;
+            flags.extend(
+                line.split_whitespace()
+                    .filter_map(|w| w.strip_prefix("--"))
+                    .map(|w| w.trim_end_matches([',', ';', ')'])),
+            );
+        }
+        for (command, mut flags) in listed {
+            flags.sort_unstable();
+            flags.dedup();
+            let mut accepted = accepted_flags(command).unwrap_or_default().to_vec();
+            accepted.sort_unstable();
+            assert_eq!(flags, accepted, "`{command}`");
+        }
     }
 }

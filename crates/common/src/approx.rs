@@ -36,16 +36,6 @@ pub struct Guarantee {
 }
 
 impl Guarantee {
-    /// A deterministic multiplicative guarantee (Theorems 5 and 6).
-    #[must_use]
-    pub fn deterministic_multiplicative(epsilon: Epsilon) -> Self {
-        Self {
-            kind: ApproxKind::Multiplicative,
-            epsilon,
-            delta: None,
-        }
-    }
-
     /// A randomized guarantee.
     #[must_use]
     pub fn randomized(kind: ApproxKind, epsilon: Epsilon, delta: Delta) -> Self {
@@ -74,31 +64,16 @@ impl Guarantee {
 /// `|true − est| ≤ ε · true`, with exact integer arithmetic (no float
 /// round-off on the comparison side).
 #[must_use]
-pub fn within_multiplicative(true_value: u64, estimate: u64, epsilon: f64) -> bool {
+pub(crate) fn within_multiplicative(true_value: u64, estimate: u64, epsilon: f64) -> bool {
     let diff = true_value.abs_diff(estimate) as f64;
     diff <= epsilon * true_value as f64
 }
 
 /// `|true − est| ≤ ε · scale`.
 #[must_use]
-pub fn within_additive(true_value: u64, estimate: u64, epsilon: f64, scale: u64) -> bool {
+pub(crate) fn within_additive(true_value: u64, estimate: u64, epsilon: f64, scale: u64) -> bool {
     let diff = true_value.abs_diff(estimate) as f64;
     diff <= epsilon * scale as f64
-}
-
-/// Relative error `|true − est| / true` (`0` when both are zero,
-/// `+∞` when only the truth is zero). Used by experiment reports.
-#[must_use]
-pub fn relative_error(true_value: u64, estimate: u64) -> f64 {
-    if true_value == 0 {
-        if estimate == 0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        true_value.abs_diff(estimate) as f64 / true_value as f64
-    }
 }
 
 #[cfg(test)]
@@ -124,17 +99,13 @@ mod tests {
     }
 
     #[test]
-    fn relative_error_edge_cases() {
-        assert_eq!(relative_error(0, 0), 0.0);
-        assert!(relative_error(0, 3).is_infinite());
-        assert!((relative_error(100, 90) - 0.1).abs() < 1e-12);
-        assert!((relative_error(100, 115) - 0.15).abs() < 1e-12);
-    }
-
-    #[test]
     fn guarantee_dispatches_by_kind() {
         let eps = Epsilon::new(0.1).unwrap();
-        let m = Guarantee::deterministic_multiplicative(eps);
+        let m = Guarantee {
+            kind: ApproxKind::Multiplicative,
+            epsilon: eps,
+            delta: None,
+        };
         assert!(m.holds(100, 91, 999_999)); // scale ignored
         assert!(!m.holds(100, 80, 999_999));
 

@@ -42,7 +42,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 impl Error {
     /// Builds an [`Error::InvalidParameter`].
     #[must_use]
-    pub fn invalid(name: &'static str, message: impl Into<String>) -> Self {
+    pub(crate) fn invalid(name: &'static str, message: impl Into<String>) -> Self {
         Error::InvalidParameter {
             name,
             message: message.into(),

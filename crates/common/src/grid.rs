@@ -73,7 +73,7 @@ impl ExpGrid {
     /// [`Self::int_threshold`] would make `u64::MAX` appear to clear
     /// *every* level, sending level searches into an infinite climb.
     #[must_use]
-    pub fn clears(self, value: u64, level: u32) -> bool {
+    pub(crate) fn clears(self, value: u64, level: u32) -> bool {
         let t = self.threshold(level);
         if t > u64::MAX as f64 {
             return false;
@@ -99,17 +99,6 @@ impl ExpGrid {
             level += 1;
         }
         Some(level)
-    }
-
-    /// Number of levels needed to cover values up to `max_value`
-    /// (levels `0 ..= level_of(max_value)`), i.e.
-    /// `⌈log_{1+ε} max_value⌉ + 1` slots.
-    #[must_use]
-    pub fn levels_to_cover(self, max_value: u64) -> u32 {
-        match self.level_of(max_value) {
-            Some(l) => l + 2, // level_of(max) plus the first level max does NOT clear
-            None => 1,
-        }
     }
 }
 
@@ -200,17 +189,6 @@ mod tests {
                     assert!(g.clears(v + 1, level), "v={v} level={level}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn levels_to_cover_covers() {
-        let g = ExpGrid::new(0.3);
-        for max in [1u64, 2, 10, 1000, 1_000_000] {
-            let levels = g.levels_to_cover(max);
-            // max must NOT clear the last level of the cover.
-            assert!(!g.clears(max, levels - 1), "max={max}");
-            assert!(g.clears(max, levels - 2), "max={max}");
         }
     }
 

@@ -5,11 +5,9 @@
 //! `V` are `≥ i`. Equivalently, with `V'` the descending sort of `V`,
 //! `h*(V) = max_i min(V'[i], i)` (1-indexed).
 //!
-//! Two exact algorithms are provided:
-//!
-//! * [`h_index`] — linear-time counting algorithm, no sort required.
-//! * [`h_index_sorted_desc`] — the textbook scan over a descending-sorted
-//!   slice; used as an independent oracle in tests.
+//! [`h_index`] is the linear-time counting algorithm, no sort
+//! required; the tests check it against the textbook scan over a
+//! descending-sorted slice (`h_index_sorted_desc`, test-only).
 //!
 //! [`IncrementalHIndex`] maintains the exact H-index of a growing
 //! multiset of values with `O(h)` words of state — the smallest possible
@@ -63,8 +61,8 @@ pub fn h_index(values: &[u64]) -> u64 {
 /// # Panics
 ///
 /// Panics (debug builds) if the slice is not sorted descending.
-#[must_use]
-pub fn h_index_sorted_desc(sorted: &[u64]) -> u64 {
+#[cfg(test)]
+fn h_index_sorted_desc(sorted: &[u64]) -> u64 {
     debug_assert!(
         sorted.windows(2).all(|w| w[0] >= w[1]),
         "input must be sorted in descending order"

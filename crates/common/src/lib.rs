@@ -18,7 +18,6 @@
 //! Muthukrishnan; PODS 2017). Definition 1 of the paper is implemented
 //! verbatim by [`h_index`].
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod approx;
@@ -33,11 +32,11 @@ pub mod telemetry;
 pub mod traits;
 pub mod variants;
 
-pub use approx::{within_additive, within_multiplicative, ApproxKind, Guarantee};
+pub use approx::{ApproxKind, Guarantee};
 pub use engine::{Degraded, Engine};
 pub use error::{Error, Result};
 pub use grid::ExpGrid;
-pub use hindex::{h_index, h_index_sorted_desc, h_support, IncrementalHIndex};
+pub use hindex::{h_index, h_support, IncrementalHIndex};
 pub use params::{Delta, Epsilon};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use telemetry::BankCounters;

@@ -78,12 +78,6 @@ impl Delta {
         self.0
     }
 
-    /// `ln(1/δ)`, the ubiquitous repetition factor.
-    #[must_use]
-    pub fn ln_inv(self) -> f64 {
-        (1.0 / self.0).ln()
-    }
-
     /// Splits the failure budget across `k` independent components via a
     /// union bound: each component gets `δ/k`.
     ///
@@ -132,7 +126,6 @@ mod tests {
     #[test]
     fn delta_helpers() {
         let d = Delta::new(0.01).unwrap();
-        assert!((d.ln_inv() - 100f64.ln()).abs() < 1e-12);
         assert!((d.split(10).get() - 0.001).abs() < 1e-15);
     }
 

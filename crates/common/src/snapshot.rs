@@ -30,10 +30,10 @@
 use std::fmt;
 
 /// The 4-byte frame magic.
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HIXS";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 4] = *b"HIXS";
 
 /// The current (and only) format version.
-pub const SNAPSHOT_VERSION: u8 = 1;
+pub(crate) const SNAPSHOT_VERSION: u8 = 1;
 
 /// Bytes of framing around every payload: magic (4) + version (1) +
 /// tag (1) + payload length (8) + trailing checksum (8).
@@ -42,9 +42,8 @@ pub const FRAME_OVERHEAD: usize = HEADER_LEN + 8;
 /// Bytes before the payload: magic + version + tag + length prefix.
 const HEADER_LEN: usize = 14;
 
-/// FNV-1a 64-bit hash over a byte slice — the frame checksum. Kept
-/// self-contained here (the sketch layer's digest helpers are gated
-/// behind `debug_invariants`; persistence must work in every build).
+/// FNV-1a 64-bit hash over a byte slice — the frame checksum and
+/// [`Snapshot::frame_digest`].
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -66,9 +65,9 @@ pub enum SnapshotError {
         /// Bytes actually available.
         available: usize,
     },
-    /// The first four bytes are not [`SNAPSHOT_MAGIC`].
+    /// The first four bytes are not the frame magic `b"HIXS"`.
     BadMagic,
-    /// The format version byte is not [`SNAPSHOT_VERSION`].
+    /// The format version byte is not the current version (1).
     UnsupportedVersion(u8),
     /// The frame carries a different type than the caller asked for.
     WrongTag {
@@ -122,7 +121,7 @@ pub struct Writer<'a> {
 impl<'a> Writer<'a> {
     /// Wraps a byte buffer.
     #[must_use]
-    pub fn new(buf: &'a mut Vec<u8>) -> Self {
+    pub(crate) fn new(buf: &'a mut Vec<u8>) -> Self {
         Self { buf }
     }
 
@@ -146,11 +145,6 @@ impl<'a> Writer<'a> {
         self.put_u64(v as u64);
     }
 
-    /// Appends a little-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a little-endian `i128`.
     pub fn put_i128(&mut self, v: i128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -164,11 +158,6 @@ impl<'a> Writer<'a> {
     /// Appends an `f64` as its IEEE-754 bit pattern (little-endian).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
-    }
-
-    /// Appends raw bytes (caller writes its own length prefix).
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
     }
 
     /// Appends a complete child frame for a nested snapshotable value.
@@ -189,7 +178,7 @@ pub struct Reader<'a> {
 impl<'a> Reader<'a> {
     /// Wraps a payload slice.
     #[must_use]
-    pub fn new(bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, pos: 0 }
     }
 
@@ -230,11 +219,6 @@ impl<'a> Reader<'a> {
         let mut b = [0u8; 8];
         b.copy_from_slice(s);
         Ok(u64::from_le_bytes(b))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(self.get_u64()? as i64)
     }
 
     /// Reads a little-endian `i128`.
@@ -297,7 +281,7 @@ impl<'a> Reader<'a> {
 /// pinned by `tests/snapshot_roundtrip.rs` (lint L11):
 ///
 /// * `read_from(write_into(x)) ≡ x` — bit-identical state, as observed
-///   by `state_digest()` where available, plus estimates/decodes;
+///   by [`Snapshot::frame_digest`], plus estimates/decodes;
 /// * decoding arbitrary bytes returns a typed [`SnapshotError`], never
 ///   panics, and never allocates beyond what the input length admits.
 pub trait Snapshot: Sized {
@@ -342,11 +326,11 @@ pub trait Snapshot: Sized {
         out
     }
 
-    /// [`fnv1a`] over the canonical encoding — a state digest available
-    /// in every build (the sketch layer's `state_digest` is gated
-    /// behind `debug_invariants`). Two values digest equal iff their
-    /// frames are bit-identical, which is what chaos runs assert when
-    /// comparing a faulted run against a clean one.
+    /// [`fnv1a`] over the canonical encoding — the state digest every
+    /// bit-identity check compares (shard, merge, restore, heal and
+    /// publish). Two values digest equal iff their frames are
+    /// bit-identical, which is what chaos runs assert when comparing a
+    /// faulted run against a clean one.
     #[must_use]
     fn frame_digest(&self) -> u64 {
         fnv1a(&self.to_bytes())

@@ -69,7 +69,7 @@ pub enum CashRegisterParams {
 impl CashRegisterParams {
     /// Accuracy parameter.
     #[must_use]
-    pub fn epsilon(&self) -> Epsilon {
+    pub(crate) fn epsilon(&self) -> Epsilon {
         match *self {
             CashRegisterParams::Additive { epsilon, .. }
             | CashRegisterParams::Multiplicative { epsilon, .. } => epsilon,
@@ -78,7 +78,7 @@ impl CashRegisterParams {
 
     /// Failure probability.
     #[must_use]
-    pub fn delta(&self) -> Delta {
+    pub(crate) fn delta(&self) -> Delta {
         match *self {
             CashRegisterParams::Additive { delta, .. }
             | CashRegisterParams::Multiplicative { delta, .. } => delta,
@@ -204,20 +204,6 @@ impl CashRegisterHIndex {
     #[must_use]
     pub fn num_samplers(&self) -> usize {
         self.samplers.len()
-    }
-
-    /// FNV digest over the sampler bank, the distinct sketch, and
-    /// `max_seen`, for bit-identity assertions (checkpoint/restore
-    /// tests in particular). Only compiled under `debug_invariants`.
-    #[cfg(feature = "debug_invariants")]
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        hindex_sketch::digest::fnv1a(
-            self.samplers
-                .iter()
-                .map(L0Sampler::state_digest)
-                .chain([self.distinct.state_digest(), self.max_seen]),
-        )
     }
 
     /// The sampled `(paper, exact count)` pairs currently recoverable —
@@ -713,8 +699,7 @@ mod tests {
         }
         assert_eq!(batched.estimate(), looped.estimate());
         assert_eq!(batched.draw_samples(), looped.draw_samples());
-        #[cfg(feature = "debug_invariants")]
-        assert_eq!(batched.state_digest(), looped.state_digest());
+        assert_eq!(batched.frame_digest(), looped.frame_digest());
         let c = batched.bank_counters().expect("bank estimator reports counters");
         assert!(c.tiles >= 5, "tiles {}", c.tiles);
         assert_eq!(c.raw_updates, 3_000);

@@ -97,16 +97,6 @@ impl ExponentialHistogram {
         );
     }
 
-    /// FNV digest over the grid and the complete bucket vector, for
-    /// bit-identity assertions. Only compiled under `debug_invariants`.
-    #[cfg(feature = "debug_invariants")]
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        hindex_sketch::digest::fnv1a(
-            std::iter::once(self.buckets.len() as u64).chain(self.buckets.iter().copied()),
-        )
-    }
-
     /// The paper's counter `c_i` (number of elements `≥ (1+ε)ⁱ`) for
     /// each level, highest level last.
     #[must_use]

@@ -88,25 +88,6 @@ impl StreamingGIndex {
     }
 }
 
-impl StreamingGIndex {
-    /// FNV digest over the complete level state (counts, sums split
-    /// into words, element tally), for bit-identity assertions around
-    /// merges. Only compiled under `debug_invariants`.
-    #[cfg(feature = "debug_invariants")]
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        hindex_sketch::digest::fnv1a(
-            std::iter::once(self.n_seen)
-                .chain(self.counts.iter().copied())
-                .chain(
-                    self.sums
-                        .iter()
-                        .flat_map(|&s| [s as u64, (s >> 64) as u64]),
-                ),
-        )
-    }
-}
-
 /// Merges another g-index sketch built with the same ε: level counts,
 /// level sums and the element tally all add, so the merged estimate
 /// equals the estimate over the concatenated streams, deterministically.

@@ -204,41 +204,6 @@ impl HeavyHitters {
         self.decode_with_threshold(bar)
     }
 
-    /// Exploratory L2 decode: §5 names "L2 heavy hitters" (users whose
-    /// H-index is large in the *square* of the counts) as an open
-    /// direction. This decode keeps candidates with
-    /// `ĥ² ≥ ε · Σ_buckets ĥ(bucket)²`, using the max-row sum of
-    /// squared bucket estimates as the `Σ_a h*(a)²` proxy (heavy
-    /// authors are isolated whp, so their buckets' squares dominate the
-    /// sum exactly when they dominate the true L2 mass). No theorem is
-    /// claimed — this is the paper's future-work item made runnable.
-    #[must_use]
-    pub fn decode_l2(&self) -> Vec<HeavyHitterCandidate> {
-        let buckets = self.params.buckets();
-        let l2_mass: u128 = (0..self.params.rows())
-            .map(|row| {
-                self.detectors[row * buckets..(row + 1) * buckets]
-                    .iter()
-                    .map(|d| {
-                        let h = u128::from(d.combined_h_estimate().0);
-                        h * h
-                    })
-                    .sum::<u128>()
-            })
-            .max()
-            // Same sentinel contract as `total_impact_estimate`: zero L2
-            // mass for an (unreachable) empty row range.
-            .unwrap_or(0);
-        let bar_sq = self.params.epsilon.get() * l2_mass as f64;
-        let all = self.decode_with_threshold(0);
-        all.into_iter()
-            .filter(|c| {
-                let h = c.h_estimate as f64;
-                h * h >= bar_sq
-            })
-            .collect()
-    }
-
     /// Decodes, keeping only candidates whose estimated H-index is at
     /// least `threshold`. Returns at most `⌈1/ε⌉` candidates, sorted by
     /// descending estimate.
@@ -366,24 +331,6 @@ impl EstimatorParams for HeavyHittersParams {
 
     fn build<R: Rng + ?Sized>(&self, rng: &mut R) -> HeavyHitters {
         HeavyHitters::new(*self, rng)
-    }
-}
-
-impl HeavyHitters {
-    /// FNV digest over every detector plus the exact tallies, for the
-    /// bit-identity audits around merges. The hash functions are
-    /// construction-time randomness (asserted equal before any merge),
-    /// not evolving state, so they stay out of the digest. Only
-    /// compiled under `debug_invariants`.
-    #[cfg(feature = "debug_invariants")]
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        hindex_sketch::digest::fnv1a(
-            self.detectors
-                .iter()
-                .map(OneHeavyHitter::state_digest)
-                .chain([self.total_responses, self.papers_seen]),
-        )
     }
 }
 
@@ -569,31 +516,6 @@ mod tests {
         assert!(big.space_words() > small.space_words());
     }
 
-    #[test]
-    fn l2_decode_prefers_concentrated_impact() {
-        // L1-heaviness vs L2-heaviness diverge: one author with h = 60
-        // vs twelve authors with h = 18. L1 mass = 60 + 216 = 276;
-        // L2 mass = 3600 + 12·324 = 7488. At ε = 0.2: L1 bar = 55.2
-        // (everyone but the big author is out anyway), L2 bar² =
-        // 1497.6 → h ≥ 38.7. The L2 decode keeps only the concentrated
-        // author.
-        let mut heavy = vec![60u64];
-        heavy.extend(vec![18u64; 12]);
-        let corpus = planted_heavy_hitters(&heavy, 0, 0, 0, 14);
-        let mut found_l2_only_big = 0;
-        for seed in 0..6 {
-            let mut hh = sketch(0.2, 0.1, 100 + seed);
-            feed(&mut hh, &corpus);
-            let l2 = hh.decode_l2();
-            if l2.iter().any(|c| c.author == AuthorId(0))
-                && l2.iter().all(|c| c.author == AuthorId(0))
-            {
-                found_l2_only_big += 1;
-            }
-        }
-        assert!(found_l2_only_big >= 5, "L2 decode unstable: {found_l2_only_big}/6");
-    }
-
     /// Boundary regression: as ε and δ approach their open upper bound
     /// the float→usize geometry casts shrink toward zero; the `.max(1)`
     /// clamps must keep every dimension at least one so `new`, `push`,
@@ -644,7 +566,7 @@ mod tests {
     fn tiny_streams_estimate_without_panicking() {
         let hh = sketch(0.25, 0.1, 3);
         assert_eq!(hh.total_impact_estimate(), 0);
-        assert!(hh.decode_l2().is_empty());
+        assert!(hh.decode().is_empty());
 
         let mut hh = sketch(0.25, 0.1, 3);
         hh.push(&hindex_stream::Paper::solo(0, 1, 4));

@@ -18,7 +18,6 @@
 //! reports word-accurate space so the experiment suite can check the
 //! theorem bounds directly.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod cash_register;

@@ -95,12 +95,6 @@ impl OneHeavyHitter {
         self.sample_size
     }
 
-    /// Number of papers consumed.
-    #[must_use]
-    pub fn papers_seen(&self) -> u64 {
-        self.papers_seen
-    }
-
     /// Feeds one paper tuple.
     pub fn push(&mut self, paper: &Paper) {
         self.push_parts(&paper.authors, paper.citations);
@@ -109,7 +103,7 @@ impl OneHeavyHitter {
     /// Feeds one paper given as `(authors, citations)` (used by
     /// Algorithm 8, which routes papers without materializing `Paper`
     /// values per bucket).
-    pub fn push_parts(&mut self, authors: &[AuthorId], citations: u64) {
+    pub(crate) fn push_parts(&mut self, authors: &[AuthorId], citations: u64) {
         self.papers_seen += 1;
         let Some(level) = self.grid.level_of(citations) else {
             return;
@@ -131,7 +125,7 @@ impl OneHeavyHitter {
     /// H-index (Algorithm 1 embedded in Algorithm 7), together with the
     /// winning level.
     #[must_use]
-    pub fn combined_h_estimate(&self) -> (u64, Option<usize>) {
+    pub(crate) fn combined_h_estimate(&self) -> (u64, Option<usize>) {
         let mut suffix = 0u64;
         for (level, &b) in self.buckets.iter().enumerate().rev() {
             suffix += b;
@@ -148,7 +142,7 @@ impl OneHeavyHitter {
     /// author; fully co-authored streams can qualify several, and
     /// Algorithm 8's decode wants them all.
     #[must_use]
-    pub fn decode_candidates(&self) -> Vec<(AuthorId, u64)> {
+    pub(crate) fn decode_candidates(&self) -> Vec<(AuthorId, u64)> {
         let (h_estimate, Some(level)) = self.combined_h_estimate() else {
             return Vec::new();
         };
@@ -177,7 +171,7 @@ impl OneHeavyHitter {
     /// Runs the end-of-stream decode, Theorem 17 style: the single
     /// dominant author, or [`OneHeavyHitterOutcome::Fail`]. When
     /// several co-authors tie above the bar, the smallest author id is
-    /// reported (use [`Self::decode_candidates`] to see all of them).
+    /// reported.
     #[must_use]
     pub fn decode(&self) -> OneHeavyHitterOutcome {
         match self.decode_candidates().into_iter().next() {
@@ -269,35 +263,6 @@ impl Snapshot for OneHeavyHitter {
             rng: StdRng::from_state(state),
             papers_seen,
         })
-    }
-}
-
-impl OneHeavyHitter {
-    /// FNV digest over the logical detector state — level buckets,
-    /// per-level reservoir contents, and the paper tally. The RNG is
-    /// deliberately excluded: reservoir merges are distributional, so
-    /// the audits compare the observable words, and two detectors that
-    /// agree on every observable word are interchangeable even if
-    /// their future sampling streams differ. Only compiled under
-    /// `debug_invariants`.
-    #[cfg(feature = "debug_invariants")]
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        let mut words: Vec<u64> = Vec::with_capacity(self.buckets.len() + 4);
-        words.push(self.epsilon.to_bits());
-        words.push(self.sample_size as u64);
-        words.push(self.papers_seen);
-        words.push(self.buckets.len() as u64);
-        words.extend(self.buckets.iter().copied());
-        for r in &self.reservoirs {
-            words.push(r.seen());
-            words.push(r.items().len() as u64);
-            for authors in r.items() {
-                words.push(authors.len() as u64);
-                words.extend(authors.iter().map(|a| a.0));
-            }
-        }
-        hindex_sketch::digest::fnv1a(words)
     }
 }
 

@@ -61,7 +61,7 @@ impl RandomOrderParams {
 
     /// The β in effect.
     #[must_use]
-    pub fn beta(&self) -> u64 {
+    pub(crate) fn beta(&self) -> u64 {
         if let Some(b) = self.beta_override {
             return b.max(1);
         }

@@ -67,10 +67,10 @@ impl ShiftingWindow {
 
     /// Creates the estimator with estimates capped at roughly `cap`:
     /// once the window certifies an H-index above `cap` the estimator
-    /// freezes and [`Self::is_saturated`] turns true. Algorithm 3 uses
+    /// freezes (it is saturated). Algorithm 3 uses
     /// this to bound this branch's words to `log(β/ε)` bits each.
     #[must_use]
-    pub fn with_cap(epsilon: Epsilon, cap: u64) -> Self {
+    pub(crate) fn with_cap(epsilon: Epsilon, cap: u64) -> Self {
         Self::build(epsilon, Some(cap))
     }
 
@@ -97,19 +97,6 @@ impl ShiftingWindow {
             cap_level,
             saturated: false,
         }
-    }
-
-    /// Whether a configured cap has been exceeded (see
-    /// [`Self::with_cap`]).
-    #[must_use]
-    pub fn is_saturated(&self) -> bool {
-        self.saturated
-    }
-
-    /// The lowest window level (number of shifts so far).
-    #[must_use]
-    pub fn window_bottom(&self) -> u32 {
-        self.lo
     }
 
     fn hi(&self) -> u32 {
@@ -349,7 +336,7 @@ mod tests {
         for _ in 0..10_000u64 {
             est.ingest(1_000_000);
         }
-        assert!(est.is_saturated());
+        assert!(est.saturated);
         // Saturation implies the true h exceeded the cap region; the
         // frozen estimate is still a valid lower bound.
         assert!(est.estimate() >= 50 / 2);
@@ -397,7 +384,7 @@ mod tests {
             scalar.ingest(v);
         }
         batched.ingest_batch(&values);
-        assert!(batched.is_saturated());
+        assert!(batched.saturated);
         assert_same_state(&batched, &scalar);
     }
 
@@ -419,7 +406,7 @@ mod tests {
         for _ in 0..10_000u64 {
             est.ingest(1_000_000);
         }
-        assert!(!est.is_saturated());
+        assert!(!est.saturated);
     }
 
     proptest::proptest! {

@@ -70,12 +70,6 @@ impl TrackedAuthorsAggregate {
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
-
-    /// Number of tracked authors.
-    #[must_use]
-    pub fn num_tracked(&self) -> usize {
-        self.estimators.len()
-    }
 }
 
 impl SpaceUsage for TrackedAuthorsAggregate {
@@ -125,12 +119,6 @@ impl TrackedAuthorsCash {
     #[must_use]
     pub fn estimate(&self, author: AuthorId) -> Option<u64> {
         self.estimators.get(&author).map(Estimate::estimate)
-    }
-
-    /// Number of tracked authors.
-    #[must_use]
-    pub fn num_tracked(&self) -> usize {
-        self.estimators.len()
     }
 }
 
@@ -240,6 +228,6 @@ mod tests {
         let many: Vec<AuthorId> = (0..10).map(AuthorId).collect();
         let many = TrackedAuthorsAggregate::new(&many, eps(0.2));
         assert!(many.space_words() > 5 * few.space_words());
-        assert_eq!(many.num_tracked(), 10);
+        assert_eq!(many.leaderboard().len(), 10);
     }
 }

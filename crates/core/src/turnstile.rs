@@ -153,24 +153,9 @@ impl TurnstileHIndex {
         self.samplers.len()
     }
 
-    /// FNV digest over the full sampler bank and norm sketch state, for
-    /// bit-identity assertions (the engine concurrency audit checks
-    /// that shard-merge results are identical across schedules). Only
-    /// compiled under `debug_invariants`.
-    #[cfg(feature = "debug_invariants")]
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        hindex_sketch::digest::fnv1a(
-            self.samplers
-                .iter()
-                .map(L0Sampler::state_digest)
-                .chain(std::iter::once(self.norm.state_digest())),
-        )
-    }
-
     /// Current estimate of `h*(max(V, 0))`.
     #[must_use]
-    pub fn estimate(&self) -> u64 {
+    pub(crate) fn estimate(&self) -> u64 {
         // All successful samples, signed: negatives stay in the
         // denominator (they are non-zero coordinates).
         let samples: Vec<(u64, i64)> =

@@ -76,7 +76,9 @@ impl EngineConfig {
     /// shard count.
     pub(crate) fn validate(&self) -> Result<(), EngineError> {
         if self.shards == 0 {
-            return Err(EngineError::InvalidConfig { what: "shards must be ≥ 1" });
+            return Err(EngineError::InvalidConfig {
+                what: "shards must be ≥ 1 (need at least one shard)",
+            });
         }
         if self.batch_size == 0 {
             return Err(EngineError::InvalidConfig { what: "batch_size must be ≥ 1" });
@@ -227,7 +229,7 @@ impl SupervisorConfig {
     ///
     /// Returns [`EngineError::InvalidConfig`] when the checkpoint
     /// interval or replay budget is zero.
-    pub fn validate(&self) -> Result<(), EngineError> {
+    pub(crate) fn validate(&self) -> Result<(), EngineError> {
         if self.checkpoint_interval == 0 {
             return Err(EngineError::InvalidConfig {
                 what: "checkpoint_interval must be ≥ 1",

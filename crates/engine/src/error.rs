@@ -28,14 +28,6 @@ pub enum EngineError {
     },
 }
 
-impl EngineError {
-    /// A [`EngineError::ShardDead`] with no captured panic payload.
-    #[must_use]
-    pub fn shard_dead(shard: usize) -> Self {
-        EngineError::ShardDead { shard, reason: None }
-    }
-}
-
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -113,7 +105,7 @@ mod tests {
             "shard worker 3 died (panicked: poison update); its updates are lost"
         );
         assert_eq!(
-            EngineError::shard_dead(1).to_string(),
+            EngineError::ShardDead { shard: 1, reason: None }.to_string(),
             "shard worker 1 died; its updates are lost"
         );
     }

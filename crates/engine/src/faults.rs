@@ -46,7 +46,7 @@ pub enum FaultKind {
 impl FaultKind {
     /// Stable code recorded as the `FaultInjected` trace value.
     #[must_use]
-    pub fn code(self) -> u64 {
+    pub(crate) fn code(self) -> u64 {
         match self {
             FaultKind::Kill => 1,
             FaultKind::FailSends => 2,

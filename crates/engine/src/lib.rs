@@ -97,10 +97,11 @@
 //!    the only cross-thread traffic is by-value message passing
 //!    (`sync_channel`) plus the read plane's epoch cell (an atomic
 //!    epoch over one `RwLock`-guarded `Arc` of an immutable view),
-//!    queries clone the state at a cut rather than lock, and rustc's
-//!    `#![forbid(unsafe_code)]` on the crate rules out hand-rolled
-//!    sharing. A worker that panics poisons nothing: the engine joins
-//!    it, harvests the panic payload, and — once healing is out of
+//!    queries clone the state at a cut rather than lock, and the
+//!    workspace lint `unsafe_code = "forbid"` (inherited through
+//!    `[lints] workspace = true`) rules out hand-rolled sharing. A
+//!    worker that panics poisons nothing: the engine joins it,
+//!    harvests the panic payload, and — once healing is out of
 //!    budget — `finish`/`query` return [`EngineError::ShardDead`]
 //!    carrying it. Callers that prefer a lossy answer over none opt in
 //!    explicitly via `query_degraded` / `finish_degraded`, which merge
@@ -157,7 +158,6 @@
 //! metrics snapshot into one typed [`QueryReport`] for CLI/bench
 //! boundaries.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod checkpoint;
@@ -320,12 +320,15 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if any [`EngineConfig`] geometry field is zero.
+    /// Panics with the reason when `config` fails the validation that
+    /// [`SupervisedEngine::new`] returns as
+    /// [`EngineError::InvalidConfig`]: a zero geometry field,
+    /// `publish_interval: Some(0)`, or an observer sized for a
+    /// different shard count.
     #[must_use]
     pub fn new(config: EngineConfig, prototype: E) -> Self {
-        assert!(config.shards >= 1, "need at least one shard");
-        assert!(config.batch_size >= 1, "batch_size must be positive");
-        assert!(config.queue_depth >= 1, "queue_depth must be positive");
+        let verdict = config.validate();
+        assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
         let states = vec![prototype; config.shards];
         Self::spawn_all(config, fail_hard(), FaultPlan::none(), states, 0)
     }
@@ -1055,6 +1058,30 @@ mod tests {
             },
             CashTable::new(),
         );
+    }
+
+    /// The fail-hard constructor runs the supervised one's validation:
+    /// a zero publish interval would publish after every item.
+    #[test]
+    #[should_panic(expected = "publish_interval must be ≥ 1 when set")]
+    fn zero_publish_interval_rejected() {
+        let config = EngineConfig {
+            batch_size: 64,
+            queue_depth: 2,
+            publish_interval: Some(0),
+            ..EngineConfig::with_shards(2)
+        };
+        let _ = ShardedEngine::<CashTable, (u64, u64)>::new(config, CashTable::new());
+    }
+
+    /// A one-shard observer on a four-shard engine would drop three
+    /// shards' counts; the fail-hard constructor refuses it.
+    #[test]
+    #[should_panic(expected = "observer sized for a different shard count")]
+    fn mis_sized_observer_rejected() {
+        let config = EngineConfig::with_shards(4)
+            .with_observer(Arc::new(hindex_obs::EngineObserver::new(1)));
+        let _ = ShardedEngine::<CashTable, (u64, u64)>::new(config, CashTable::new());
     }
 
     #[test]

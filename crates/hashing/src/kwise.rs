@@ -42,8 +42,9 @@ impl PolynomialHash {
     /// # Panics
     ///
     /// Panics if `coeffs` is empty or any coefficient is `≥ p`.
+    #[cfg(test)]
     #[must_use]
-    pub fn from_coefficients(coeffs: Vec<u64>) -> Self {
+    pub(crate) fn from_coefficients(coeffs: Vec<u64>) -> Self {
         assert!(!coeffs.is_empty(), "need at least one coefficient");
         assert!(coeffs.iter().all(|&c| c < MERSENNE_P), "coefficients must be reduced");
         Self { coeffs }

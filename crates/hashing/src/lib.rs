@@ -21,11 +21,10 @@
 //! power ladders ([`PowerLadder`]) that turn per-update fixed-base
 //! exponentiation into a handful of table lookups, and batched Horner
 //! evaluation ([`PolynomialHash::hash_batch`],
-//! [`PairwiseHash::hash_to_range_batch`]) that keeps the reduction
+//! [`PairwiseHash::hash_to_range_batch_into`]) that keeps the reduction
 //! pipeline full across a slice of keys. Every kernel is bit-identical
 //! to its scalar counterpart — they change cycle counts, never states.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod field;

@@ -34,17 +34,12 @@ impl PairwiseHash {
     /// # Panics
     ///
     /// Panics unless `1 ≤ a < p` and `b < p`.
+    #[cfg(test)]
     #[must_use]
-    pub fn from_params(a: u64, b: u64) -> Self {
+    pub(crate) fn from_params(a: u64, b: u64) -> Self {
         assert!((1..MERSENNE_P).contains(&a), "slope must be in [1, p)");
         assert!(b < MERSENNE_P, "offset must be reduced");
         Self { a, b }
-    }
-
-    /// The slope `a`.
-    #[must_use]
-    pub fn slope(&self) -> u64 {
-        self.a
     }
 
     /// The offset `b`.
@@ -70,7 +65,7 @@ impl PairwiseHash {
     /// # Panics
     ///
     /// Panics if the slice lengths differ.
-    pub fn hash_batch_into(&self, keys: &[u64], out: &mut [u64]) {
+    pub(crate) fn hash_batch_into(&self, keys: &[u64], out: &mut [u64]) {
         assert_eq!(keys.len(), out.len(), "key/output length mismatch");
         let (a, b) = (self.a, self.b);
         let mut chunks = keys.chunks_exact(4);
@@ -86,21 +81,10 @@ impl PairwiseHash {
         }
     }
 
-    /// Hashes a slice of keys into `0..m`, appending one bucket per key
-    /// to `out` (cleared first). Bit-identical to per-key
+    /// Hashes a slice of keys into `0..m`, writing one bucket per key
+    /// into a caller-provided slice. Bit-identical to per-key
     /// [`Hasher64::hash_to_range`] — this is the row-routing kernel of
     /// the s-sparse recovery batch update.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m == 0`.
-    pub fn hash_to_range_batch(&self, keys: &[u64], m: u64, out: &mut Vec<u64>) {
-        out.clear();
-        out.resize(keys.len(), 0);
-        self.hash_to_range_batch_into(keys, m, out);
-    }
-
-    /// In-place form of [`Self::hash_to_range_batch`].
     ///
     /// # Panics
     ///
@@ -185,7 +169,7 @@ mod tests {
     fn slope_never_zero() {
         for seed in 0..200u64 {
             let h = PairwiseHash::new(&mut StdRng::seed_from_u64(seed));
-            assert_ne!(h.slope(), 0);
+            assert_ne!(h.a, 0);
         }
     }
 
@@ -222,8 +206,8 @@ mod tests {
             h.hash_batch(&keys, &mut hashes);
             let expected: Vec<u64> = keys.iter().map(|&k| h.hash(k)).collect();
             proptest::prop_assert_eq!(&hashes, &expected);
-            let mut buckets = Vec::new();
-            h.hash_to_range_batch(&keys, m, &mut buckets);
+            let mut buckets = vec![0; keys.len()];
+            h.hash_to_range_batch_into(&keys, m, &mut buckets);
             let expected: Vec<u64> = keys.iter().map(|&k| h.hash_to_range(k, m)).collect();
             proptest::prop_assert_eq!(buckets, expected);
         }

@@ -3,9 +3,9 @@
 //! The estimators in this workspace exist to measure streams cheaply;
 //! this crate turns the same machinery on the system itself:
 //!
-//! * [`metrics`] — atomically updated [`Counter`]s, [`Gauge`]s, and a
-//!   fixed-boundary [`LatencyHistogram`] with quantile queries;
-//! * [`rate`] — a [`RateMeter`] whose sliding window is the
+//! * [`metrics`] — atomically updated `Counter`s, `Gauge`s, and a
+//!   fixed-boundary `LatencyHistogram` with quantile queries;
+//! * `rate` — a `RateMeter` whose sliding window is the
 //!   workspace's own DGIM sketch ([`hindex_sketch::Dgim`]), and batch
 //!   size statistics summarised by Algorithm 1's exponential
 //!   histogram ([`hindex_core::ExponentialHistogram`]) — the reported
@@ -28,21 +28,19 @@
 //! event stream (kinds, logical ticks, shard ids, values) replay
 //! bit-identically across runs with the same seed and schedule. Only
 //! `*_ns` latency figures vary run to run, and they are quarantined in
-//! [`LatencyHistogram`]s that the determinism tests ignore.
+//! `LatencyHistogram`s that the determinism tests ignore.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod clock;
 pub mod metrics;
 pub mod observer;
-pub mod rate;
+pub(crate) mod rate;
 pub mod trace;
 
 pub use clock::Stopwatch;
-pub use metrics::{Counter, Gauge, LatencyHistogram, LatencySummary};
+pub use metrics::LatencySummary;
 pub use observer::{EngineObserver, MetricsSnapshot};
-pub use rate::{BatchStats, RateMeter};
 pub use trace::{Event, EventKind, Tracer};
 
 use std::sync::{Mutex, MutexGuard};

@@ -10,30 +10,30 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
-pub struct Counter {
+pub(crate) struct Counter {
     value: AtomicU64,
 }
 
 impl Counter {
     /// A counter at zero.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds one.
-    pub fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.add(1);
     }
 
     /// Adds `n`.
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The current count.
     #[must_use]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -41,7 +41,7 @@ impl Counter {
 /// A last-write-wins level (queue depth, buffered items, …) that also
 /// remembers its high-water mark.
 #[derive(Debug, Default)]
-pub struct Gauge {
+pub(crate) struct Gauge {
     value: AtomicU64,
     peak: AtomicU64,
 }
@@ -49,32 +49,32 @@ pub struct Gauge {
 impl Gauge {
     /// A gauge at zero.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Sets the level.
-    pub fn set(&self, v: u64) {
+    pub(crate) fn set(&self, v: u64) {
         self.value.store(v, Ordering::Relaxed);
         self.peak.fetch_max(v, Ordering::Relaxed);
     }
 
     /// The current level.
     #[must_use]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 
     /// The largest level ever set.
     #[must_use]
-    pub fn peak(&self) -> u64 {
+    pub(crate) fn peak(&self) -> u64 {
         self.peak.load(Ordering::Relaxed)
     }
 }
 
 /// Number of buckets in a [`LatencyHistogram`]: one per power of two
 /// from 1 ns up to `2^62` ns (~146 years), plus a final catch-all.
-pub const LATENCY_BUCKETS: usize = 64;
+pub(crate) const LATENCY_BUCKETS: usize = 64;
 
 /// A fixed-boundary histogram of nanosecond durations.
 ///
@@ -84,7 +84,7 @@ pub const LATENCY_BUCKETS: usize = 64;
 /// to a bucket upper bound — a ≤2× overestimate, which is the right
 /// precision for "did checkpointing get slower?" questions.
 #[derive(Debug)]
-pub struct LatencyHistogram {
+pub(crate) struct LatencyHistogram {
     buckets: [AtomicU64; LATENCY_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
@@ -100,7 +100,7 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Point-in-time summary of a [`LatencyHistogram`].
+/// Point-in-time summary of a `LatencyHistogram`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Number of recorded samples.
@@ -118,12 +118,12 @@ pub struct LatencySummary {
 impl LatencyHistogram {
     /// An empty histogram.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records one duration.
-    pub fn record(&self, nanos: u64) {
+    pub(crate) fn record(&self, nanos: u64) {
         let idx = (64 - nanos.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -132,13 +132,13 @@ impl LatencyHistogram {
 
     /// Number of recorded samples.
     #[must_use]
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// The bucket upper bound at quantile `q ∈ [0, 1]` (0 when empty).
     #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;
@@ -156,7 +156,7 @@ impl LatencyHistogram {
 
     /// Count, mean, and standard quantiles in one pass.
     #[must_use]
-    pub fn summary(&self) -> LatencySummary {
+    pub(crate) fn summary(&self) -> LatencySummary {
         let count = self.count();
         let mean_ns = self
             .sum

@@ -440,7 +440,7 @@ pub struct MetricsSnapshot {
     /// Bank-kernel totals from the last query merge (zeroes when the
     /// estimator has no bank path or it never ran). Derived rates:
     /// [`MetricsSnapshot::bank_tile_fill`],
-    /// [`MetricsSnapshot::bank_survivor_touches_per_item`],
+    /// `MetricsSnapshot::bank_survivor_touches_per_item`,
     /// [`MetricsSnapshot::bank_hash_reuse`].
     pub bank: BankCounters,
     /// Total events ever recorded (ring may have evicted some).
@@ -472,7 +472,7 @@ impl MetricsSnapshot {
     /// hash. Reported per *bank* item here, summed over samplers, so
     /// divide by the sampler count for the per-sampler figure.
     #[must_use]
-    pub fn bank_survivor_touches_per_item(&self) -> f64 {
+    pub(crate) fn bank_survivor_touches_per_item(&self) -> f64 {
         if self.bank.tile_items == 0 {
             return 0.0;
         }

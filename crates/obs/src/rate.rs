@@ -6,12 +6,12 @@
 //! importing a metrics library, the meters here *are* the repo's
 //! algorithms pointed at the system:
 //!
-//! * [`RateMeter`] — a DGIM sliding-window bit counter
+//! * `RateMeter` — a DGIM sliding-window bit counter
 //!   ([`hindex_sketch::Dgim`], Datar–Gionis–Indyk–Motwani) over the
 //!   flush stream: each flush pushes one bit ("was the batch full?"),
 //!   and the meter reports the fraction of full batches over the last
 //!   `W` flushes — pipeline saturation with `O(k log W)` space.
-//! * [`BatchStats`] — Algorithm 1's exponential histogram over batch
+//! * `BatchStats` — Algorithm 1's exponential histogram over batch
 //!   sizes. Its estimate is the **H-index of the batch-size stream**:
 //!   the largest `b` such that at least `b` flushed batches held at
 //!   least `b` items. Small-batch floods and healthy steady state are
@@ -25,7 +25,7 @@ use hindex_sketch::Dgim;
 /// Fraction of recent flushes that shipped a full batch, over a DGIM
 /// sliding window of the last `window` flushes.
 #[derive(Debug, Clone)]
-pub struct RateMeter {
+pub(crate) struct RateMeter {
     bits: Dgim,
 }
 
@@ -34,7 +34,7 @@ impl RateMeter {
     /// zero is clamped to one). `k` buckets per size give relative
     /// counting error `≤ 1/(2k)`.
     #[must_use]
-    pub fn new(window: u64, k: usize) -> Self {
+    pub(crate) fn new(window: u64, k: usize) -> Self {
         Self {
             bits: Dgim::new(window.max(1), k.max(1)),
         }
@@ -42,19 +42,13 @@ impl RateMeter {
 
     /// Records one observation (e.g. "this flush shipped a full
     /// batch").
-    pub fn record(&mut self, hit: bool) {
+    pub(crate) fn record(&mut self, hit: bool) {
         self.bits.push(hit);
-    }
-
-    /// Number of observations recorded so far.
-    #[must_use]
-    pub fn observations(&self) -> u64 {
-        self.bits.time()
     }
 
     /// Approximate hit fraction over the window, in `[0, 1]`.
     #[must_use]
-    pub fn rate(&self) -> f64 {
+    pub(crate) fn rate(&self) -> f64 {
         let seen = self.bits.time().min(self.bits.window());
         if seen == 0 {
             return 0.0;
@@ -71,7 +65,7 @@ impl SpaceUsage for RateMeter {
 
 /// Batch-size distribution summarised by Algorithm 1.
 #[derive(Debug, Clone)]
-pub struct BatchStats {
+pub(crate) struct BatchStats {
     /// `None` only if the hard-coded ε were invalid, which is
     /// statically impossible; kept total instead of panicking (L9).
     hist: Option<ExponentialHistogram>,
@@ -86,7 +80,7 @@ const BATCH_EPSILON: f64 = 0.1;
 impl BatchStats {
     /// Empty statistics.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             hist: Epsilon::new(BATCH_EPSILON).ok().map(ExponentialHistogram::new),
             max: 0,
@@ -96,7 +90,7 @@ impl BatchStats {
     }
 
     /// Records one flushed batch of `len` items.
-    pub fn record(&mut self, len: u64) {
+    pub(crate) fn record(&mut self, len: u64) {
         if let Some(h) = &mut self.hist {
             h.ingest(len);
         }
@@ -107,25 +101,19 @@ impl BatchStats {
 
     /// The H-index of the batch-size stream (see module docs).
     #[must_use]
-    pub fn h_index(&self) -> u64 {
+    pub(crate) fn h_index(&self) -> u64 {
         self.hist.as_ref().map_or(0, Estimate::estimate)
     }
 
     /// Largest batch seen.
     #[must_use]
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
-    }
-
-    /// Number of batches recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Mean batch length (0 when empty).
     #[must_use]
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 }
@@ -157,7 +145,7 @@ mod tests {
             m.record(false);
         }
         assert!(m.rate() < 0.2, "rate {}", m.rate());
-        assert_eq!(m.observations(), 400);
+        assert_eq!(m.bits.time(), 400);
     }
 
     #[test]
@@ -188,7 +176,7 @@ mod tests {
         assert!((54..=60).contains(&h), "h {h}");
         assert_eq!(b.max(), 100);
         assert_eq!(b.mean(), 100);
-        assert_eq!(b.count(), 60);
+        assert_eq!(b.count, 60);
     }
 
     #[test]

@@ -119,13 +119,13 @@ struct Ring {
 
 /// Default ring capacity: enough to hold the full span structure of a
 /// sizeable run without unbounded growth.
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 impl Tracer {
     /// A tracer retaining the last `capacity` events (`0` is clamped
     /// to 1).
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(Ring {
                 events: VecDeque::new(),
@@ -136,7 +136,7 @@ impl Tracer {
     }
 
     /// Records one event, evicting the oldest if the ring is full.
-    pub fn record(&self, kind: EventKind, tick: u64, shard: Option<u32>, value: u64) {
+    pub(crate) fn record(&self, kind: EventKind, tick: u64, shard: Option<u32>, value: u64) {
         let mut ring = lock_or_recover(&self.inner);
         let seq = ring.next_seq;
         ring.next_seq += 1;
@@ -154,13 +154,13 @@ impl Tracer {
 
     /// Total events ever recorded (including evicted ones).
     #[must_use]
-    pub fn recorded(&self) -> u64 {
+    pub(crate) fn recorded(&self) -> u64 {
         lock_or_recover(&self.inner).next_seq
     }
 
     /// The retained events, oldest first.
     #[must_use]
-    pub fn events(&self) -> Vec<Event> {
+    pub(crate) fn events(&self) -> Vec<Event> {
         lock_or_recover(&self.inner).events.iter().copied().collect()
     }
 }

@@ -24,7 +24,6 @@
 //! * no shrinking: a failing case reports the sampled inputs verbatim
 //!   and re-raises the panic.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use rand::rngs::StdRng;

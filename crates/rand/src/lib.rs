@@ -17,7 +17,6 @@
 //! Everything is deterministic given the seed; there is no OS entropy
 //! source, which also keeps the workspace reproducible by construction.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 /// Low-level generator interface: a source of uniform `u64` words.

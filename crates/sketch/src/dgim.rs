@@ -168,13 +168,6 @@ impl Dgim {
             Some((&oldest, rest)) => rest.iter().sum::<u64>() + oldest.div_ceil(2),
         }
     }
-
-    /// Exact count of ones while everything still fits (equals
-    /// [`Self::count`] when no merge has ever fired); mainly for tests.
-    #[must_use]
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
-    }
 }
 
 /// Payload: window, `k`, elapsed time, then the buckets newest-first

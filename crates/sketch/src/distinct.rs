@@ -141,12 +141,6 @@ impl Bjkst {
         }
     }
 
-    /// Number of independent copies (for space reporting/tests).
-    #[must_use]
-    pub fn num_copies(&self) -> usize {
-        self.copies.len()
-    }
-
     /// Merges another estimator that shares this one's randomness
     /// (i.e. was `clone()`d from the same instance before observing
     /// anything). The merged estimate equals the estimate of the
@@ -165,22 +159,6 @@ impl Bjkst {
         for (a, b) in self.copies.iter_mut().zip(&other.copies) {
             a.merge(b);
         }
-    }
-
-    /// FNV digest over every copy's level and (sorted) buffer, for
-    /// bit-identity assertions. The buffers are hash sets, so sorting
-    /// makes the digest independent of iteration order. Only compiled
-    /// under `debug_invariants`.
-    #[cfg(feature = "debug_invariants")]
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        crate::digest::fnv1a(self.copies.iter().flat_map(|c| {
-            let mut items: Vec<u64> = c.buffer.iter().copied().collect();
-            items.sort_unstable();
-            std::iter::once(u64::from(c.z))
-                .chain(std::iter::once(items.len() as u64))
-                .chain(items)
-        }))
     }
 }
 
@@ -439,7 +417,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let loose = Bjkst::new(0.1, 0.4, &mut rng);
         let tight = Bjkst::new(0.1, 0.001, &mut rng);
-        assert!(tight.num_copies() > loose.num_copies());
+        assert!(tight.copies.len() > loose.copies.len());
     }
 
     #[test]
@@ -491,7 +469,7 @@ mod tests {
         }
         let cap = (32.0f64 / 0.04).ceil() as usize;
         let per_copy = cap + 3;
-        assert!(b.space_words() <= b.num_copies() * per_copy, "space leak");
+        assert!(b.space_words() <= b.copies.len() * per_copy, "space leak");
     }
 
     #[test]

@@ -60,12 +60,6 @@ impl HyperLogLog {
         Self::new(precision, rng)
     }
 
-    /// Number of registers `m`.
-    #[must_use]
-    pub fn num_registers(&self) -> usize {
-        self.registers.len()
-    }
-
     fn alpha(m: f64) -> f64 {
         // Flajolet et al.'s bias constants.
         match m as u64 {
@@ -171,7 +165,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let coarse = HyperLogLog::for_epsilon(0.1, &mut rng);
         let fine = HyperLogLog::for_epsilon(0.01, &mut rng);
-        assert!(fine.num_registers() > coarse.num_registers());
+        assert!(fine.registers.len() > coarse.registers.len());
     }
 
     #[test]

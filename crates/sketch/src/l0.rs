@@ -272,7 +272,7 @@ impl L0Sampler {
     /// (stable, descending) so each geometric level receives exactly
     /// its surviving prefix — the `E[top+1] = 2` expected (item,
     /// level) touches per update — through one
-    /// [`SparseRecovery::update_batch_with_terms`] call, instead of
+    /// `SparseRecovery::update_batch_with_terms` call, instead of
     /// walking the level stack per item. The sort reorders items
     /// within a level relative to the scalar path, but only
     /// commutative exact additions (cell counts, field sums) are
@@ -411,14 +411,6 @@ impl L0Sampler {
         self.levels.len()
     }
 
-    /// FNV digest over every level's complete state, for bit-identity
-    /// assertions. Only compiled under `debug_invariants`.
-    #[cfg(feature = "debug_invariants")]
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        crate::digest::fnv1a(self.levels.iter().map(SparseRecovery::state_digest))
-    }
-
     /// Estimate of `ℓ₀(x)` (the number of non-zero coordinates) from
     /// this sampler's own level structure: the first level whose
     /// sparse recovery decodes has `m` survivors out of an expected
@@ -429,7 +421,7 @@ impl L0Sampler {
     /// Unlike [`Self::sample`], the answer depends on which level
     /// decodes, so this search keeps its order: up from level 0.
     #[must_use]
-    pub fn l0_estimate(&self) -> Option<u64> {
+    pub(crate) fn l0_estimate(&self) -> Option<u64> {
         let mut scratch = DecodeScratch::default();
         for (j, level) in self.levels.iter().enumerate() {
             if let Some(support) = level.decode_with(&mut scratch) {
@@ -545,20 +537,6 @@ impl L0Norm {
         }
         ests.sort_unstable();
         ests[ests.len() / 2]
-    }
-
-    /// Number of independent cores.
-    #[must_use]
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// FNV digest over every core's complete state, for bit-identity
-    /// assertions. Only compiled under `debug_invariants`.
-    #[cfg(feature = "debug_invariants")]
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        crate::digest::fnv1a(self.cores.iter().map(L0Sampler::state_digest))
     }
 }
 
@@ -887,8 +865,7 @@ mod tests {
             let touches = tiled.ingest_tile_with_terms(&indices, &deltas, &terms, &mut scratch);
             assert!(touches >= updates.len() as u64, "tile {tile}");
             assert_eq!(scalar.sample(), tiled.sample(), "tile {tile}");
-            #[cfg(feature = "debug_invariants")]
-            assert_eq!(scalar.state_digest(), tiled.state_digest(), "tile {tile}");
+            assert_eq!(scalar.frame_digest(), tiled.frame_digest(), "tile {tile}");
         }
     }
 

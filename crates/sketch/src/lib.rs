@@ -28,14 +28,10 @@
 //! is, take explicit RNGs for reproducibility, and report their size in
 //! words via [`hindex_common::SpaceUsage`].
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod countmin;
-pub mod countsketch;
 pub mod dgim;
-#[cfg(feature = "debug_invariants")]
-pub mod digest;
 pub mod hyperloglog;
 pub mod distinct;
 pub mod l0;
@@ -45,7 +41,6 @@ pub mod reservoir;
 pub mod sparse;
 
 pub use countmin::CountMin;
-pub use countsketch::CountSketch;
 pub use dgim::Dgim;
 pub use hyperloglog::HyperLogLog;
 pub use distinct::{Bjkst, DistinctCounter, Kmv};
@@ -53,4 +48,4 @@ pub use l0::{BankScratch, L0Norm, L0Sampler, L0SamplerParams};
 pub use misra_gries::MisraGries;
 pub use one_sparse::{OneSparseRecovery, Recovery};
 pub use reservoir::Reservoir;
-pub use sparse::{DecodeScratch, SparseRecovery};
+pub use sparse::SparseRecovery;

@@ -46,7 +46,7 @@ pub enum Recovery {
 /// the random evaluation point.
 ///
 /// `Copy`: the state is four machine words, which lets
-/// [`super::sparse::DecodeScratch`] refresh its working grid with a
+/// the sparse decoder's scratch refresh its working grid with a
 /// plain memcpy instead of a clone loop.
 #[derive(Debug, Clone, Copy)]
 pub struct OneSparseRecovery {
@@ -79,7 +79,7 @@ impl OneSparseRecovery {
 
     /// The fingerprint evaluation point.
     #[must_use]
-    pub fn point(&self) -> u64 {
+    pub(crate) fn point(&self) -> u64 {
         self.r
     }
 
@@ -116,7 +116,7 @@ impl OneSparseRecovery {
     ///
     /// Panics if `index > MAX_INDEX`; debug builds also verify `term`
     /// against the fingerprint point.
-    pub fn update_with_term(&mut self, index: u64, delta: i64, term: u64) {
+    pub(crate) fn update_with_term(&mut self, index: u64, delta: i64, term: u64) {
         assert!(index <= MAX_INDEX, "index {index} outside the field domain");
         debug_assert_eq!(
             term,
@@ -252,26 +252,6 @@ impl SpaceUsage for OneSparseRecovery {
     fn space_words(&self) -> usize {
         // ℓ, z (two words each as 128-bit), fingerprint, point.
         6
-    }
-}
-
-#[cfg(feature = "debug_invariants")]
-impl OneSparseRecovery {
-    /// FNV-1a digest over the complete sketch state, for bit-identity
-    /// assertions in the deterministic-schedule stress tests. Only
-    /// compiled under `debug_invariants`.
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        crate::digest::fnv1a(
-            [
-                self.ell as u128 as u64,
-                (self.ell as u128 >> 64) as u64,
-                self.z as u128 as u64,
-                (self.z as u128 >> 64) as u64,
-                self.fingerprint,
-                self.r,
-            ],
-        )
     }
 }
 
@@ -464,7 +444,6 @@ mod tests {
         // executes the canonicality assertions — this is the
         // "invariant layer exercised in CI, not just compiled" check.
         #[test]
-        #[cfg(feature = "debug_invariants")]
         fn prop_split_merge_is_bit_identical_to_serial(
             seed in proptest::num::u64::ANY,
             updates in proptest::collection::vec(
@@ -488,7 +467,7 @@ mod tests {
             // 1-sparse consistency: the sketch is linear, so any
             // split/merge of the stream yields the same state, bit for
             // bit, and hence the same decode.
-            proptest::prop_assert_eq!(left.state_digest(), serial.state_digest());
+            proptest::prop_assert_eq!(left.frame_digest(), serial.frame_digest());
             proptest::prop_assert_eq!(left.decode(), serial.decode());
         }
 

@@ -117,12 +117,6 @@ impl SparseRecovery {
         }
     }
 
-    /// The sparsity bound `s`.
-    #[must_use]
-    pub fn sparsity(&self) -> usize {
-        self.s
-    }
-
     /// Applies the update `V[index] += delta`.
     pub fn update(&mut self, index: u64, delta: i64) {
         // One ladder exponentiation (≤ 7 multiplies), shared across
@@ -156,7 +150,7 @@ impl SparseRecovery {
     ///
     /// Panics if `index` is outside the field domain; debug builds also
     /// verify `term` against the fingerprint point.
-    pub fn update_with_term(&mut self, index: u64, delta: i64, term: u64) {
+    pub(crate) fn update_with_term(&mut self, index: u64, delta: i64, term: u64) {
         self.ensure_cells();
         self.checksum.update_with_term(index, delta, term);
         for (row, h) in self.hashes.iter().enumerate() {
@@ -193,7 +187,7 @@ impl SparseRecovery {
     ///
     /// Panics if the slice lengths differ or an index is outside the
     /// field domain.
-    pub fn update_batch_with_terms(
+    pub(crate) fn update_batch_with_terms(
         &mut self,
         indices: &[u64],
         deltas: &[i64],
@@ -302,10 +296,9 @@ impl SparseRecovery {
     ///
     /// Returned pairs are sorted by index with exact values.
     ///
-    /// Convenience wrapper over [`Self::decode_with`] using a one-shot
-    /// scratch; callers that decode repeatedly (the ℓ₀-sampler's level
-    /// search) should hold a [`DecodeScratch`] and call
-    /// [`Self::decode_with`] to keep the hot loop allocation-free.
+    /// Uses a one-shot scratch; the ℓ₀-sampler's level search instead
+    /// holds a `DecodeScratch` and calls `decode_with` to keep its hot
+    /// loop allocation-free.
     #[must_use]
     pub fn decode(&self) -> Option<Vec<(u64, i64)>> {
         let mut scratch = DecodeScratch::default();
@@ -319,7 +312,7 @@ impl SparseRecovery {
     /// The returned slice (sorted by index, exact values) borrows from
     /// `scratch` and is valid until its next use.
     #[must_use]
-    pub fn decode_with<'a>(&self, scratch: &'a mut DecodeScratch) -> Option<&'a [(u64, i64)]> {
+    pub(crate) fn decode_with<'a>(&self, scratch: &'a mut DecodeScratch) -> Option<&'a [(u64, i64)]> {
         scratch.found.clear();
         if self.cells.is_empty() {
             // Never updated (laziness invariant): the zero vector.
@@ -387,8 +380,8 @@ impl SparseRecovery {
 /// cell as nested frames, then the **non-zero cells only** as
 /// `(index, ℓ, z, f)` records in ascending index order (the point is
 /// shared with the checksum). Zero cells and lazy never-materialised
-/// cells have identical state `(0, 0, 0)` — laziness is not state,
-/// matching the `state_digest` convention — so the encoding is
+/// cells have identical state `(0, 0, 0)` — laziness is not state —
+/// so the encoding (and with it `frame_digest`) is
 /// canonical whether or not the grid ever materialised, and a sketch
 /// that saw a handful of updates costs bytes proportional to its
 /// support, not to the `rows × 2s` capacity. Decode rebuilds a
@@ -531,29 +524,6 @@ impl SparseRecovery {
             );
         }
     }
-
-    /// FNV digest over the complete sketch state (every cell and the
-    /// checksum), for bit-identity assertions. Lazy materialisation is
-    /// *not* part of the state: an untouched grid and a materialised
-    /// grid whose updates all cancelled both sketch the zero vector, so
-    /// an unmaterialised grid digests as its canonical zero cells (this
-    /// is what lets batched paths drop net-zero coalesced indices and
-    /// still digest-match the serial path). Only compiled under
-    /// `debug_invariants`.
-    #[must_use]
-    pub fn state_digest(&self) -> u64 {
-        let total = self.hashes.len() * self.cols;
-        let zero_cell = OneSparseRecovery::with_point(self.checksum.point()).state_digest();
-        crate::digest::fnv1a(
-            (0..total)
-                .map(|k| {
-                    self.cells
-                        .get(k)
-                        .map_or(zero_cell, OneSparseRecovery::state_digest)
-                })
-                .chain(std::iter::once(self.checksum.state_digest())),
-        )
-    }
 }
 
 /// Reusable working memory for [`SparseRecovery::decode_with`].
@@ -563,7 +533,7 @@ impl SparseRecovery {
 /// subsequent decodes of same-or-smaller sketches allocate nothing.
 /// Purely scratch: carries no sketch state between calls.
 #[derive(Debug, Default, Clone)]
-pub struct DecodeScratch {
+pub(crate) struct DecodeScratch {
     cells: Vec<OneSparseRecovery>,
     newly: Vec<(u64, i64)>,
     seen: HashSet<u64>,

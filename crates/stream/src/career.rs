@@ -232,7 +232,7 @@ mod tests {
         }
 
         impl CashTable {
-            pub fn new() -> Self {
+            pub(crate) fn new() -> Self {
                 Self::default()
             }
         }

@@ -54,7 +54,7 @@ pub enum CitationDist {
 
 impl CitationDist {
     /// Samples one citation count.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         match *self {
             CitationDist::Constant(k) => k,
             CitationDist::Uniform { lo, hi } => {
@@ -123,7 +123,7 @@ pub enum ProductivityDist {
 
 impl ProductivityDist {
     /// Samples one author's paper count.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         match *self {
             ProductivityDist::Constant(k) => k,
             ProductivityDist::Uniform { lo, hi } => {

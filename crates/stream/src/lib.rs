@@ -18,7 +18,6 @@
 //! and planted-heavy-hitter corpora where ground truth is controlled
 //! exactly.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod career;
@@ -27,7 +26,6 @@ pub mod corpus;
 pub mod generator;
 pub mod model;
 pub mod order;
-pub mod trace;
 
 pub use career::{CareerModel, CareerTrace};
 pub use cash::{CashUpdate, Unaggregator};

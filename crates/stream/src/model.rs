@@ -62,12 +62,6 @@ impl Paper {
             citations,
         }
     }
-
-    /// Whether `author` is among the paper's authors.
-    #[must_use]
-    pub fn has_author(&self, author: AuthorId) -> bool {
-        self.authors.contains(&author)
-    }
 }
 
 #[cfg(test)]
@@ -80,15 +74,15 @@ mod tests {
         assert_eq!(p.id, PaperId(3));
         assert_eq!(p.authors, vec![AuthorId(7)]);
         assert_eq!(p.citations, 12);
-        assert!(p.has_author(AuthorId(7)));
-        assert!(!p.has_author(AuthorId(8)));
+        assert!(p.authors.contains(&AuthorId(7)));
+        assert!(!p.authors.contains(&AuthorId(8)));
     }
 
     #[test]
     fn multi_author_constructor() {
         let p = Paper::with_authors(1, &[2, 3, 5], 9);
         assert_eq!(p.authors.len(), 3);
-        assert!(p.has_author(AuthorId(5)));
+        assert!(p.authors.contains(&AuthorId(5)));
     }
 
     #[test]

@@ -73,8 +73,10 @@ echo "    published ${plane_digest#digest    : }  fresh ${fresh_digest#digest   
 echo "==> debug invariant layer (feature-gated assertions + proptests)"
 cargo test -q --offline -p hindex-hashing --features debug_invariants
 cargo test -q --offline -p hindex-sketch --features debug_invariants
-# The gated checks inside these crates (e.g. the bank batch-vs-loop
-# digest equality in cash_register.rs) run only in their own tests.
+# The gated checks inside these crates (e.g. the `CashTable` lockstep
+# check in cash_table.rs) run only in their own tests. The digest
+# asserts and tests/invariants.rs also run in every plain `cargo test`;
+# here they run with the assertion layer armed.
 cargo test -q --offline -p hindex-core -p hindex-baseline -p hindex-engine \
     --features debug_invariants
 cargo test -q --offline -p hindex --features debug_invariants \

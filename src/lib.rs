@@ -32,7 +32,6 @@
 //! assert!(estimate <= truth && (estimate as f64) >= (1.0 - 0.1) * truth as f64);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod quick;

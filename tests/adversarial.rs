@@ -6,7 +6,7 @@
 //! at each.
 
 use hindex::prelude::*;
-use hindex_common::SpaceUsage;
+use hindex_common::{Snapshot, SpaceUsage};
 use hindex_common::Estimate;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -367,8 +367,7 @@ fn turnstile_batch_coalescing_handles_i64_min() {
     let mut batched = proto.clone();
     batched.ingest_batch(&updates);
     assert_eq!(batched.estimate(), serial.estimate());
-    #[cfg(feature = "debug_invariants")]
-    assert_eq!(batched.state_digest(), serial.state_digest());
+    assert_eq!(batched.frame_digest(), serial.frame_digest());
 }
 
 /// The Alg 6 bank kernel (tile → one hash pass per substrate →
@@ -398,8 +397,7 @@ fn cash_register_bank_tiles_at_boundaries_and_max_index() {
         }
         batched.ingest_batch(&updates);
         assert_eq!(batched.estimate(), scalar.estimate(), "size {size}");
-        #[cfg(feature = "debug_invariants")]
-        assert_eq!(batched.state_digest(), scalar.state_digest(), "size {size}");
+        assert_eq!(batched.frame_digest(), scalar.frame_digest(), "size {size}");
     }
 }
 
@@ -426,8 +424,7 @@ fn cash_register_engine_sharded_state_matches_serial() {
     engine.ingest_batch(&updates);
     let merged = engine.finish().unwrap();
     assert_eq!(merged.estimate(), serial.estimate());
-    #[cfg(feature = "debug_invariants")]
-    assert_eq!(merged.state_digest(), serial.state_digest());
+    assert_eq!(merged.frame_digest(), serial.frame_digest());
 }
 
 proptest::proptest! {
@@ -454,8 +451,7 @@ proptest::proptest! {
             batched.ingest_batch(c);
         }
         proptest::prop_assert_eq!(batched.estimate(), scalar.estimate());
-        #[cfg(feature = "debug_invariants")]
-        proptest::prop_assert_eq!(batched.state_digest(), scalar.state_digest());
+        proptest::prop_assert_eq!(batched.frame_digest(), scalar.frame_digest());
     }
 }
 

@@ -12,11 +12,11 @@
 //! serial run and to the real multi-threaded [`ShardedEngine`].
 //!
 //! Bit-identity is asserted on full observable state (exact counts,
-//! counter vectors) always, and on `state_digest()` fingerprints when
-//! the `debug_invariants` feature is armed.
+//! counter vectors) and on `frame_digest()` fingerprints.
 
 use hindex::prelude::*;
 use hindex_baseline::CashTable;
+use hindex_common::Snapshot;
 use hindex_engine::{mix64, EngineConfig, ShardedEngine};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -166,11 +166,8 @@ fn exponential_histogram_bit_identical_across_schedules() {
         // The counter vector is the sketch's entire level state.
         assert_eq!(merged.counters(), serial.counters(), "seed {seed}");
         assert_eq!(merged.estimate(), serial.estimate(), "seed {seed}");
-        #[cfg(feature = "debug_invariants")]
-        {
-            assert_eq!(merged.state_digest(), serial.state_digest(), "seed {seed}");
-            assert_eq!(threaded.state_digest(), serial.state_digest());
-        }
+        assert_eq!(merged.frame_digest(), serial.frame_digest(), "seed {seed}");
+        assert_eq!(threaded.frame_digest(), serial.frame_digest());
     }
 }
 
@@ -212,11 +209,8 @@ fn turnstile_bit_identical_across_schedules_with_retractions() {
         // Linear sketches over an exact field: the merged internal
         // state (every sampler cell, every norm core) is bit-identical
         // to the serial stream's, whatever the schedule.
-        #[cfg(feature = "debug_invariants")]
-        {
-            assert_eq!(merged.state_digest(), serial.state_digest(), "seed {seed}");
-            assert_eq!(threaded.state_digest(), serial.state_digest());
-        }
+        assert_eq!(merged.frame_digest(), serial.frame_digest(), "seed {seed}");
+        assert_eq!(threaded.frame_digest(), serial.frame_digest());
     }
 }
 

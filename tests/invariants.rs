@@ -1,14 +1,16 @@
-//! Property tests that run with the `debug_invariants` feature armed:
-//! every push/merge below executes the internal assertion layer (field
-//! canonicality, 1-sparse consistency, grid consistency, bucket
-//! monotonicity), so a property that *passes* here certifies both the
-//! observable contract and the internal invariants along the way.
+//! Bucket monotonicity, plus merge-identity, commutativity, split-merge
+//! and cancellation properties asserted on `frame_digest()`
+//! bit-identity. They hold in every build.
 //!
-//! Compiled only under `--features debug_invariants`; `scripts/check.sh`
-//! runs it as a dedicated stage.
-#![cfg(feature = "debug_invariants")]
+//! `scripts/check.sh` also runs this file with `--features
+//! debug_invariants`: every push/merge below then executes the internal
+//! assertion layer (field canonicality, 1-sparse consistency, grid
+//! consistency, bucket monotonicity), so a property that *passes* there
+//! certifies both the observable contract and the internal invariants
+//! along the way.
 
 use hindex::prelude::*;
+use hindex_common::Snapshot;
 use hindex_sketch::{OneSparseRecovery, SparseRecovery};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,9 +50,9 @@ proptest::proptest! {
         for &(i, d) in &updates {
             TurnstileEstimator::ingest(&mut state, i, d);
         }
-        let before = state.state_digest();
+        let before = state.frame_digest();
         state.merge(&proto);
-        proptest::prop_assert_eq!(state.state_digest(), before);
+        proptest::prop_assert_eq!(state.frame_digest(), before);
     }
 
     /// Merge is bitwise commutative for the linear turnstile stack —
@@ -79,7 +81,7 @@ proptest::proptest! {
         ab.merge(&b);
         let mut ba = b;
         ba.merge(&a);
-        proptest::prop_assert_eq!(ab.state_digest(), ba.state_digest());
+        proptest::prop_assert_eq!(ab.frame_digest(), ba.frame_digest());
     }
 
     /// Sparse recovery: a split stream merged back is bit-identical to
@@ -106,7 +108,7 @@ proptest::proptest! {
             }
         }
         left.merge(&right);
-        proptest::prop_assert_eq!(left.state_digest(), whole.state_digest());
+        proptest::prop_assert_eq!(left.frame_digest(), whole.frame_digest());
         proptest::prop_assert_eq!(left.decode(), whole.decode());
     }
 
@@ -126,7 +128,7 @@ proptest::proptest! {
         for &(i, d) in &updates {
             cell.update(i, -d);
         }
-        proptest::prop_assert_eq!(cell.state_digest(), empty.state_digest());
+        proptest::prop_assert_eq!(cell.frame_digest(), empty.frame_digest());
         proptest::prop_assert_eq!(cell.decode(), hindex_sketch::Recovery::Zero);
     }
 }

@@ -6,12 +6,13 @@
 //! logical timestamps, kinds, shard labels, values — is identical
 //! across runs, and (c) attaching an observer never perturbs the
 //! estimator: the instrumented engine's merged state is bit-identical
-//! to the plain engine's (checked via `state_digest()` when the
-//! `debug_invariants` feature is armed, and via the estimate always).
+//! to the plain engine's (checked via `frame_digest()` and the
+//! estimate).
 //! Wall-clock durations live only in latency histograms, which these
 //! tests deliberately never compare.
 
 use hindex::prelude::*;
+use hindex_common::Snapshot;
 use hindex_obs::MetricsSnapshot;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -173,10 +174,9 @@ fn observer_never_perturbs_the_estimator() {
     let observed_final = observed.finish().unwrap();
 
     assert_eq!(plain_final.estimate(), observed_final.estimate());
-    #[cfg(feature = "debug_invariants")]
     assert_eq!(
-        plain_final.state_digest(),
-        observed_final.state_digest(),
+        plain_final.frame_digest(),
+        observed_final.frame_digest(),
         "instrumentation must be bit-invisible to estimator state"
     );
 }
