@@ -18,8 +18,9 @@
 //! * `kernels` — the hot-path field-arithmetic kernels, scalar vs
 //!   kernel on identical workloads: fixed-base exponentiation
 //!   (`mersenne_pow` vs the windowed [`PowerLadder`]), Horner hashing
-//!   (per-key vs batched), 1-sparse/s-sparse/ℓ₀ update paths, the
-//!   turnstile batch path, and the turnstile sharded engine at
+//!   (per-key vs batched), 1-sparse (square-and-multiply vs ladder)
+//!   and s-sparse updates, the ℓ₀ update paths (scalar vs batched),
+//!   the turnstile batch path, and the turnstile sharded engine at
 //!   1/2/4/8 shards;
 //! * `engine_scaling` — the sharded ingestion engine at 1/2/4/8 shards
 //!   on the `cash_update` workload, reporting speedup over one shard;
@@ -277,15 +278,15 @@ fn cash_update() {
         delta: Delta::new(0.2).unwrap(),
     };
     // The production ingestion path: one `ingest_batch` call, which
-    // coalesces the raw updates and drives the bank-wide tile kernel
-    // (shared hashes, survivor-only level dispatch).
+    // coalesces the raw updates and feeds the distinct ones to every
+    // sampler's batched update.
     bench("cash_update", "alg6_l0_bank_x77", n, 5, || {
         let mut est = CashRegisterHIndex::new(params, &mut StdRng::seed_from_u64(3));
         est.ingest_batch(&updates);
         est.estimate()
     });
-    // Reference: the same bank driven one scalar update at a time —
-    // what every update paid before the bank kernel existed.
+    // Reference: the same bank driven one scalar update at a time,
+    // with no coalescing.
     bench("cash_update", "alg6_scalar_x77", n, 3, || {
         let mut est = CashRegisterHIndex::new(params, &mut StdRng::seed_from_u64(3));
         for &(i, d) in &updates {
@@ -489,8 +490,7 @@ fn kernels(quick: bool) {
         s.decode()
     });
 
-    // s-sparse recovery: scalar updates vs the batched column-hash
-    // path, identical update stream.
+    // s-sparse recovery: scalar updates.
     let sr_reps = 200_000 / scale;
     let sr_updates: Vec<(u64, i64)> =
         (0..sr_reps).map(|i| (i % 50_000, 1)).collect();
@@ -500,11 +500,6 @@ fn kernels(quick: bool) {
         for &(i, d) in &sr_updates {
             s.update(black_box(i), d);
         }
-        s
-    });
-    bench("kernels", "s_sparse_batch", sr_reps, runs, || {
-        let mut s = sparse_proto.clone();
-        s.update_batch(black_box(&sr_updates));
         s
     });
 

@@ -2,59 +2,48 @@
 //!
 //! These are *operational* counters, not sketch state: they are
 //! excluded from snapshots, digests, and estimates, and exist so the
-//! observability layer (`hindex-obs`) can report how well the batched
-//! kernels are amortizing work. They live in `hindex-common` because
-//! both the estimators (which accumulate them) and the engine/obs
-//! crates (which surface them) need the type.
+//! observability layer (`hindex-obs`) can report how far a batch path
+//! coalesces its input. They live in `hindex-common` because both the
+//! estimators (which accumulate them) and the engine/obs crates (which
+//! surface them) need the type.
 
-/// Counters accumulated by a bank-batched estimator's ingest kernel
+/// Counters accumulated by a sampler-bank estimator's batch ingest
 /// (the Algorithm 6 ℓ₀-sampler bank in `hindex-core`).
 ///
-/// All fields are totals since construction. Derived rates:
-///
-/// * **tile fill** — `tile_items / tile_capacity`: how full the
-///   fixed-size tiles run (small trailing batches drag this down);
-/// * **survivor rate** — `level_touches / (tile_items · samplers)`:
-///   (item, level) touches actually dispatched per sampler-item, ≈ 2
-///   for a geometric level hash (`E[top+1] = 2`) versus the ~40
-///   dead-level walks the scalar path pays;
-/// * **bank hash reuse** — `pow_reused / (pow_evals + pow_reused)`:
-///   fraction of fingerprint-term evaluations avoided by sharing one
-///   power ladder across the bank.
+/// Both live fields are totals since construction; their ratio
+/// `raw_updates / tile_items` is the coalescing factor, the number of
+/// raw updates each sampler touch stands for.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BankCounters {
-    /// Tiles dispatched through the bank kernel.
-    pub tiles: u64,
-    /// Items carried by those tiles (post-coalescing).
-    pub tile_items: u64,
-    /// Aggregate tile capacity (`tiles × tile size`).
-    pub tile_capacity: u64,
     /// Raw updates offered to `ingest_batch` before coalescing.
     pub raw_updates: u64,
-    /// (item, level) touches dispatched across the whole bank.
+    /// Coalesced items fed to the bank: one per distinct index per
+    /// batch (more only for a total that overflows one `i64` step).
+    pub tile_items: u64,
+    /// Unused: no writer, always 0. Kept only because the benchmark
+    /// harness still reads it.
+    pub tile_capacity: u64,
+    /// Unused: no writer, always 0. Kept only because the benchmark
+    /// harness still reads it.
     pub level_touches: u64,
-    /// Fingerprint-term field evaluations actually performed.
+    /// Unused: no writer, always 0. Kept only because the benchmark
+    /// harness still reads it.
     pub pow_evals: u64,
-    /// Fingerprint-term evaluations avoided via the shared bank
-    /// ladder (each term is reused by every other sampler).
+    /// Unused: no writer, always 0. Kept only because the benchmark
+    /// harness still reads it.
     pub pow_reused: u64,
 }
 
 impl BankCounters {
-    /// Field-wise accumulation — used by [`crate::Mergeable`]
-    /// implementations so shard-merged estimators report bank totals
-    /// across the whole engine run.
+    /// Field-wise accumulation of the live counters — used by
+    /// [`crate::Mergeable`] implementations so shard-merged estimators
+    /// report bank totals across the whole engine run.
     pub fn absorb(&mut self, other: &Self) {
-        self.tiles += other.tiles;
-        self.tile_items += other.tile_items;
-        self.tile_capacity += other.tile_capacity;
         self.raw_updates += other.raw_updates;
-        self.level_touches += other.level_touches;
-        self.pow_evals += other.pow_evals;
-        self.pow_reused += other.pow_reused;
+        self.tile_items += other.tile_items;
     }
 
-    /// Whether the bank kernel has run at all.
+    /// Whether the bank's batch ingest has run at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         *self == Self::default()
@@ -67,24 +56,11 @@ mod tests {
 
     #[test]
     fn absorb_sums_fieldwise() {
-        let mut a = BankCounters {
-            tiles: 1,
-            tile_items: 10,
-            tile_capacity: 256,
-            raw_updates: 40,
-            level_touches: 20,
-            pow_evals: 10,
-            pow_reused: 760,
-        };
+        let mut a = BankCounters { raw_updates: 40, tile_items: 10, ..BankCounters::default() };
         let b = a;
         a.absorb(&b);
-        assert_eq!(a.tiles, 2);
-        assert_eq!(a.tile_items, 20);
-        assert_eq!(a.tile_capacity, 512);
         assert_eq!(a.raw_updates, 80);
-        assert_eq!(a.level_touches, 40);
-        assert_eq!(a.pow_evals, 20);
-        assert_eq!(a.pow_reused, 1520);
+        assert_eq!(a.tile_items, 20);
         assert!(!a.is_empty());
         assert!(BankCounters::default().is_empty());
     }

@@ -106,11 +106,12 @@ pub trait CashRegisterEstimator: Estimate {
         }
     }
 
-    /// Bank-batching telemetry accumulated by this estimator's ingest
-    /// kernel, if it exposes any (see
-    /// [`BankCounters`](crate::telemetry::BankCounters)). The engine
-    /// surfaces this through the observability layer after merging
-    /// shards; estimators without a bank kernel report `None`.
+    /// Sampler-bank telemetry accumulated by this estimator's batch
+    /// ingest, if it exposes any (see
+    /// [`BankCounters`](crate::telemetry::BankCounters): raw and
+    /// coalesced update counts). The engine surfaces this through the
+    /// observability layer after merging shards; estimators without a
+    /// sampler bank report `None`.
     fn bank_counters(&self) -> Option<crate::telemetry::BankCounters> {
         None
     }

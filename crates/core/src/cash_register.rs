@@ -31,15 +31,10 @@ use hindex_common::{
     BankCounters, CashRegisterEstimator, Delta, Epsilon, Estimate, EstimatorParams, ExpGrid,
     Mergeable, SpaceUsage,
 };
-use hindex_hashing::{from_i64, mersenne_mul, PowerLadder};
 use hindex_sketch::distinct::DistinctCounter;
-use hindex_sketch::{BankScratch, Bjkst, L0Sampler, L0SamplerParams};
+use hindex_sketch::{Bjkst, L0Sampler, L0SamplerParams};
 use rand::Rng;
 use std::sync::Arc;
-
-/// Tile size of the bank ingest kernel: matches the sparse-recovery
-/// batch tile, so one column-hash sweep per row serves a whole tile.
-const BANK_TILE: usize = 256;
 
 /// Which guarantee the sampler count is sized for.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,11 +111,8 @@ pub struct CashRegisterHIndex {
     grid: ExpGrid,
     samplers: Vec<L0Sampler>,
     distinct: Bjkst,
-    /// Largest value a single update has carried (caps the level scan).
+    /// Largest value a single update has carried.
     max_seen: u64,
-    /// Working buffers for the bank tile kernel — derived scratch, not
-    /// sketch state (excluded from snapshots and digests).
-    scratch: BankScratch,
     /// Bank-batching telemetry — operational counters, not sketch
     /// state (excluded from snapshots and digests; summed on merge).
     counters: BankCounters,
@@ -150,11 +142,10 @@ impl CashRegisterHIndex {
         // the Chernoff estimate over x samplers absorbs that, so default
         // per-sampler parameters suffice.
         let sampler_params = L0SamplerParams::default();
-        // One fingerprint ladder serves the whole bank: the bank
-        // kernel then evaluates each update's fingerprint term once
-        // for all x samplers. `with_shared_ladder` burns the point
-        // draw `new` would make, so the bank consumes the same RNG
-        // stream as independent per-sampler construction.
+        // One fingerprint ladder serves the whole bank, so the bank
+        // holds one power table instead of x. `with_shared_ladder`
+        // burns the point draw `new` would make, so the bank consumes
+        // the same RNG stream as independent per-sampler construction.
         let mut samplers = Vec::with_capacity(x);
         let first = L0Sampler::new(sampler_params, rng);
         let ladder = Arc::clone(first.ladder_arc());
@@ -177,21 +168,8 @@ impl CashRegisterHIndex {
             samplers,
             distinct,
             max_seen: 0,
-            scratch: BankScratch::default(),
             counters: BankCounters::default(),
         }
-    }
-
-    /// The bank-wide shared ladder, when every sampler still shares
-    /// one — always true for freshly built estimators. Snapshots
-    /// written before bank sharing restore per-sampler points; those
-    /// banks return `None` and take the per-sampler batch path.
-    fn bank_ladder(&self) -> Option<Arc<PowerLadder>> {
-        let first = self.samplers.first()?.ladder_arc();
-        self.samplers[1..]
-            .iter()
-            .all(|s| Arc::ptr_eq(s.ladder_arc(), first))
-            .then(|| Arc::clone(first))
     }
 
     /// The configured parameters.
@@ -290,7 +268,7 @@ impl Snapshot for CashRegisterHIndex {
         // Re-establish bank-wide ladder sharing when the snapshot's
         // samplers carry one fingerprint point (anything this version
         // writes). Older snapshots with per-sampler points decode
-        // unchanged and take the per-sampler batch path.
+        // unchanged and keep one ladder per sampler.
         if let Some(first) = samplers.first() {
             let ladder = Arc::clone(first.ladder_arc());
             if samplers[1..]
@@ -311,7 +289,6 @@ impl Snapshot for CashRegisterHIndex {
             samplers,
             distinct,
             max_seen,
-            scratch: BankScratch::default(),
             counters: BankCounters::default(),
         })
     }
@@ -350,32 +327,77 @@ impl EstimatorParams for CashRegisterParams {
 
 impl Estimate for CashRegisterHIndex {
     fn estimate(&self) -> u64 {
-        let samples = self.draw_samples();
-        if samples.is_empty() {
-            return 0;
-        }
-        let x = samples.len() as f64;
-        let y = self.distinct.estimate() as f64;
-        let eps = self.params.epsilon().get();
-        // Scan levels from 0 while thresholds stay below the largest
-        // conceivable count; track the best qualifying threshold.
-        let max_count = samples.iter().map(|&(_, v)| v).max().unwrap_or(0);
-        let mut best = 0u64;
-        let mut level = 0u32;
-        loop {
-            let t_int = self.grid.int_threshold(level);
-            if t_int > max_count {
-                break;
-            }
-            let hits = samples.iter().filter(|&&(_, v)| v >= t_int).count() as f64;
-            let r = hits * y / x;
-            if r >= self.grid.threshold(level) * (1.0 - eps) {
-                best = t_int;
-            }
-            level += 1;
-        }
-        best
+        let values: Vec<u64> = self.draw_samples().into_iter().map(|(_, v)| v).collect();
+        level_scan(
+            self.grid,
+            self.params.epsilon().get(),
+            values.len(),
+            &values,
+            self.distinct.estimate() as f64,
+        )
     }
+}
+
+/// Coalesces a batch of sampler-bank updates: sorts by index, sums
+/// each index's deltas in `i128` (which cannot overflow before ~2⁶⁴
+/// updates), and splits every non-zero total into `i64` steps by
+/// clamping, so a total beyond either `i64` extreme peels off in
+/// extreme-sized steps. The steps of one index are adjacent.
+///
+/// Every ℓ₀-sampler is linear in the delta (`V[i] += z₁; V[i] += z₂`
+/// ≡ `V[i] += z₁+z₂`), so feeding a bank the steps is state-identical
+/// to feeding it the raw updates one by one, while each sampler is
+/// touched once per distinct index instead of once per update.
+pub(crate) fn coalesce(updates: impl IntoIterator<Item = (u64, i128)>) -> Vec<(u64, i64)> {
+    let mut sorted: Vec<(u64, i128)> = updates.into_iter().filter(|&(_, z)| z != 0).collect();
+    sorted.sort_unstable_by_key(|&(i, _)| i);
+    let mut steps = Vec::with_capacity(sorted.len());
+    for run in sorted.chunk_by(|a, b| a.0 == b.0) {
+        let mut rest: i128 = run.iter().map(|&(_, z)| z).sum();
+        while rest != 0 {
+            let step = rest.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64;
+            steps.push((run[0].0, step));
+            rest -= i128::from(step);
+        }
+    }
+    steps
+}
+
+/// Algorithm 6's level scan: with `drawn` samples drawn and
+/// `positives` the positive values among them, the estimate is the
+/// largest grid threshold `tᵢ` with `r_i = |{v ≥ tᵢ}| · y / drawn ≥
+/// (1+ε)ⁱ(1−ε)`. A sample that is not positive counts among those
+/// drawn (it is a non-zero coordinate) but never toward a threshold.
+/// `0` when nothing was drawn.
+pub(crate) fn level_scan(
+    grid: ExpGrid,
+    epsilon: f64,
+    drawn: usize,
+    positives: &[u64],
+    y: f64,
+) -> u64 {
+    if drawn == 0 {
+        return 0;
+    }
+    let x = drawn as f64;
+    // Scan levels from 0 while thresholds stay below the largest
+    // sampled count; track the best qualifying threshold.
+    let max_count = positives.iter().copied().max().unwrap_or(0);
+    let mut best = 0u64;
+    let mut level = 0u32;
+    loop {
+        let t_int = grid.int_threshold(level);
+        if t_int > max_count {
+            break;
+        }
+        let hits = positives.iter().filter(|&&v| v >= t_int).count() as f64;
+        let r = hits * y / x;
+        if r >= grid.threshold(level) * (1.0 - epsilon) {
+            best = t_int;
+        }
+        level += 1;
+    }
+    best
 }
 
 impl CashRegisterEstimator for CashRegisterHIndex {
@@ -400,16 +422,16 @@ impl CashRegisterEstimator for CashRegisterHIndex {
         self.max_seen = self.max_seen.max(delta);
     }
 
-    /// Batch fast path: coalesces duplicate indices before touching the
-    /// sampler bank.
+    /// Batch path: sums each index's deltas (the coalescer shared with
+    /// the turnstile bank), then feeds the resulting `i64` steps to
+    /// every sampler's batched update.
     ///
     /// Every structure inside is either linear in the deltas (the
     /// sparse-recovery counters behind each ℓ₀-sampler) or idempotent
-    /// per index (BJKST's `observe`), so `V[i] += z₁; V[i] += z₂` is
-    /// state-identical to `V[i] += z₁+z₂`. Real citation batches repeat
-    /// hot papers heavily; collapsing them means each of the `x`
-    /// samplers is touched once per *distinct* index instead of once
-    /// per update.
+    /// per index (BJKST's `observe`), so the result is state-identical
+    /// to looping [`Self::ingest`]. Real citation batches repeat hot
+    /// papers heavily; collapsing them means each of the `x` samplers
+    /// is touched once per *distinct* index instead of once per update.
     fn ingest_batch(&mut self, updates: &[(u64, u64)]) {
         // `max_seen` tracks the largest *single-update* delta, so take
         // it from the raw deltas before coalescing sums them.
@@ -417,80 +439,13 @@ impl CashRegisterEstimator for CashRegisterHIndex {
         for &(_, z) in updates {
             self.max_seen = self.max_seen.max(z);
         }
-        // Coalesce in u128: two u64 deltas of the same index can
-        // exceed `u64::MAX`, and a wrapped total would corrupt every
-        // sampler at once.
-        let mut sorted: Vec<(u64, u64)> =
-            updates.iter().copied().filter(|&(_, z)| z != 0).collect();
-        sorted.sort_unstable_by_key(|&(i, _)| i);
-        let mut coalesced: Vec<(u64, u128)> = Vec::with_capacity(sorted.len());
-        for &(i, z) in &sorted {
-            match coalesced.last_mut() {
-                Some(last) if last.0 == i => last.1 += u128::from(z),
-                _ => coalesced.push((i, u128::from(z))),
-            }
+        let steps = coalesce(updates.iter().map(|&(i, z)| (i, i128::from(z))));
+        self.counters.tile_items = self.counters.tile_items.saturating_add(steps.len() as u64);
+        for s in &mut self.samplers {
+            s.update_batch(&steps);
         }
-        if coalesced.is_empty() {
-            return;
-        }
-        // Expand each coalesced total back into signed steps (the
-        // samplers are linear in the delta, so the split is
-        // state-exact); totals fit one step unless a batch really
-        // carried more than `i64::MAX` for one index.
-        let mut signed: Vec<(u64, i64)> = Vec::with_capacity(coalesced.len());
-        for &(i, total) in &coalesced {
-            let mut rest = total;
-            while rest > 0 {
-                let step = rest.min(i64::MAX as u128) as i64;
-                rest -= step as u128;
-                signed.push((i, step));
-            }
-        }
-        if let Some(ladder) = self.bank_ladder() {
-            // Bank kernel: tile the coalesced batch, evaluate each
-            // item's fingerprint term `z · r^i` once at the
-            // bank-shared point, and let every sampler dispatch the
-            // tile through survivor-only level batching. State stays
-            // bit-identical to the scalar loop — the kernels reorder
-            // only commutative exact additions.
-            let mut idx: Vec<u64> = Vec::with_capacity(BANK_TILE.min(signed.len()));
-            let mut del: Vec<i64> = Vec::with_capacity(idx.capacity());
-            let mut terms: Vec<u64> = Vec::with_capacity(idx.capacity());
-            for chunk in signed.chunks(BANK_TILE) {
-                idx.clear();
-                del.clear();
-                terms.clear();
-                for &(i, z) in chunk {
-                    idx.push(i);
-                    del.push(z);
-                    terms.push(mersenne_mul(from_i64(z), ladder.pow(i)));
-                }
-                let mut touches = 0u64;
-                for s in &mut self.samplers {
-                    touches = touches
-                        .saturating_add(s.ingest_tile_with_terms(&idx, &del, &terms, &mut self.scratch));
-                }
-                self.counters.tiles += 1;
-                self.counters.tile_items =
-                    self.counters.tile_items.saturating_add(chunk.len() as u64);
-                self.counters.tile_capacity += BANK_TILE as u64;
-                self.counters.level_touches += touches;
-                self.counters.pow_evals =
-                    self.counters.pow_evals.saturating_add(chunk.len() as u64);
-                self.counters.pow_reused = self.counters.pow_reused.saturating_add(
-                    (chunk.len() as u64)
-                        .saturating_mul((self.samplers.len() as u64).saturating_sub(1)),
-                );
-            }
-        } else {
-            // Per-sampler fallback (restored pre-bank snapshots): the
-            // batched kernel path inside each sampler, own ladders.
-            for s in &mut self.samplers {
-                s.update_batch(&signed);
-            }
-        }
-        for &(i, _) in &coalesced {
-            self.distinct.observe(i);
+        for run in steps.chunk_by(|a, b| a.0 == b.0) {
+            self.distinct.observe(run[0].0);
         }
     }
 
@@ -689,10 +644,15 @@ mod tests {
         let mut batched = proto.clone();
         let mut looped = proto;
         let updates: Vec<(u64, u64)> = (0..3_000u64).map(|k| (k % 333, 1 + k % 4)).collect();
-        // Odd chunking so tiles run partially full and straddle
-        // coalescing boundaries.
+        // Odd chunking so each chunk coalesces on its own and the
+        // same index straddles chunk boundaries.
+        let mut distinct_per_chunk = 0u64;
         for chunk in updates.chunks(701) {
             batched.ingest_batch(chunk);
+            let mut indices: Vec<u64> = chunk.iter().map(|&(i, _)| i).collect();
+            indices.sort_unstable();
+            indices.dedup();
+            distinct_per_chunk += indices.len() as u64;
         }
         for &(i, z) in &updates {
             looped.ingest(i, z);
@@ -701,18 +661,15 @@ mod tests {
         assert_eq!(batched.draw_samples(), looped.draw_samples());
         assert_eq!(batched.frame_digest(), looped.frame_digest());
         let c = batched.bank_counters().expect("bank estimator reports counters");
-        assert!(c.tiles >= 5, "tiles {}", c.tiles);
         assert_eq!(c.raw_updates, 3_000);
-        assert!(c.level_touches > 0);
-        // Every term computed once is reused by the other x−1 samplers.
-        assert_eq!(c.pow_reused, c.pow_evals * (batched.num_samplers() as u64 - 1));
-        // The scalar path never enters the bank kernel.
-        let scalar_counters = looped.bank_counters().unwrap();
-        assert_eq!(scalar_counters.tiles, 0);
+        // One coalesced item per distinct index per batch.
+        assert_eq!(c.tile_items, distinct_per_chunk);
+        // The scalar path never counts.
+        assert!(looped.bank_counters().unwrap().is_empty());
     }
 
     #[test]
-    fn scratch_words_counts_bank_ladder_once() {
+    fn scratch_words_counts_the_shared_ladder_once() {
         let mut rng = StdRng::seed_from_u64(6);
         let est = CashRegisterHIndex::new(additive(0.3, 0.2), &mut rng);
         assert!(est.num_samplers() > 10);
@@ -730,14 +687,41 @@ mod tests {
         let bytes = est.to_bytes();
         let (mut back, _) = CashRegisterHIndex::read_from(&bytes).unwrap();
         // Decode re-points every sampler at one ladder, so the
-        // restored estimator keeps the bank fast path (and the
-        // deduplicated scratch accounting).
-        assert!(back.bank_ladder().is_some());
+        // restored bank counts one table, not one per sampler.
         assert_eq!(back.scratch_words(), est.scratch_words());
+        assert_eq!(back.scratch_words(), back.samplers[0].scratch_words());
         back.ingest_batch(&[(7, 3), (11, 2)]);
         est.ingest_batch(&[(7, 3), (11, 2)]);
         assert_eq!(back.estimate(), est.estimate());
         assert_eq!(back.draw_samples(), est.draw_samples());
+    }
+
+    #[test]
+    fn bank_with_distinct_points_decodes_unchanged() {
+        // A bank built the way snapshots before bank sharing were: one
+        // `new` per sampler, so every sampler draws its own point.
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut proto = CashRegisterHIndex::new(additive(0.4, 0.3), &mut rng);
+        let params = L0SamplerParams::default();
+        for s in &mut proto.samplers {
+            *s = L0Sampler::new(params, &mut rng);
+        }
+        let x = proto.num_samplers();
+        let (proto, _) = CashRegisterHIndex::read_from(&proto.to_bytes()).unwrap();
+        // Decode keeps one ladder per sampler: x tables, not one.
+        let table = proto.samplers[0].scratch_words();
+        assert_eq!(proto.scratch_words(), x * table);
+        let updates: Vec<(u64, u64)> = (0..2_000u64).map(|k| ((k * 31) % 257, 1 + k % 3)).collect();
+        let mut batched = proto.clone();
+        let mut looped = proto;
+        for chunk in updates.chunks(333) {
+            batched.ingest_batch(chunk);
+        }
+        for &(i, z) in &updates {
+            looped.ingest(i, z);
+        }
+        assert_eq!(batched.frame_digest(), looped.frame_digest());
+        assert_eq!(batched.estimate(), looped.estimate());
     }
 
     #[test]

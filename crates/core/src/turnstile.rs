@@ -6,7 +6,8 @@
 //! sketch in Algorithm 6 is a *linear* sketch — except the distinct
 //! counter, which is insert-only. This module completes the extension:
 //!
-//! * the ℓ₀-sampler bank is reused unchanged (deletions supported);
+//! * the ℓ₀-sampler bank is reused unchanged (deletions supported),
+//!   and so are Algorithm 6's batch coalescer and level scan;
 //! * `y` comes from the turnstile [`hindex_sketch::L0Norm`] instead of
 //!   BJKST;
 //! * at decode time, a sampled paper with net count `≤ 0` counts
@@ -18,6 +19,7 @@
 //! nothing, and the estimate can *decrease* over time, which no
 //! cash-register algorithm allows.
 
+use crate::cash_register::{coalesce, level_scan};
 use hindex_common::snapshot::{Reader, Snapshot, SnapshotError, Writer, FRAME_OVERHEAD};
 use hindex_common::{
     Delta, Epsilon, Estimate, EstimatorParams, ExpGrid, Mergeable, SpaceUsage,
@@ -25,7 +27,6 @@ use hindex_common::{
 };
 use hindex_sketch::{L0Norm, L0Sampler, L0SamplerParams};
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Parameters for [`TurnstileHIndex`], usable with
 /// [`EstimatorParams::build`].
@@ -115,36 +116,11 @@ impl TurnstileHIndex {
     /// pass over the distinct indices instead of one scalar pass per
     /// raw update.
     pub fn update_batch(&mut self, updates: &[(u64, i64)]) {
-        let mut net: HashMap<u64, i128> = HashMap::with_capacity(updates.len());
-        for &(i, d) in updates {
-            if d != 0 {
-                *net.entry(i).or_default() += i128::from(d);
-            }
-        }
-        let mut coalesced: Vec<(u64, i64)> = Vec::with_capacity(net.len());
-        for (i, mut v) in net {
-            // A net delta can overflow i64 only if the caller fed
-            // ≥ 2⁶³ worth of mass in one batch; chunk it rather than
-            // silently truncate. The clamp covers both extremes exactly:
-            // a batch of pure i64::MIN deltas nets to k·i64::MIN, which
-            // peels off in i64::MIN-sized chunks with no overflow (the
-            // i128 accumulator cannot itself overflow before ~2⁶⁴
-            // updates). HashMap iteration order varies per process, but
-            // the sketches are linear over the exact field, so any
-            // emission order produces bit-identical state.
-            while v != 0 {
-                let chunk = v.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64;
-                coalesced.push((i, chunk));
-                v -= i128::from(chunk);
-            }
-        }
-        if coalesced.is_empty() {
-            return;
-        }
+        let steps = coalesce(updates.iter().map(|&(i, d)| (i, i128::from(d))));
         for s in &mut self.samplers {
-            s.update_batch(&coalesced);
+            s.update_batch(&steps);
         }
-        self.norm.update_batch(&coalesced);
+        self.norm.update_batch(&steps);
     }
 
     /// Number of ℓ₀-samplers in the bank.
@@ -160,31 +136,15 @@ impl TurnstileHIndex {
         // denominator (they are non-zero coordinates).
         let samples: Vec<(u64, i64)> =
             self.samplers.iter().filter_map(L0Sampler::sample).collect();
-        if samples.is_empty() {
-            return 0;
-        }
-        let x = samples.len() as f64;
-        let y = self.norm.estimate() as f64;
-        let eps = self.epsilon.get();
-        let max_count = samples.iter().map(|&(_, v)| v.max(0) as u64).max().unwrap_or(0);
-        let mut best = 0u64;
-        let mut level = 0u32;
-        loop {
-            let t_int = self.grid.int_threshold(level);
-            if t_int > max_count {
-                break;
-            }
-            let hits = samples
-                .iter()
-                .filter(|&&(_, v)| v > 0 && v as u64 >= t_int)
-                .count() as f64;
-            let r = hits * y / x;
-            if r >= self.grid.threshold(level) * (1.0 - eps) {
-                best = t_int;
-            }
-            level += 1;
-        }
-        best
+        let positives: Vec<u64> =
+            samples.iter().filter(|&&(_, v)| v > 0).map(|&(_, v)| v as u64).collect();
+        level_scan(
+            self.grid,
+            self.epsilon.get(),
+            samples.len(),
+            &positives,
+            self.norm.estimate() as f64,
+        )
     }
 }
 

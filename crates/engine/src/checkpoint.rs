@@ -2,6 +2,7 @@
 
 use crate::{EngineConfig, EngineError};
 use hindex_common::snapshot::{Reader, Snapshot, SnapshotError, Writer, FRAME_OVERHEAD};
+use hindex_common::Mergeable;
 use hindex_obs::EngineObserver;
 use std::sync::Arc;
 
@@ -47,17 +48,41 @@ impl<E> EngineCheckpoint<E> {
     pub fn shard_states(&self) -> &[E] {
         &self.shards
     }
+}
 
+impl<E: Mergeable + Clone + Send + Sync> EngineCheckpoint<E> {
     /// The restore-side validation: geometry fields positive, one
-    /// state per shard, and any re-attached observer sized to the
-    /// shard count. Decoding already enforces the first two; this
-    /// re-checks them so the spawn path can never panic on a
-    /// checkpoint however it was obtained.
+    /// state per shard, any re-attached observer sized to the shard
+    /// count, and shard states that merge. Decoding already enforces
+    /// the first two; this re-checks them so the spawn path can never
+    /// panic on a checkpoint however it was obtained.
+    ///
+    /// States built from different randomness (a frame spliced in
+    /// from another checkpoint) decode cleanly but panic the first
+    /// merge, which a query or `finish` would run on the caller's
+    /// thread. So this merges clones on a scoped thread and harvests
+    /// a panic there, as the engine does a worker's.
     pub(crate) fn validate(&self) -> Result<(), EngineError> {
         self.config.validate()?;
         if self.shards.len() != self.config.shards {
             return Err(EngineError::InvalidConfig {
                 what: "checkpoint shard-state count disagrees with its geometry",
+            });
+        }
+        // At least one state: the geometry check above passed.
+        let trial = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let mut merged = self.shards[0].clone();
+                    for state in &self.shards[1..] {
+                        merged.merge(state);
+                    }
+                })
+                .join()
+        });
+        if trial.is_err() {
+            return Err(EngineError::InvalidConfig {
+                what: "checkpoint shard states do not merge (built from different randomness)",
             });
         }
         Ok(())

@@ -198,7 +198,7 @@ pub trait BatchIngest<T> {
     /// item in order.
     fn apply_batch(&mut self, batch: &[T]);
 
-    /// Bank-kernel telemetry the estimator accumulated, if it exposes
+    /// Sampler-bank telemetry the estimator accumulated, if it exposes
     /// any — surfaced through the attached
     /// [`EngineObserver`](hindex_obs::EngineObserver) when a query
     /// merges shard states. Default: none.
@@ -343,10 +343,11 @@ where
     ///
     /// Returns [`EngineError::InvalidConfig`] when the checkpoint's
     /// geometry is hostile (zero fields, a shard-state count that
-    /// disagrees with it) or a re-attached observer is sized for a
-    /// different shard count. Validation happens *before* any thread
-    /// is spawned, so a checkpoint from untrusted bytes can never
-    /// panic the engine.
+    /// disagrees with it), its shard states do not merge (built from
+    /// different randomness), or a re-attached observer is sized for
+    /// a different shard count. Validation happens *before* any
+    /// worker is spawned, so a checkpoint from untrusted bytes can
+    /// never panic the engine.
     pub fn restore(checkpoint: EngineCheckpoint<E>) -> Result<Self, EngineError> {
         let sw = Stopwatch::start();
         checkpoint.validate()?;
@@ -516,8 +517,8 @@ where
             }
         }
         let estimator = merge_all(states).ok_or(EngineError::AllShardsDead)?;
-        // Surface the merged bank-kernel totals (router thread, query
-        // boundary); a no-op when the kernel never ran.
+        // Surface the merged bank totals (router thread, query
+        // boundary); a no-op when the bank never ingested a batch.
         if let (Some(o), Some(bank)) = (&self.config.observer, estimator.bank_counters()) {
             if !bank.is_empty() {
                 o.on_bank_batch(self.router.tick(), &bank);

@@ -20,8 +20,7 @@
 //! On top of the families sits the **hot-path kernel layer**: windowed
 //! power ladders ([`PowerLadder`]) that turn per-update fixed-base
 //! exponentiation into a handful of table lookups, and batched Horner
-//! evaluation ([`PolynomialHash::hash_batch`],
-//! [`PairwiseHash::hash_to_range_batch_into`]) that keeps the reduction
+//! evaluation ([`PolynomialHash::hash_batch`]) that keeps the reduction
 //! pipeline full across a slice of keys. Every kernel is bit-identical
 //! to its scalar counterpart — they change cycle counts, never states.
 

@@ -47,63 +47,6 @@ impl PairwiseHash {
     pub fn offset(&self) -> u64 {
         self.b
     }
-
-    /// Hashes a whole slice of keys, appending one hash per key to
-    /// `out` (cleared first). Bit-identical to per-key
-    /// [`Hasher64::hash`]; four keys are processed per iteration with
-    /// independent multiply/reduce chains so the pipeline stays full.
-    pub fn hash_batch(&self, keys: &[u64], out: &mut Vec<u64>) {
-        out.clear();
-        out.resize(keys.len(), 0);
-        self.hash_batch_into(keys, out);
-    }
-
-    /// In-place form of [`Self::hash_batch`]: writes `keys.len()`
-    /// hashes into a caller-provided slice (e.g. one row segment of a
-    /// flat rows×tile column buffer), no allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    pub(crate) fn hash_batch_into(&self, keys: &[u64], out: &mut [u64]) {
-        assert_eq!(keys.len(), out.len(), "key/output length mismatch");
-        let (a, b) = (self.a, self.b);
-        let mut chunks = keys.chunks_exact(4);
-        let mut outs = out.chunks_exact_mut(4);
-        for (chunk, o) in (&mut chunks).zip(&mut outs) {
-            o[0] = mersenne_add(mersenne_mul(a, mersenne_reduce(u128::from(chunk[0]))), b);
-            o[1] = mersenne_add(mersenne_mul(a, mersenne_reduce(u128::from(chunk[1]))), b);
-            o[2] = mersenne_add(mersenne_mul(a, mersenne_reduce(u128::from(chunk[2]))), b);
-            o[3] = mersenne_add(mersenne_mul(a, mersenne_reduce(u128::from(chunk[3]))), b);
-        }
-        for (&k, o) in chunks.remainder().iter().zip(outs.into_remainder()) {
-            *o = self.hash(k);
-        }
-    }
-
-    /// Hashes a slice of keys into `0..m`, writing one bucket per key
-    /// into a caller-provided slice. Bit-identical to per-key
-    /// [`Hasher64::hash_to_range`] — this is the row-routing kernel of
-    /// the s-sparse recovery batch update.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m == 0` or the slice lengths differ.
-    pub fn hash_to_range_batch_into(&self, keys: &[u64], m: u64, out: &mut [u64]) {
-        assert!(m > 0, "range must be non-empty");
-        self.hash_batch_into(keys, out);
-        if m.is_power_of_two() {
-            // Identical to `% m` without the per-key hardware divide.
-            let mask = m - 1;
-            for h in out.iter_mut() {
-                *h &= mask;
-            }
-        } else {
-            for h in out.iter_mut() {
-                *h %= m;
-            }
-        }
-    }
 }
 
 impl Hasher64 for PairwiseHash {
@@ -195,23 +138,6 @@ mod tests {
     }
 
     proptest::proptest! {
-        #[test]
-        fn prop_batch_matches_per_key(
-            seed in proptest::num::u64::ANY,
-            m in 1u64..1_000,
-            keys in proptest::collection::vec(proptest::num::u64::ANY, 0..40),
-        ) {
-            let h = PairwiseHash::new(&mut StdRng::seed_from_u64(seed));
-            let mut hashes = Vec::new();
-            h.hash_batch(&keys, &mut hashes);
-            let expected: Vec<u64> = keys.iter().map(|&k| h.hash(k)).collect();
-            proptest::prop_assert_eq!(&hashes, &expected);
-            let mut buckets = vec![0; keys.len()];
-            h.hash_to_range_batch_into(&keys, m, &mut buckets);
-            let expected: Vec<u64> = keys.iter().map(|&k| h.hash_to_range(k, m)).collect();
-            proptest::prop_assert_eq!(buckets, expected);
-        }
-
         #[test]
         fn prop_in_field(seed in proptest::num::u64::ANY, key in proptest::num::u64::ANY) {
             let h = PairwiseHash::new(&mut StdRng::seed_from_u64(seed));

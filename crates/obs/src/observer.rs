@@ -60,8 +60,8 @@ pub struct EngineObserver {
     snapshot_ns: LatencyHistogram,
     recovery_ns: LatencyHistogram,
     publish_ns: LatencyHistogram,
-    /// Latest bank-kernel totals reported by the merged estimator at a
-    /// query boundary (absolute values, not increments).
+    /// Latest sampler-bank totals reported by the merged estimator at
+    /// a query boundary (absolute values, not increments).
     bank: Mutex<BankCounters>,
     tracer: Tracer,
 }
@@ -133,9 +133,7 @@ impl EngineObserver {
         }
         lock_or_recover(&self.batch_stats).record(len);
         lock_or_recover(&self.full_rate).record(full);
-        let shard_id = u32::try_from(shard).ok();
-        self.tracer.record(EventKind::Flush, tick, shard_id, len);
-        self.tracer.record(EventKind::ShardSend, tick, shard_id, len);
+        self.tracer.record(EventKind::Flush, tick, u32::try_from(shard).ok(), len);
     }
 
     /// Router-side backlog for `shard` observed at a flush boundary
@@ -189,7 +187,7 @@ impl EngineObserver {
         self.tracer.record(EventKind::SnapshotDecode, tick, None, bytes);
     }
 
-    /// The engine surfaced the merged estimator's bank-kernel totals
+    /// The engine surfaced the merged estimator's sampler-bank totals
     /// at a query boundary. `counters` carries absolute values since
     /// estimator construction (summed across shards by the merge), so
     /// the observer stores the latest report rather than accumulating.
@@ -437,11 +435,8 @@ pub struct MetricsSnapshot {
     pub recovery_ns: LatencySummary,
     /// Read-plane view merge-and-swap latency.
     pub publish_ns: LatencySummary,
-    /// Bank-kernel totals from the last query merge (zeroes when the
-    /// estimator has no bank path or it never ran). Derived rates:
-    /// [`MetricsSnapshot::bank_tile_fill`],
-    /// `MetricsSnapshot::bank_survivor_touches_per_item`,
-    /// [`MetricsSnapshot::bank_hash_reuse`].
+    /// Sampler-bank totals from the last query merge (zeroes when the
+    /// estimator has no sampler bank or it never ingested a batch).
     pub bank: BankCounters,
     /// Total events ever recorded (ring may have evicted some).
     pub events_recorded: u64,
@@ -457,39 +452,6 @@ fn metric(out: &mut String, name: &str, kind: &str, help: &str, value: impl std:
 }
 
 impl MetricsSnapshot {
-    /// Fraction of bank tile capacity actually filled (`0.0` when the
-    /// bank never ran).
-    #[must_use]
-    pub fn bank_tile_fill(&self) -> f64 {
-        if self.bank.tile_capacity == 0 {
-            return 0.0;
-        }
-        self.bank.tile_items as f64 / self.bank.tile_capacity as f64
-    }
-
-    /// Mean (item, level) touches dispatched per sampler-item — the
-    /// survivor rate of the level dispatch, ≈ 2 for a geometric level
-    /// hash. Reported per *bank* item here, summed over samplers, so
-    /// divide by the sampler count for the per-sampler figure.
-    #[must_use]
-    pub(crate) fn bank_survivor_touches_per_item(&self) -> f64 {
-        if self.bank.tile_items == 0 {
-            return 0.0;
-        }
-        self.bank.level_touches as f64 / self.bank.tile_items as f64
-    }
-
-    /// Fraction of fingerprint-term evaluations avoided by the shared
-    /// bank ladder.
-    #[must_use]
-    pub fn bank_hash_reuse(&self) -> f64 {
-        let total = self.bank.pow_evals + self.bank.pow_reused;
-        if total == 0 {
-            return 0.0;
-        }
-        self.bank.pow_reused as f64 / total as f64
-    }
-
     /// Prometheus-style text exposition of every scalar metric, plus
     /// per-shard series labelled `{shard="i"}`.
     #[must_use]
@@ -586,24 +548,10 @@ impl MetricsSnapshot {
                 "p99 duration upper bound, nanoseconds.", sum.p99_ns);
         }
 
-        metric(&mut s, "hindex_bank_tiles_total", "counter",
-            "Tiles dispatched through the bank ingest kernel.", self.bank.tiles);
-        metric(&mut s, "hindex_bank_tile_items_total", "counter",
-            "Coalesced items carried by bank tiles.", self.bank.tile_items);
         metric(&mut s, "hindex_bank_raw_updates_total", "counter",
             "Raw updates offered to the bank before coalescing.", self.bank.raw_updates);
-        metric(&mut s, "hindex_bank_level_touches_total", "counter",
-            "(item, level) touches dispatched across the sampler bank.",
-            self.bank.level_touches);
-        metric(&mut s, "hindex_bank_tile_fill", "gauge",
-            "Fraction of bank tile capacity filled.",
-            format_args!("{:.4}", self.bank_tile_fill()));
-        metric(&mut s, "hindex_bank_survivor_touches_per_item", "gauge",
-            "Level touches dispatched per bank item (survivor rate).",
-            format_args!("{:.4}", self.bank_survivor_touches_per_item()));
-        metric(&mut s, "hindex_bank_hash_reuse", "gauge",
-            "Fraction of fingerprint evaluations saved by the shared bank ladder.",
-            format_args!("{:.4}", self.bank_hash_reuse()));
+        metric(&mut s, "hindex_bank_coalesced_items_total", "counter",
+            "Coalesced items fed to the bank.", self.bank.tile_items);
 
         metric(&mut s, "hindex_trace_events_total", "counter",
             "Events recorded by the tracer.", self.events_recorded);
@@ -640,15 +588,7 @@ mod tests {
         o.on_read_query(false);
         o.on_bank_batch(
             13,
-            &BankCounters {
-                tiles: 4,
-                tile_items: 900,
-                tile_capacity: 1024,
-                raw_updates: 10_000,
-                level_touches: 1800 * 77,
-                pow_evals: 900,
-                pow_reused: 900 * 76,
-            },
+            &BankCounters { raw_updates: 10_000, tile_items: 700, ..BankCounters::default() },
         );
         o
     }
@@ -689,12 +629,9 @@ mod tests {
         assert_eq!(snap.checkpoint_ns.count, 1);
         assert_eq!(snap.restore_ns.count, 1);
         assert_eq!(snap.snapshot_ns.count, 2);
-        assert_eq!(snap.bank.tiles, 4);
         assert_eq!(snap.bank.raw_updates, 10_000);
-        assert!((snap.bank_tile_fill() - 900.0 / 1024.0).abs() < 1e-9);
-        assert!((snap.bank_survivor_touches_per_item() - 154.0).abs() < 1e-9);
-        assert!(snap.bank_hash_reuse() > 0.98);
-        assert_eq!(snap.events_recorded, 18); // flush records 2 events
+        assert_eq!(snap.bank.tile_items, 700);
+        assert_eq!(snap.events_recorded, 16);
     }
 
     #[test]
@@ -714,8 +651,8 @@ mod tests {
         assert!(text.contains("hindex_engine_shard_items_total{shard=\"0\"} 64"));
         assert!(text.contains("# TYPE hindex_engine_routing_skew gauge"));
         assert!(text.contains("hindex_engine_batch_size_hindex"));
-        assert!(text.contains("hindex_bank_tiles_total 4"));
-        assert!(text.contains("hindex_bank_hash_reuse"));
+        assert!(text.contains("hindex_bank_raw_updates_total 10000"));
+        assert!(text.contains("hindex_bank_coalesced_items_total 700"));
         assert!(text.contains("hindex_engine_restarts_total 1"));
         assert!(text.contains("hindex_engine_items_lost_total 7"));
         assert!(text.contains("hindex_engine_replay_words{shard=\"1\"} 48"));

@@ -18,11 +18,9 @@ use std::sync::Mutex;
 pub enum EventKind {
     /// A caller handed the engine a batch (`value` = items).
     PushBatch,
-    /// A per-shard buffer was flushed (`value` = items in the batch).
+    /// A per-shard buffer was flushed and its batch reached the shard
+    /// worker (`value` = items in the batch).
     Flush,
-    /// A flushed batch was enqueued to a shard worker (`value` =
-    /// items handed over).
-    ShardSend,
     /// Shard states were merged for a query (`value` = shards merged).
     Merge,
     /// An engine checkpoint was captured (`value` = shard states).
@@ -36,8 +34,8 @@ pub enum EventKind {
     SnapshotEncode,
     /// A standalone estimator snapshot was decoded (`value` = bytes).
     SnapshotDecode,
-    /// Bank-kernel telemetry surfaced at a query merge (`value` =
-    /// tile items dispatched through the bank so far).
+    /// Sampler-bank telemetry surfaced at a query merge (`value` =
+    /// coalesced items fed to the bank so far).
     BankBatch,
     /// A shard worker's death was detected and its panic payload
     /// harvested (`value` = times this shard has now died).
@@ -70,7 +68,6 @@ impl EventKind {
         match self {
             EventKind::PushBatch => "push_batch",
             EventKind::Flush => "flush",
-            EventKind::ShardSend => "shard_send",
             EventKind::Merge => "merge",
             EventKind::Checkpoint => "checkpoint",
             EventKind::Restore => "restore",
@@ -211,7 +208,7 @@ mod tests {
 
     #[test]
     fn kind_names_are_stable() {
-        assert_eq!(EventKind::ShardSend.name(), "shard_send");
+        assert_eq!(EventKind::Flush.name(), "flush");
         assert_eq!(EventKind::QueryDegraded.name(), "query_degraded");
     }
 }

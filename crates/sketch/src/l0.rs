@@ -67,32 +67,6 @@ impl L0SamplerParams {
     }
 }
 
-/// Reusable buffers for [`L0Sampler::ingest_tile_with_terms`]. One
-/// instance serves every sampler in a bank, so the tile-kernel
-/// working set (hashes, sort buffers, the sparse-recovery column
-/// scratch) is allocated once per estimator, not once per sampler.
-#[derive(Debug, Default, Clone)]
-pub struct BankScratch {
-    /// Batched level-hash outputs for the tile.
-    hashes: Vec<u64>,
-    /// Per-item top level.
-    tops: Vec<u32>,
-    /// Per-level item counts (`counts[t]` = items whose top is `t`).
-    counts: Vec<u32>,
-    /// Per-level surviving-prefix lengths (`lens[j]` = items with top
-    /// ≥ `j`).
-    lens: Vec<u32>,
-    /// Gather cursors for the counting sort.
-    cursor: Vec<u32>,
-    /// Tile items sorted by descending top level.
-    idx: Vec<u64>,
-    del: Vec<i64>,
-    term: Vec<u64>,
-    /// Column scratch passed through to
-    /// [`SparseRecovery::update_batch_with_terms`].
-    cols: Vec<u64>,
-}
-
 /// A linear-sketch ℓ₀-sampler over `u64` indices with exact value
 /// recovery.
 ///
@@ -259,106 +233,6 @@ impl L0Sampler {
                 level.update_with_term(index, delta, term);
             }
         }
-    }
-
-    /// Bank-kernel tile ingest: applies `x[indices[k]] += deltas[k]`
-    /// for one tile whose fingerprint terms the caller computed once —
-    /// the terms depend only on the shared ladder point and the
-    /// update, so one field evaluation per tile item serves every
-    /// sampler in a bank built over one ladder.
-    ///
-    /// The tile's level hashes run through the 4-lane batched Horner
-    /// kernel, and the items are then counting-sorted by top level
-    /// (stable, descending) so each geometric level receives exactly
-    /// its surviving prefix — the `E[top+1] = 2` expected (item,
-    /// level) touches per update — through one
-    /// `SparseRecovery::update_batch_with_terms` call, instead of
-    /// walking the level stack per item. The sort reorders items
-    /// within a level relative to the scalar path, but only
-    /// commutative exact additions (cell counts, field sums) are
-    /// reordered: states stay bit-identical to looping
-    /// [`Self::update`].
-    ///
-    /// Returns the number of (item, level) touches dispatched, for
-    /// bank telemetry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    pub fn ingest_tile_with_terms(
-        &mut self,
-        indices: &[u64],
-        deltas: &[i64],
-        terms: &[u64],
-        scratch: &mut BankScratch,
-    ) -> u64 {
-        assert_eq!(indices.len(), deltas.len(), "index/delta length mismatch");
-        assert_eq!(indices.len(), terms.len(), "index/term length mismatch");
-        let n = indices.len();
-        if n == 0 {
-            return 0;
-        }
-        #[cfg(feature = "debug_invariants")]
-        for k in 0..n {
-            debug_assert_eq!(
-                terms[k],
-                mersenne_mul(from_i64(deltas[k]), self.ladder.pow(indices[k])),
-                "caller-supplied term disagrees with the shared ladder"
-            );
-        }
-        let num_levels = self.levels.len();
-        self.level_hash.hash_batch(indices, &mut scratch.hashes);
-        scratch.tops.clear();
-        scratch.counts.clear();
-        scratch.counts.resize(num_levels, 0);
-        for &h in &scratch.hashes {
-            let top = self.level_from_hash(h) as u32;
-            scratch.tops.push(top);
-            scratch.counts[top as usize] += 1;
-        }
-        // Prefix lengths: level j touches exactly the items whose top
-        // is ≥ j, i.e. the first `lens[j]` items once sorted by
-        // descending top.
-        scratch.lens.clear();
-        scratch.lens.resize(num_levels, 0);
-        let mut seen = 0u32;
-        for j in (0..num_levels).rev() {
-            seen += scratch.counts[j];
-            scratch.lens[j] = seen;
-        }
-        // Stable counting sort, descending by top: group t starts
-        // where the strictly-higher tops end.
-        scratch.cursor.clear();
-        scratch
-            .cursor
-            .extend((0..num_levels).map(|t| scratch.lens[t] - scratch.counts[t]));
-        scratch.idx.resize(n, 0);
-        scratch.del.resize(n, 0);
-        scratch.term.resize(n, 0);
-        for k in 0..n {
-            let t = scratch.tops[k] as usize;
-            let pos = scratch.cursor[t] as usize;
-            scratch.cursor[t] += 1;
-            scratch.idx[pos] = indices[k];
-            scratch.del[pos] = deltas[k];
-            scratch.term[pos] = terms[k];
-        }
-        let mut touches = 0u64;
-        for (j, level) in self.levels.iter_mut().enumerate() {
-            let nj = scratch.lens[j] as usize;
-            if nj == 0 {
-                // Deeper levels only see subsets of this one's items.
-                break;
-            }
-            touches += nj as u64;
-            level.update_batch_with_terms(
-                &scratch.idx[..nj],
-                &scratch.del[..nj],
-                &scratch.term[..nj],
-                &mut scratch.cols,
-            );
-        }
-        touches
     }
 
     /// Merges another sampler built with identical randomness (clone of
@@ -840,33 +714,6 @@ mod tests {
         batched.update_batch(&updates);
         assert_eq!(scalar.sample(), batched.sample());
         assert_eq!(scalar.l0_estimate(), batched.l0_estimate());
-    }
-
-    #[test]
-    fn tile_kernel_matches_scalar_updates() {
-        let proto = sampler(78);
-        for tile in [1usize, 7, 255, 256, 257] {
-            let mut scalar = proto.clone();
-            let mut tiled = proto.clone();
-            let updates: Vec<(u64, i64)> = (0..tile as u64)
-                .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 100_000, (i % 9) as i64 - 4))
-                .filter(|&(_, d)| d != 0)
-                .collect();
-            for &(i, d) in &updates {
-                scalar.update(i, d);
-            }
-            let indices: Vec<u64> = updates.iter().map(|&(i, _)| i).collect();
-            let deltas: Vec<i64> = updates.iter().map(|&(_, d)| d).collect();
-            let terms: Vec<u64> = updates
-                .iter()
-                .map(|&(i, d)| mersenne_mul(from_i64(d), tiled.ladder_arc().pow(i)))
-                .collect();
-            let mut scratch = BankScratch::default();
-            let touches = tiled.ingest_tile_with_terms(&indices, &deltas, &terms, &mut scratch);
-            assert!(touches >= updates.len() as u64, "tile {tile}");
-            assert_eq!(scalar.sample(), tiled.sample(), "tile {tile}");
-            assert_eq!(scalar.frame_digest(), tiled.frame_digest(), "tile {tile}");
-        }
     }
 
     #[test]

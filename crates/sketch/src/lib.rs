@@ -44,7 +44,7 @@ pub use countmin::CountMin;
 pub use dgim::Dgim;
 pub use hyperloglog::HyperLogLog;
 pub use distinct::{Bjkst, DistinctCounter, Kmv};
-pub use l0::{BankScratch, L0Norm, L0Sampler, L0SamplerParams};
+pub use l0::{L0Norm, L0Sampler, L0SamplerParams};
 pub use misra_gries::MisraGries;
 pub use one_sparse::{OneSparseRecovery, Recovery};
 pub use reservoir::Reservoir;

@@ -159,85 +159,6 @@ impl SparseRecovery {
         }
     }
 
-    /// Applies a batch of updates; state-identical to applying them in
-    /// a loop (field addition is exact and commutative), but the row
-    /// hashes are evaluated with the batched kernel and the fingerprint
-    /// powers come from the shared ladder.
-    pub fn update_batch(&mut self, updates: &[(u64, i64)]) {
-        if updates.is_empty() {
-            return;
-        }
-        let indices: Vec<u64> = updates.iter().map(|&(i, _)| i).collect();
-        let deltas: Vec<i64> = updates.iter().map(|&(_, d)| d).collect();
-        let terms: Vec<u64> = updates
-            .iter()
-            .map(|&(i, d)| mersenne_mul(from_i64(d), self.ladder.pow(i)))
-            .collect();
-        let mut cols = Vec::new();
-        self.update_batch_with_terms(&indices, &deltas, &terms, &mut cols);
-    }
-
-    /// The batch kernel behind [`Self::update_batch`]: parallel slices
-    /// of indices, deltas, and caller-computed fingerprint increments
-    /// (`terms[k] = (δₖ mod p)·r^{iₖ} mod p`), plus a reusable column
-    /// scratch buffer. Exposed so the ℓ₀-sampler can drive all its
-    /// levels from one exponentiation *and one multiply* per index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ or an index is outside the
-    /// field domain.
-    pub(crate) fn update_batch_with_terms(
-        &mut self,
-        indices: &[u64],
-        deltas: &[i64],
-        terms: &[u64],
-        col_scratch: &mut Vec<u64>,
-    ) {
-        assert_eq!(indices.len(), deltas.len(), "index/delta length mismatch");
-        assert_eq!(indices.len(), terms.len(), "index/term length mismatch");
-        if indices.is_empty() {
-            return;
-        }
-        self.ensure_cells();
-        // Tile, then transpose: per tile, the batched hash kernel
-        // fills a flat rows×tile column buffer (all L1-resident), and
-        // a single pass over the tile's updates keeps each
-        // `(index, delta, term)` in registers while it fans out to the
-        // checksum and one cell per row — the same access pattern as
-        // the scalar path, minus the per-key hash calls. Only
-        // commutative exact additions are reordered: states stay
-        // bit-identical to the scalar path.
-        const TILE: usize = 256;
-        let rows = self.hashes.len();
-        let mut start = 0;
-        while start < indices.len() {
-            let end = (start + TILE).min(indices.len());
-            let tile = end - start;
-            let (idx, del, trm) =
-                (&indices[start..end], &deltas[start..end], &terms[start..end]);
-            col_scratch.clear();
-            col_scratch.resize(rows * tile, 0);
-            for (row, h) in self.hashes.iter().enumerate() {
-                h.hash_to_range_batch_into(
-                    idx,
-                    self.cols as u64,
-                    &mut col_scratch[row * tile..(row + 1) * tile],
-                );
-            }
-            for (k, ((&i, &d), &t)) in idx.iter().zip(del).zip(trm).enumerate() {
-                self.checksum.update_with_term(i, d, t);
-                for row in 0..rows {
-                    let col = col_scratch[row * tile + k] as usize;
-                    self.cells[row * self.cols + col].update_with_term(i, d, t);
-                }
-            }
-            start = end;
-        }
-        #[cfg(feature = "debug_invariants")]
-        self.assert_grid_consistent();
-    }
-
     /// The shared power ladder for this sketch's fingerprint point.
     #[must_use]
     pub fn ladder(&self) -> &Arc<PowerLadder> {

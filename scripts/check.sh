@@ -117,11 +117,12 @@ CARGO_TARGET_DIR=.bench_build \
 echo "==> bench smoke (kernels group, reduced scale)"
 scripts/bench.sh /tmp/bench_smoke.json --quick
 
-echo "==> perf smoke (Alg 6 bank kernel vs recorded baseline)"
-# Re-times the cash_update group and fails if the bank ingest path
-# regressed more than 25% against the ns_per_elem recorded in the
-# committed BENCH_pr7.json. Skipped (with a note) if no baseline is
-# committed yet — the gate only bites once a baseline exists.
+echo "==> perf smoke (Alg 6 ingest_batch vs recorded baseline)"
+# Re-times the cash_update group and fails if Alg 6's ingest_batch
+# (coalesce, then every sampler's batched update) regressed more than
+# 25% against the ns_per_elem recorded in the committed BENCH_pr7.json.
+# Skipped (with a note) if no baseline is committed yet — the gate
+# only bites once a baseline exists.
 if [ -f BENCH_pr7.json ]; then
     scripts/bench.sh /tmp/bench_bank.json bank
     baseline=$(grep -o '"group": "cash_update", "name": "alg6_l0_bank_x77"[^}]*' \

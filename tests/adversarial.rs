@@ -370,10 +370,10 @@ fn turnstile_batch_coalescing_handles_i64_min() {
     assert_eq!(batched.frame_digest(), serial.frame_digest());
 }
 
-/// The Alg 6 bank kernel (tile → one hash pass per substrate →
-/// survivor-only level dispatch) promises bit-identical sampler state
-/// to the scalar path. Hit the tile boundaries around the 256-item
-/// tile and the top of the index domain in the same batches.
+/// Alg 6's batch path (coalesce, then every sampler's batched update)
+/// promises bit-identical sampler state to the scalar path. Hit batch
+/// lengths with and without a remainder for the 4-lane level-hash
+/// kernel, and the top of the index domain in the same batches.
 #[test]
 fn cash_register_bank_tiles_at_boundaries_and_max_index() {
     use hindex_sketch::one_sparse::MAX_INDEX;
@@ -382,8 +382,8 @@ fn cash_register_bank_tiles_at_boundaries_and_max_index() {
         delta: Delta::new(0.2).unwrap(),
     };
     for size in [1usize, 255, 256, 257, 700] {
-        // Distinct indices (so coalescing is the identity and the tile
-        // count is driven by `size`), every 7th at the domain ceiling.
+        // Distinct indices (so coalescing is the identity and the
+        // batch length is `size`), every 7th at the domain ceiling.
         let updates: Vec<(u64, u64)> = (0..size as u64)
             .map(|i| {
                 let p = if i % 7 == 0 { MAX_INDEX - i } else { i * 977 + 1 };

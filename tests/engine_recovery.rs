@@ -229,3 +229,49 @@ fn restore_rejects_missized_observer() {
     );
     assert!(err.to_string().contains("observer"), "{err}");
 }
+
+/// An encoded checkpoint of a fresh 2-shard Alg 6 engine.
+fn sketch_frame(seed: u64) -> Vec<u8> {
+    let params = CashRegisterParams::Additive {
+        epsilon: Epsilon::new(0.4).unwrap(),
+        delta: Delta::new(0.3).unwrap(),
+    };
+    let proto = CashRegisterHIndex::new(params, &mut StdRng::seed_from_u64(seed));
+    let mut engine = ShardedEngine::new(config(2), proto);
+    let checkpoint = engine.checkpoint().unwrap();
+    engine.finish().unwrap();
+    checkpoint.to_bytes()
+}
+
+// Regression: a checkpoint whose shard states come from different
+// seeds decoded and restored, and then panicked the first merge on the
+// caller's thread ("cannot merge sketches with different points").
+// `restore` now trial-merges and returns `EngineError::InvalidConfig`.
+#[test]
+fn restore_rejects_shard_states_from_different_seeds() {
+    use hindex_common::snapshot::{fnv1a, FRAME_OVERHEAD};
+    let mut frame = sketch_frame(0);
+    let other = sketch_frame(1);
+    assert_eq!(frame.len(), other.len());
+    // The payload holds three geometry words and the offset, then one
+    // nested frame per shard; splice in shard 1's frame from `other`
+    // and repair the trailing checksum.
+    let shard0 = 14 + 4 * 8;
+    let len0 = u64::from_le_bytes(frame[shard0 + 6..shard0 + 14].try_into().unwrap());
+    let shard1 = shard0 + FRAME_OVERHEAD + usize::try_from(len0).unwrap();
+    let split = frame.len() - 8;
+    frame[shard1..split].copy_from_slice(&other[shard1..split]);
+    let sum = fnv1a(&frame[..split]);
+    frame[split..].copy_from_slice(&sum.to_le_bytes());
+    let (cp, _) = EngineCheckpoint::<CashRegisterHIndex>::read_from(&frame)
+        .expect("the spliced frame decodes");
+    let err = match ShardedEngine::restore(cp) {
+        Ok(_) => panic!("restore accepted shard states that cannot merge"),
+        Err(err) => err,
+    };
+    assert!(
+        matches!(err, EngineError::InvalidConfig { .. }),
+        "want InvalidConfig, got {err:?}"
+    );
+    assert!(err.to_string().contains("do not merge"), "{err}");
+}

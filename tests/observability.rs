@@ -108,29 +108,28 @@ fn identical_seeded_runs_have_identical_metrics_and_traces() {
 
 #[test]
 fn bank_counters_flow_from_estimator_to_observer() {
-    // The Alg 6 bank kernel's telemetry must survive the whole relay:
+    // The Alg 6 bank's telemetry must survive the whole relay:
     // estimator accumulation → shard merge at query → engine
     // `on_bank_batch` → observer snapshot + `BankBatch` trace event.
     let updates = stream(2_000);
     let (snap, _) = instrumented_run(&updates, 7);
     let bank = snap.bank;
-    assert!(bank.tiles > 0, "no tiles reported: {bank:?}");
-    // Every coalesced item passed through exactly one tile; raw
-    // updates count the pre-coalescing stream.
+    // Raw updates count the pre-coalescing stream. Each batch feeds
+    // the bank one coalesced item per distinct paper, so every one of
+    // the 170 papers is counted at least once and no more often than
+    // it was updated.
     assert_eq!(bank.raw_updates, updates.len() as u64);
-    assert!(bank.tile_items <= bank.raw_updates);
-    assert!(bank.tile_items <= bank.tile_capacity);
-    assert!(bank.level_touches > 0);
-    // Term sharing covers the whole bank: x−1 reuses per evaluation.
-    assert!(bank.pow_evals > 0);
-    assert_eq!(bank.pow_reused % bank.pow_evals, 0);
-    assert!(snap.bank_tile_fill() > 0.0 && snap.bank_tile_fill() <= 1.0);
-    assert!(snap.bank_hash_reuse() > 0.9, "{}", snap.bank_hash_reuse());
+    assert!(
+        (170..=bank.raw_updates).contains(&bank.tile_items),
+        "coalesced items out of range: {bank:?}"
+    );
     assert!(snap
         .events
         .iter()
-        .any(|e| e.kind == hindex_obs::EventKind::BankBatch));
-    assert!(snap.render_text().contains("hindex_bank_tiles_total"));
+        .any(|e| e.kind == hindex_obs::EventKind::BankBatch && e.value == bank.tile_items));
+    assert!(snap
+        .render_text()
+        .contains(&format!("hindex_bank_coalesced_items_total {}", bank.tile_items)));
 }
 
 // Regression: only the fail-hard engine's queries relayed the bank

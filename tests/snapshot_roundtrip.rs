@@ -375,6 +375,45 @@ fn foreign_frames_and_future_versions_rejected() {
     assert!(FullStore::read_from(&[]).is_err());
 }
 
+/// Absolute state digests. The first three are the streams
+/// `scripts/check.sh` pipes through `hindex engine`; a sharded run
+/// merges to the serial state, so each equals the `digest` line the
+/// CLI prints. The last pins the turnstile bank's batch path. Any
+/// change to an estimator's state, encoding or randomness moves one.
+#[test]
+fn state_digests_of_the_check_streams_are_pinned() {
+    // Alg 6 at the CLI defaults (ε 0.2, δ 0.1, seed 0).
+    let params = CashRegisterParams::Additive {
+        epsilon: Epsilon::new(0.2).unwrap(),
+        delta: Delta::new(0.1).unwrap(),
+    };
+    let mut alg6 = CashRegisterHIndex::new(params, &mut StdRng::seed_from_u64(0));
+    let updates: Vec<(u64, u64)> = (0..6_000u64).map(|k| ((k * 7919) % 900, 1 + k % 3)).collect();
+    alg6.ingest_batch(&updates);
+    assert_eq!(alg6.frame_digest(), 0x7207_71d6_cd60_15e4);
+
+    let table = |n: u64, papers: u64, spread: u64| {
+        let mut t = CashTable::new();
+        for k in 0..n {
+            t.ingest(k % papers, 1 + k % spread);
+        }
+        t.frame_digest()
+    };
+    assert_eq!(table(4_000, 170, 3), 0x1ada_5b23_a31c_0973);
+    assert_eq!(table(3_000, 140, 2), 0xf313_1585_8329_5e5b);
+
+    let mut turnstile = TurnstileHIndex::with_sampler_count(
+        Epsilon::new(0.3).unwrap(),
+        Delta::new(0.2).unwrap(),
+        9,
+        &mut StdRng::seed_from_u64(77),
+    );
+    let signed: Vec<(u64, i64)> =
+        (0..3_000u64).map(|k| (k % 120, if k % 5 == 0 { -2 } else { 3 })).collect();
+    TurnstileEstimator::ingest_batch(&mut turnstile, &signed);
+    assert_eq!(turnstile.frame_digest(), 0xb213_1e0f_db16_5e69);
+}
+
 proptest::proptest! {
     #[test]
     fn prop_cash_table_roundtrips(
