@@ -57,8 +57,14 @@ impl CashRegisterEstimator for CashTable {
         }
         let entry = self.counts.entry(index).or_insert(0);
         let old = *entry;
-        *entry += delta;
-        let new = *entry;
+        // Saturate, never wrap: a count at `u64::MAX` already exceeds
+        // every possible h, and for non-negative deltas saturating sums
+        // are associative, so shard splits and merges stay exact.
+        let new = old.saturating_add(delta);
+        if new == old {
+            return;
+        }
+        *entry = new;
         if old > 0 {
             // `counts` and `histogram` are updated in lockstep, so the
             // old bucket must exist; a desync would only skew the
@@ -274,6 +280,29 @@ mod tests {
         assert_eq!(a.estimate(), truth);
         assert_eq!(a.estimate(), whole.estimate());
         assert_eq!(a.distinct(), whole.distinct());
+    }
+
+    #[test]
+    fn counts_saturate_so_splits_merge_exactly() {
+        let table = |updates: &[(u64, u64)]| {
+            let mut t = CashTable::new();
+            for &(i, d) in updates {
+                t.ingest(i, d);
+            }
+            t
+        };
+        let big = i64::MAX.unsigned_abs();
+        let serial = table(&[(1, big), (1, big), (1, 2), (2, 5)]);
+        // The same stream split over two shards, then merged.
+        let mut left = table(&[(1, big), (2, 5)]);
+        left.merge(&table(&[(1, big), (1, 2)]));
+        assert_eq!(serial.count(1), u64::MAX);
+        assert_eq!(serial.estimate(), 2);
+        assert_eq!(left.estimate(), 2);
+        assert_eq!(left.frame_digest(), serial.frame_digest());
+        let (back, _) = CashTable::read_from(&serial.to_bytes()).unwrap();
+        assert_eq!(back.frame_digest(), serial.frame_digest());
+        assert_eq!(back.estimate(), 2);
     }
 
     #[cfg(feature = "debug_invariants")]

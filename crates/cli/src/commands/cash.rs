@@ -6,6 +6,7 @@ use crate::io::read_updates;
 use hindex_baseline::{CashTable, TurnstileTable};
 use hindex_common::{CashRegisterEstimator, Delta, Epsilon, Estimate, SpaceUsage};
 use hindex_core::{CashRegisterHIndex, CashRegisterParams, TurnstileHIndex};
+use hindex_engine::EngineConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Read;
@@ -22,15 +23,23 @@ pub(crate) fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, Strin
     let algorithm = parsed.str_or("algorithm", "sketch");
     let seed = parsed.u64_or("seed", 0)?;
     let updates = read_updates(input)?;
+    let len = updates.len();
     let has_negative = updates.iter().any(|&(_, d)| d < 0);
     let mut rng = StdRng::seed_from_u64(seed);
+    // The sketches take the stream in the engine's default batches:
+    // their batch paths are state-identical to the scalar loop.
+    let batch = EngineConfig::default().batch_size;
 
     let (name, estimate, words): (String, u64, usize) = match (algorithm, has_negative) {
         ("sketch", false) => {
             let params = CashRegisterParams::Additive { epsilon: eps, delta };
             let mut est = CashRegisterHIndex::new(params, &mut rng);
-            for &(p, d) in &updates {
-                est.ingest(p, d as u64);
+            let updates: Vec<(u64, u64)> = updates
+                .into_iter()
+                .map(|(p, d)| (p, d.unsigned_abs()))
+                .collect();
+            for chunk in updates.chunks(batch) {
+                est.ingest_batch(chunk);
             }
             (
                 format!("ℓ₀-sampling sketch (Alg 6, x = {})", est.num_samplers()),
@@ -40,8 +49,8 @@ pub(crate) fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, Strin
         }
         ("sketch", true) => {
             let mut est = TurnstileHIndex::new(eps, delta, &mut rng);
-            for &(p, d) in &updates {
-                est.update(p, d);
+            for chunk in updates.chunks(batch) {
+                est.update_batch(chunk);
             }
             (
                 format!("turnstile sketch (x = {})", est.num_samplers()),
@@ -67,8 +76,7 @@ pub(crate) fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, Strin
     };
 
     Ok(format!(
-        "algorithm : {name}\nupdates   : {}\nmode      : {}\nh-index   : {estimate}\nspace     : {words} words\n",
-        updates.len(),
+        "algorithm : {name}\nupdates   : {len}\nmode      : {}\nh-index   : {estimate}\nspace     : {words} words\n",
         if has_negative { "turnstile (retractions seen)" } else { "cash register" },
     ))
 }
@@ -121,6 +129,49 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("turnstile sketch"), "{out}");
+    }
+
+    #[test]
+    fn batched_sketches_print_the_scalar_loop_estimate() {
+        use hindex_common::{CashRegisterEstimator, Delta, Epsilon, Estimate};
+        use hindex_core::{CashRegisterHIndex, CashRegisterParams, TurnstileHIndex};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let (epsilon, delta) = (Epsilon::new(0.3).unwrap(), Delta::new(0.2).unwrap());
+        let argv = ["cash", "--eps", "0.3", "--delta", "0.2", "--seed", "9"];
+        let h_line = |out: &str| {
+            out.lines().find(|l| l.starts_with("h-index")).unwrap().to_string()
+        };
+        // Skewed and longer than one 1024-update batch; the turnstile
+        // stream also retracts some of it.
+        let updates: Vec<(u64, i64)> =
+            (0..2_500u64).map(|k| ((k * k) % 89, 1 + (k % 3) as i64)).collect();
+        let retractions: Vec<(u64, i64)> = (0..300u64).map(|k| ((k * 7) % 89, -1)).collect();
+        let text = |updates: &[(u64, i64)]| -> String {
+            updates.iter().map(|(p, d)| format!("{p} {d}\n")).collect()
+        };
+
+        let mut cash = CashRegisterHIndex::new(
+            CashRegisterParams::Additive { epsilon, delta },
+            &mut StdRng::seed_from_u64(9),
+        );
+        for &(p, d) in &updates {
+            cash.ingest(p, d.unsigned_abs());
+        }
+        let out = run_str(&argv, &text(&updates)).unwrap();
+        assert!(out.contains("cash register"), "{out}");
+        assert_eq!(h_line(&out), format!("h-index   : {}", cash.estimate()));
+
+        let turnstile_stream: Vec<(u64, i64)> =
+            updates.iter().chain(&retractions).copied().collect();
+        let mut turnstile = TurnstileHIndex::new(epsilon, delta, &mut StdRng::seed_from_u64(9));
+        for &(p, d) in &turnstile_stream {
+            turnstile.update(p, d);
+        }
+        let out = run_str(&argv, &text(&turnstile_stream)).unwrap();
+        assert!(out.contains("turnstile sketch"), "{out}");
+        assert_eq!(h_line(&out), format!("h-index   : {}", turnstile.estimate()));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 #![allow(clippy::disallowed_types)]
 
 use crate::args::Parsed;
-use crate::io::read_updates;
+use crate::io::read_cash_register;
 use hindex_baseline::CashTable;
 use hindex_common::{
     ApproxKind, Delta, Engine, Epsilon, Estimate, Guarantee, Mergeable, Snapshot, SpaceUsage,
@@ -62,13 +62,7 @@ pub(crate) fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, Strin
     let faults_spec = parsed.str_or("faults", "").to_string();
     let supervise = !faults_spec.is_empty()
         || matches!(parsed.str_or("supervise", "off"), "on" | "true" | "1");
-    let raw = read_updates(input)?;
-    if raw.iter().any(|&(_, d)| d < 0) {
-        return Err("engine ingests cash-register streams only (no negative deltas); \
-                    use `hindex cash` for turnstile data"
-            .into());
-    }
-    let updates: Vec<(u64, u64)> = raw.iter().map(|&(p, d)| (p, d as u64)).collect();
+    let updates = read_cash_register(input, "engine")?;
     let mut builder = EngineConfig::builder().shards(shards).batch(batch);
     if publish > 0 {
         builder = builder.publish_interval(publish);

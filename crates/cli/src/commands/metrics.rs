@@ -7,7 +7,7 @@
 //! event trace can be appended with `--trace K`.
 
 use crate::args::Parsed;
-use crate::io::read_updates;
+use crate::io::read_cash_register;
 use hindex_baseline::CashTable;
 use hindex_common::Engine;
 use hindex_engine::{EngineConfig, ShardedEngine};
@@ -25,11 +25,7 @@ pub(crate) fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, Strin
     let batch = parsed.u64_or("batch", 64)? as usize;
     let n = parsed.u64_or("n", 10_000)?;
     let trace = parsed.u64_or("trace", 0)? as usize;
-    let raw = read_updates(input)?;
-    if raw.iter().any(|&(_, d)| d < 0) {
-        return Err("metrics ingests cash-register streams only (no negative deltas)".into());
-    }
-    let mut updates: Vec<(u64, u64)> = raw.iter().map(|&(p, d)| (p, d as u64)).collect();
+    let mut updates = read_cash_register(input, "metrics")?;
     if updates.is_empty() {
         // Deterministic synthetic workload: n updates over 300 papers.
         updates = (0..n).map(|k| (k % 300, 1)).collect();

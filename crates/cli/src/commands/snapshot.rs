@@ -8,7 +8,7 @@
 //! never interrupted (same seed, same routing).
 
 use crate::args::Parsed;
-use crate::io::read_updates;
+use crate::io::read_cash_register;
 use hindex_baseline::CashTable;
 use hindex_common::snapshot::Snapshot;
 use hindex_common::{
@@ -21,16 +21,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Read;
 use std::sync::Arc;
-
-/// Parses a non-negative cash-register update stream.
-fn read_stream(input: &mut dyn Read) -> Result<Vec<(u64, u64)>, String> {
-    let raw = read_updates(input)?;
-    if raw.iter().any(|&(_, d)| d < 0) {
-        return Err("snapshot/restore ingest cash-register streams only (no negative deltas)"
-            .into());
-    }
-    Ok(raw.iter().map(|&(p, d)| (p, d as u64)).collect())
-}
 
 /// Runs the `snapshot` subcommand: ingest `--cut` updates (default:
 /// all of them), checkpoint, and write the frame to `--out`.
@@ -46,7 +36,7 @@ pub(crate) fn run_snapshot(parsed: &Parsed, input: &mut dyn Read) -> Result<Stri
     let seed = parsed.u64_or("seed", 0)?;
     let shards = parsed.u64_or("shards", 4)? as usize;
     let batch = parsed.u64_or("batch", 1024)? as usize;
-    let updates = read_stream(input)?;
+    let updates = read_cash_register(input, "snapshot")?;
     let cut = match parsed.u64_opt("cut")? {
         Some(c) => {
             let c = c as usize;
@@ -134,7 +124,7 @@ pub(crate) fn run_restore(parsed: &Parsed, input: &mut dyn Read) -> Result<Strin
     let algorithm = parsed.str_or("algorithm", "sketch").to_string();
     let bytes =
         std::fs::read(&in_path).map_err(|e| format!("cannot read `{in_path}`: {e}"))?;
-    let updates = read_stream(input)?;
+    let updates = read_cash_register(input, "restore")?;
 
     let (estimate, offset, replayed, shards) = match algorithm.as_str() {
         "sketch" => restore_and_replay::<CashRegisterHIndex>(&bytes, &updates)?,

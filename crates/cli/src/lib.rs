@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Input formats (whitespace-separated, `#` comments and blank lines
-//! ignored):
+//! ignored; [`io`] states the full line grammar):
 //!
 //! * `agg`  — one citation count per line;
 //! * `cash` — `paper_id delta` per line;
@@ -122,7 +122,9 @@ pub(crate) fn usage() -> &'static str {
        gen    generate synthetic streams\n\
               --kind zipf|planted|heavy  --n N (1000)  --h H (100)\n\
               --exponent A (2.0)  --seed S (0)\n\
-       help   show this message"
+       help   show this message\n\
+     input: one record per line, `#` starts a comment; the full line grammar\n\
+            is in the module doc of crates/cli/src/io.rs"
 }
 
 /// Test helper: run with string input.
@@ -177,6 +179,20 @@ mod tests {
             let argv: Vec<String> = argv.iter().map(ToString::to_string).collect();
             let err = run(&argv, &mut Unread).unwrap_err();
             assert!(err.contains(flag), "{err}");
+        }
+    }
+
+    #[test]
+    fn cash_register_commands_reject_negative_deltas() {
+        for argv in [
+            &["engine", "--algorithm", "exact"][..],
+            &["snapshot", "--algorithm", "exact", "--out", "/dev/null"],
+            &["restore", "--algorithm", "exact", "--in", "/dev/null"],
+            &["metrics"],
+        ] {
+            let err = run_str(argv, "1 5\n2 -1\n3 2\n").unwrap_err();
+            let want = format!("{} ingests cash-register streams only", argv[0]);
+            assert!(err.starts_with(&want), "{err}");
         }
     }
 

@@ -53,6 +53,22 @@ echo "    sketch clean ${sketch_clean#digest    : }  chaos ${sketch_chaos_digest
 echo "${sketch_chaos}" | grep -q "degraded  : no" || {
     echo "    FAIL: Alg 6 kill-sweep did not heal every shard"; exit 1; }
 
+echo "==> parse-path smoke (the chaos stream, re-emitted, must answer identically)"
+# The update reader takes plain `paper delta` lines on a byte fast path
+# and every other line on a general path (crates/cli/src/io.rs). Tabs
+# and CRLF line ends stay on the fast path; a trailing comment on every
+# line, plus comment-only lines, send each line to the general path.
+# Both must print the clean run's digest.
+fast_digest=$(echo "${chaos_stream}" | awk '{ printf "%s\t%s\r\n", $1, $2 }' \
+    | cargo run -q --release --offline -p hindex-cli --bin hindex -- \
+    engine --algorithm exact --shards 3 --batch 32 | grep '^digest')
+general_digest=$(echo "${chaos_stream}" | awk '{ print $0, "# cite"; if (NR % 50 == 0) print "# note" }' \
+    | cargo run -q --release --offline -p hindex-cli --bin hindex -- \
+    engine --algorithm exact --shards 3 --batch 32 | grep '^digest')
+echo "    fast ${fast_digest#digest    : }  general ${general_digest#digest    : }"
+[ "${fast_digest}" = "${clean_digest}" ] && [ "${general_digest}" = "${clean_digest}" ] || {
+    echo "    FAIL: a re-emitted stream diverged from the clean run"; exit 1; }
+
 echo "==> chaos tests (fault injection, replay, honest degradation)"
 cargo test -q --offline -p hindex --test engine_faults
 
