@@ -13,7 +13,6 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Default)]
 pub struct AuthorTable {
     authors: HashMap<AuthorId, IncrementalHIndex>,
-    total_citations: u64,
 }
 
 impl AuthorTable {
@@ -25,7 +24,6 @@ impl AuthorTable {
 
     /// Feeds one paper tuple; the paper counts toward each author.
     pub fn ingest(&mut self, paper: &Paper) {
-        self.total_citations += paper.citations;
         for &a in &paper.authors {
             self.authors.entry(a).or_default().insert(paper.citations);
         }
@@ -41,12 +39,6 @@ impl AuthorTable {
     #[must_use]
     pub fn total_impact(&self) -> u64 {
         self.authors.values().map(IncrementalHIndex::h_index).sum()
-    }
-
-    /// Exact total responses.
-    #[must_use]
-    pub fn total_citations(&self) -> u64 {
-        self.total_citations
     }
 
     /// Number of distinct authors seen.
@@ -71,6 +63,10 @@ impl AuthorTable {
 }
 
 impl SpaceUsage for AuthorTable {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated trackers fit in usize"
+    )]
     fn space_words(&self) -> usize {
         self.authors
             .values()
@@ -103,7 +99,6 @@ mod tests {
             assert_eq!(table.h_index(a), h, "author {a}");
         }
         assert_eq!(table.total_impact(), truth.total_h_impact);
-        assert_eq!(table.total_citations(), truth.total_citations);
         assert_eq!(table.num_authors(), truth.per_author.len());
     }
 

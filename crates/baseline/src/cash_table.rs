@@ -65,11 +65,15 @@ impl CashRegisterEstimator for CashTable {
             return;
         }
         *entry = new;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "a histogram bucket holds a positive multiplicity; it is removed at 0"
+        )]
         if old > 0 {
             // `counts` and `histogram` are updated in lockstep, so the
             // old bucket must exist; a desync would only skew the
             // incremental h (estimate stays a lower bound), so degrade
-            // rather than panic (lint L9) and let the invariant layer
+            // rather than panic and let the invariant layer
             // catch it in debug runs.
             hindex_common::debug_invariant!(
                 self.histogram.contains_key(&old),
@@ -82,20 +86,26 @@ impl CashRegisterEstimator for CashTable {
                 }
             }
         }
-        *self.histogram.entry(new).or_insert(0) += 1;
-        // Crossing the h+1 bar?
-        if old <= self.h && new > self.h {
-            self.above += 1;
-            if self.above > self.h {
-                // h increases by exactly one; recompute `above` for the
-                // new bar h+2 from the histogram tail.
-                self.h += 1;
-                self.above = self
-                    .histogram
-                    .iter()
-                    .filter(|&(&v, _)| v > self.h)
-                    .map(|(_, &c)| c)
-                    .sum();
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "bucket multiplicities, `above` and `h` are at most the number of papers in the table"
+        )]
+        {
+            *self.histogram.entry(new).or_insert(0) += 1;
+            // Crossing the h+1 bar?
+            if old <= self.h && new > self.h {
+                self.above += 1;
+                if self.above > self.h {
+                    // h increases by exactly one; recompute `above` for
+                    // the new bar h+2 from the histogram tail.
+                    self.h += 1;
+                    self.above = self
+                        .histogram
+                        .iter()
+                        .filter(|&(&v, _)| v > self.h)
+                        .map(|(_, &c)| c)
+                        .sum();
+                }
             }
         }
     }
@@ -107,6 +117,10 @@ impl CashTable {
     /// carries only `counts`, so this is what catches a desync of the
     /// incremental tallies. Only compiled under `debug_invariants`.
     #[cfg(feature = "debug_invariants")]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "a recomputed bucket counts entries of `counts`, which is in memory"
+    )]
     fn assert_lockstep(&self) {
         let mut histogram: HashMap<u64, u64> = HashMap::new();
         for &count in self.counts.values() {
@@ -185,6 +199,10 @@ impl Snapshot for CashTable {
 }
 
 impl SpaceUsage for CashTable {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated entries fit in usize"
+    )]
     fn space_words(&self) -> usize {
         2 * self.counts.len() + 2 * self.histogram.len() + 2
     }

@@ -9,10 +9,14 @@ use std::collections::{BTreeMap, HashMap};
 /// Unlike [`crate::CashTable`], the H-index can *decrease* here, so no
 /// monotone shortcut applies; the estimate walks the positive-count
 /// histogram from the top (`O(distinct positive values)` per query).
+///
+/// Counts accumulate in `i128`, so no run of `i64` deltas overflows them
+/// and every retraction is exact. Histogram keys clamp at `u64::MAX`:
+/// h depends only on `min(count, papers)`.
 #[derive(Debug, Clone, Default)]
 pub struct TurnstileTable {
-    counts: HashMap<u64, i64>,
-    /// Histogram over positive counts only.
+    counts: HashMap<u64, i128>,
+    /// Histogram over positive counts only, keyed by the clamped count.
     histogram: BTreeMap<u64, u64>,
 }
 
@@ -24,51 +28,60 @@ impl TurnstileTable {
     }
 
     /// Applies `V[index] += delta`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "a sum of fewer than 2⁶⁴ i64 deltas fits in i128; a histogram bucket holds a positive multiplicity (it is removed at 0), and multiplicities are at most the number of papers"
+    )]
     pub fn ingest(&mut self, index: u64, delta: i64) {
         if delta == 0 {
             return;
         }
+        let key = |count: i128| u64::try_from(count).unwrap_or(u64::MAX);
         let entry = self.counts.entry(index).or_insert(0);
         let old = *entry;
-        *entry += delta;
+        *entry += i128::from(delta);
         let new = *entry;
         if *entry == 0 {
             self.counts.remove(&index);
         }
         if old > 0 {
             // Same lockstep argument as `CashTable::ingest`: degrade
-            // instead of panicking (lint L9), with the invariant layer
-            // asserting sync in debug runs.
+            // instead of panicking, with the invariant layer asserting
+            // sync in debug runs.
             hindex_common::debug_invariant!(
-                self.histogram.contains_key(&(old as u64)),
+                self.histogram.contains_key(&key(old)),
                 "histogram out of sync: no bucket for count {old}"
             );
-            if let Some(b) = self.histogram.get_mut(&(old as u64)) {
+            if let Some(b) = self.histogram.get_mut(&key(old)) {
                 *b -= 1;
                 if *b == 0 {
-                    self.histogram.remove(&(old as u64));
+                    self.histogram.remove(&key(old));
                 }
             }
         }
         if new > 0 {
-            *self.histogram.entry(new as u64).or_insert(0) += 1;
+            *self.histogram.entry(key(new)).or_insert(0) += 1;
         }
     }
 
     /// The exact current count of a paper (may be negative).
-    #[must_use]
-    pub fn count(&self, paper: u64) -> i64 {
+    #[cfg(test)]
+    fn count(&self, paper: u64) -> i128 {
         self.counts.get(&paper).copied().unwrap_or(0)
     }
 
     /// Number of non-zero coordinates (the ℓ₀ norm).
-    #[must_use]
-    pub fn l0(&self) -> u64 {
+    #[cfg(test)]
+    fn l0(&self) -> u64 {
         self.counts.len() as u64
     }
 
     /// Exact H-index of the clamped vector `max(V, 0)`.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "histogram multiplicities sum to the number of positive papers"
+    )]
     pub fn h_index(&self) -> u64 {
         let mut at_least = 0u64;
         let mut best = 0u64;
@@ -83,8 +96,13 @@ impl TurnstileTable {
 }
 
 impl SpaceUsage for TurnstileTable {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated entries fit in usize"
+    )]
     fn space_words(&self) -> usize {
-        2 * self.counts.len() + 2 * self.histogram.len()
+        // A count entry is its key plus a two-word `i128`.
+        3 * self.counts.len() + 2 * self.histogram.len()
     }
 }
 
@@ -134,6 +152,22 @@ mod tests {
         assert_eq!(t.count(1), -3);
         assert_eq!(t.h_index(), 1); // only paper 2 counts
         assert_eq!(t.l0(), 2); // both are non-zero coordinates
+    }
+
+    // A count past `i64::MAX` must neither overflow nor leave the
+    // histogram, and retractions must bring it back exactly.
+    #[test]
+    fn counts_beyond_i64_stay_exact() {
+        let mut t = TurnstileTable::new();
+        for (i, d) in [(1u64, i64::MAX), (1, 1), (2, -1), (2, 5), (3, 7)] {
+            t.ingest(i, d);
+        }
+        assert_eq!(t.count(1), i128::from(i64::MAX) + 1);
+        assert_eq!(t.h_index(), 3);
+        t.ingest(1, -1);
+        t.ingest(1, i64::MIN + 2);
+        assert_eq!(t.count(1), 1);
+        assert_eq!(t.h_index(), 2);
     }
 
     #[test]

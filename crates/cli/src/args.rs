@@ -111,6 +111,20 @@ impl Parsed {
         }
     }
 
+    /// A `usize` flag with a default.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message on unparsable values.
+    pub(crate) fn usize_or(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.flags.get(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("flag `--{name}` expects an integer, got `{v}`")),
+        }
+    }
+
     /// An optional `u64` flag.
     ///
     /// # Errors

@@ -13,7 +13,7 @@ use crate::args::Parsed;
 use crate::io::read_cash_register;
 use hindex_baseline::CashTable;
 use hindex_common::{
-    ApproxKind, Delta, Engine, Epsilon, Estimate, Guarantee, Mergeable, Snapshot, SpaceUsage,
+    ApproxKind, Delta, Engine, Epsilon, Estimate, Guarantee, Mergeable, SpaceUsage,
 };
 use hindex_core::{CashRegisterHIndex, CashRegisterParams};
 use hindex_engine::{
@@ -54,8 +54,8 @@ pub(crate) fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, Strin
     let delta = Delta::new(parsed.f64_or("delta", 0.1)?).map_err(|e| e.to_string())?;
     let algorithm = parsed.str_or("algorithm", "sketch");
     let seed = parsed.u64_or("seed", 0)?;
-    let shards = parsed.u64_or("shards", 4)? as usize;
-    let batch = parsed.u64_or("batch", 1024)? as usize;
+    let shards = parsed.usize_or("shards", 4)?;
+    let batch = parsed.usize_or("batch", 1024)?;
     let publish = parsed.u64_or("publish-interval", 0)?;
     let fresh = matches!(parsed.str_or("fresh", "off"), "on" | "true" | "1");
     let observe = matches!(parsed.str_or("obs", "off"), "on" | "true" | "1");
@@ -79,7 +79,7 @@ pub(crate) fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, Strin
     let policy = if supervise {
         let sup = SupervisorConfig {
             checkpoint_interval: parsed.u64_or("ckpt-interval", 4)?,
-            max_replay_words: parsed.u64_or("replay-words", 1 << 20)? as usize,
+            max_replay_words: parsed.usize_or("replay-words", 1 << 20)?,
             max_restarts: u32::try_from(parsed.u64_or("max-restarts", 8)?)
                 .map_err(|_| "--max-restarts out of range".to_string())?,
             backoff_ms: 0,
@@ -214,7 +214,6 @@ where
         + Mergeable
         + Estimate
         + SpaceUsage
-        + Snapshot
         + Clone
         + Send
         + Sync
@@ -248,7 +247,6 @@ where
         + Mergeable
         + Estimate
         + SpaceUsage
-        + Snapshot
         + Clone
         + Send
         + Sync

@@ -12,6 +12,10 @@ use std::fmt::Write as _;
 /// # Errors
 ///
 /// Bad flags.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "a capacity hint for a corpus held in memory"
+)]
 pub(crate) fn run(parsed: &Parsed) -> Result<String, String> {
     let kind = parsed.str_required("kind")?;
     let n = parsed.u64_or("n", 1000)?;
@@ -37,7 +41,8 @@ pub(crate) fn run(parsed: &Parsed) -> Result<String, String> {
             if h > n {
                 return Err(format!("cannot plant h = {h} into n = {n} papers"));
             }
-            let corpus = planted_h_corpus(h, n as usize, seed);
+            let n = usize::try_from(n).map_err(|_| format!("--n {n} exceeds the address space"))?;
+            let corpus = planted_h_corpus(h, n, seed);
             Ok(render_counts(&corpus))
         }
         "heavy" => {
@@ -55,6 +60,10 @@ pub(crate) fn run(parsed: &Parsed) -> Result<String, String> {
     }
 }
 
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "a capacity hint for a corpus held in memory"
+)]
 fn render_counts(corpus: &Corpus) -> String {
     let mut out = String::with_capacity(corpus.len() * 6);
     for c in corpus.citation_counts() {

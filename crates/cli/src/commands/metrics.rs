@@ -21,10 +21,10 @@ use std::sync::Arc;
 ///
 /// Bad flags, malformed input, or negative deltas.
 pub(crate) fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
-    let shards = parsed.u64_or("shards", 4)? as usize;
-    let batch = parsed.u64_or("batch", 64)? as usize;
+    let shards = parsed.usize_or("shards", 4)?;
+    let batch = parsed.usize_or("batch", 64)?;
     let n = parsed.u64_or("n", 10_000)?;
-    let trace = parsed.u64_or("trace", 0)? as usize;
+    let trace = parsed.usize_or("trace", 0)?;
     let mut updates = read_cash_register(input, "metrics")?;
     if updates.is_empty() {
         // Deterministic synthetic workload: n updates over 300 papers.
@@ -51,7 +51,7 @@ pub(crate) fn run(parsed: &Parsed, input: &mut dyn Read) -> Result<String, Strin
         out.push_str("\n# event trace (most recent last)\n");
         let events = snap.events;
         let skip = events.len().saturating_sub(trace);
-        for e in &events[skip..] {
+        for e in events.iter().skip(skip) {
             let shard = e.shard.map_or("-".to_string(), |s| s.to_string());
             out.push_str(&format!(
                 "# seq={} tick={} kind={} shard={} value={}\n",

@@ -28,18 +28,22 @@ use std::sync::Arc;
 /// # Errors
 ///
 /// Bad flags, malformed input, or an unwritable `--out` path.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`cut ≤ updates.len()` is checked above"
+)]
 pub(crate) fn run_snapshot(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
     let out_path = parsed.str_required("out")?.to_string();
     let eps = Epsilon::new(parsed.f64_or("eps", 0.2)?).map_err(|e| e.to_string())?;
     let delta = Delta::new(parsed.f64_or("delta", 0.1)?).map_err(|e| e.to_string())?;
     let algorithm = parsed.str_or("algorithm", "sketch").to_string();
     let seed = parsed.u64_or("seed", 0)?;
-    let shards = parsed.u64_or("shards", 4)? as usize;
-    let batch = parsed.u64_or("batch", 1024)? as usize;
+    let shards = parsed.usize_or("shards", 4)?;
+    let batch = parsed.usize_or("batch", 1024)?;
     let updates = read_cash_register(input, "snapshot")?;
     let cut = match parsed.u64_opt("cut")? {
         Some(c) => {
-            let c = c as usize;
+            let c = usize::try_from(c).unwrap_or(usize::MAX);
             if c > updates.len() {
                 return Err(format!(
                     "--cut {c} exceeds the stream length {}",
@@ -89,7 +93,6 @@ where
     E: BatchIngest<(u64, u64)>
         + Clone
         + Mergeable
-        + Snapshot
         + Estimate
         + SpaceUsage
         + Send
@@ -139,6 +142,10 @@ pub(crate) fn run_restore(parsed: &Parsed, input: &mut dyn Read) -> Result<Strin
 
 /// Decodes a checkpoint, replays the stream suffix, and returns
 /// `(estimate, offset, replayed, shards)`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`skip ≤ updates.len()` is checked above"
+)]
 fn restore_and_replay<E>(
     bytes: &[u8],
     updates: &[(u64, u64)],
@@ -148,8 +155,6 @@ where
         + CashRegisterEstimator
         + Clone
         + Mergeable
-        + Snapshot
-        + SpaceUsage
         + Send
         + Sync
         + 'static,

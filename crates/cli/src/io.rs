@@ -40,6 +40,11 @@ use std::io::{BufRead, BufReader, ErrorKind, Read};
 /// line, without its `\n`. The line borrows the read buffer; only a
 /// line that straddles a refill is assembled in a carry buffer. Stops
 /// at the first error, from the reader or from `f`.
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    reason = "`no` counts lines read, at most the bytes read; `find_newline` returns an index below `rest.len()`"
+)]
 fn for_each_line(
     input: &mut dyn Read,
     mut f: impl FnMut(usize, &[u8]) -> Result<(), String>,
@@ -77,6 +82,10 @@ fn for_each_line(
 /// The index of the first `\n` in `s`. Lines are short, so it tests
 /// eight bytes at a time: a byte loop's exit branch would mispredict on
 /// almost every line.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "`8k + 7` is an offset inside `s`, and `tail` is a suffix of `s`"
+)]
 fn find_newline(s: &[u8]) -> Option<usize> {
     const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
     const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
@@ -208,6 +217,10 @@ fn plain_update(line: &[u8]) -> Option<(u64, i64)> {
 /// The run of ASCII digits that starts with `first` and continues in
 /// `bytes`, as a `u64`, and the byte that ends it (`None` at the end of
 /// the line). `None` when `first` is not a digit or the run overflows.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "`first` and `b` are ASCII digits (checked), so `- b'0'` cannot wrap"
+)]
 fn digit_run(first: u8, bytes: &mut impl Iterator<Item = u8>) -> Option<(u64, Option<u8>)> {
     if !first.is_ascii_digit() {
         return None;

@@ -50,8 +50,9 @@ impl Guarantee {
     ///
     /// `scale` is `n` for additive guarantees and ignored for
     /// multiplicative ones.
+    #[cfg(test)]
     #[must_use]
-    pub fn holds(&self, true_value: u64, estimate: u64, scale: u64) -> bool {
+    pub(crate) fn holds(&self, true_value: u64, estimate: u64, scale: u64) -> bool {
         match self.kind {
             ApproxKind::Multiplicative => {
                 within_multiplicative(true_value, estimate, self.epsilon.get())
@@ -63,6 +64,7 @@ impl Guarantee {
 
 /// `|true − est| ≤ ε · true`, with exact integer arithmetic (no float
 /// round-off on the comparison side).
+#[cfg(test)]
 #[must_use]
 pub(crate) fn within_multiplicative(true_value: u64, estimate: u64, epsilon: f64) -> bool {
     let diff = true_value.abs_diff(estimate) as f64;
@@ -70,6 +72,7 @@ pub(crate) fn within_multiplicative(true_value: u64, estimate: u64, epsilon: f64
 }
 
 /// `|true − est| ≤ ε · scale`.
+#[cfg(test)]
 #[must_use]
 pub(crate) fn within_additive(true_value: u64, estimate: u64, epsilon: f64, scale: u64) -> bool {
     let diff = true_value.abs_diff(estimate) as f64;

@@ -43,16 +43,20 @@ impl ExpGrid {
         self.base
     }
 
-    /// The real threshold `t_i = (1+ε)^i`.
+    /// The real threshold `t_i = (1+ε)^i` (infinite past `i32::MAX`).
     #[must_use]
     pub fn threshold(self, level: u32) -> f64 {
-        self.base.powi(level as i32)
+        self.base.powi(i32::try_from(level).unwrap_or(i32::MAX))
     }
 
     /// The smallest integer clearing level `i`: `⌈(1+ε)^i⌉`, with a
     /// guard so that values that are exactly on the grid (up to
     /// half-ulp noise) land on the intended side.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates, and `clears` rejects thresholds above u64::MAX before comparing"
+    )]
     pub fn int_threshold(self, level: u32) -> u64 {
         let t = self.threshold(level);
         // If t is within relative 1e-9 of an integer, treat it as that
@@ -84,6 +88,11 @@ impl ExpGrid {
     /// The highest level cleared by `value`, i.e.
     /// `⌊log_{1+ε} value⌋` computed robustly, or `None` for `value = 0`.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "the guess saturates into u32, `level -= 1` stops at level 0 (cleared by every value ≥ 1), and the upward climb stops below the first level whose threshold exceeds u64::MAX"
+    )]
     pub fn level_of(self, value: u64) -> Option<u32> {
         if value == 0 {
             return None;

@@ -33,6 +33,11 @@ use crate::traits::SpaceUsage;
 /// assert_eq!(h_index(&[100]), 1);
 /// ```
 #[must_use]
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    reason = "`idx ≤ n` and `k ≤ n` index the `n + 1` buckets, and the bucket counts sum to `n`"
+)]
 pub fn h_index(values: &[u64]) -> u64 {
     let n = values.len();
     if n == 0 {
@@ -40,7 +45,7 @@ pub fn h_index(values: &[u64]) -> u64 {
     }
     let mut buckets = vec![0u64; n + 1];
     for &v in values {
-        let idx = (v as usize).min(n);
+        let idx = usize::try_from(v).map_or(n, |v| v.min(n));
         buckets[idx] += 1;
     }
     let mut at_least = 0u64;
@@ -134,6 +139,10 @@ impl IncrementalHIndex {
     }
 
     /// Inserts one aggregate value into the multiset.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "counts inserted values, which cannot reach 2⁶⁴"
+    )]
     pub fn insert(&mut self, value: u64) {
         self.len += 1;
         let h = self.heap.len() as u64;
@@ -170,6 +179,10 @@ impl IncrementalHIndex {
 }
 
 impl SpaceUsage for IncrementalHIndex {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "a heap length is far below usize::MAX"
+    )]
     fn space_words(&self) -> usize {
         // One word per retained support value, plus the length counter.
         self.heap.len() + 1

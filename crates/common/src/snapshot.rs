@@ -184,10 +184,19 @@ impl<'a> Reader<'a> {
 
     /// Bytes not yet consumed.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`pos ≤ bytes.len()`: every advance is by bytes already checked to remain"
+    )]
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`remaining() ≥ n` is checked first, so `pos + n ≤ bytes.len()`"
+    )]
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         if self.remaining() < n {
             return Err(SnapshotError::Truncated {
@@ -201,6 +210,10 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one byte.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`take(1)` returns exactly one byte"
+    )]
     pub fn get_u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
     }
@@ -244,6 +257,7 @@ impl<'a> Reader<'a> {
     /// length prefix can never force an over-sized allocation: the
     /// decoder may allocate at most `remaining / elem_size` elements,
     /// which is bounded by the input length.
+    #[expect(clippy::arithmetic_side_effects, reason = "`elem` is at least 1")]
     pub fn get_count(&mut self, elem_size: usize) -> Result<usize, SnapshotError> {
         let raw = self.get_u64()?;
         let count = usize::try_from(raw)
@@ -266,6 +280,11 @@ impl<'a> Reader<'a> {
     }
 
     /// Decodes a nested child frame and advances past it.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`pos ≤ bytes.len()`, and a decoded frame's length is at most the bytes it was decoded from"
+    )]
     pub fn get_nested<C: Snapshot>(&mut self) -> Result<C, SnapshotError> {
         let (child, used) = C::read_from(&self.bytes[self.pos..])?;
         self.pos += used;
@@ -278,7 +297,7 @@ impl<'a> Reader<'a> {
 /// Implementors provide the per-type payload codec; the trait supplies
 /// the uniform frame (magic, version, tag, length prefix, checksum) via
 /// [`Snapshot::write_into`] / [`Snapshot::read_from`]. The contract,
-/// pinned by `tests/snapshot_roundtrip.rs` (lint L11):
+/// pinned by `tests/snapshot_roundtrip.rs`:
 ///
 /// * `read_from(write_into(x)) ≡ x` — bit-identical state, as observed
 ///   by [`Snapshot::frame_digest`], plus estimates/decodes;
@@ -301,6 +320,11 @@ pub trait Snapshot: Sized {
     fn read_payload(r: &mut Reader<'_>) -> Result<Self, SnapshotError>;
 
     /// Appends one complete frame (header + payload + checksum).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`start + HEADER_LEN ≤ payload_start ≤ out.len()`: the header is pushed before the payload"
+    )]
     fn write_into(&self, out: &mut Vec<u8>) {
         let start = out.len();
         out.extend_from_slice(&SNAPSHOT_MAGIC);
@@ -346,6 +370,11 @@ pub trait Snapshot: Sized {
     /// # Errors
     ///
     /// Any [`SnapshotError`] on truncated, corrupt, or invalid bytes.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`bytes.len() ≥ HEADER_LEN` is checked first, and `payload_len ≤ bytes.len() − FRAME_OVERHEAD` bounds `frame_end + 8`"
+    )]
     fn read_from(bytes: &[u8]) -> Result<(Self, usize), SnapshotError> {
         if bytes.len() < HEADER_LEN {
             return Err(SnapshotError::Truncated {

@@ -38,6 +38,10 @@ impl BankCounters {
     /// Field-wise accumulation of the live counters — used by
     /// [`crate::Mergeable`] implementations so shard-merged estimators
     /// report bank totals across the whole engine run.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the counters count ingested updates, which cannot reach 2⁶⁴"
+    )]
     pub fn absorb(&mut self, other: &Self) {
         self.raw_updates += other.raw_updates;
         self.tile_items += other.tile_items;

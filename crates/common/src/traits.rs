@@ -51,6 +51,8 @@
 
 use rand::Rng;
 
+use crate::snapshot::Snapshot;
+
 /// The one query verb every estimator answers: the current estimate of
 /// the quantity it tracks (H-index, g-index, window count, …).
 ///
@@ -65,7 +67,7 @@ pub trait Estimate {
 
 /// Streaming estimator over the aggregate model: one finished total per
 /// publication.
-pub trait AggregateEstimator: Estimate {
+pub trait AggregateEstimator: Estimate + SpaceUsage {
     /// Feeds one aggregate value (e.g. the final citation count of one
     /// paper).
     fn ingest(&mut self, value: u64);
@@ -92,7 +94,7 @@ pub trait AggregateEstimator: Estimate {
 
 /// Streaming estimator over the cash-register model: updates `(index,
 /// delta)` to an underlying vector, `delta ≥ 1`.
-pub trait CashRegisterEstimator: Estimate {
+pub trait CashRegisterEstimator: Estimate + SpaceUsage {
     /// Applies the update `V[index] += delta`.
     fn ingest(&mut self, index: u64, delta: u64);
 
@@ -124,7 +126,7 @@ pub trait CashRegisterEstimator: Estimate {
 /// own trait (rather than a widening of that one) because the paper's
 /// cash-register algorithms are *not* deletion-tolerant — the type
 /// system should refuse to route a stream with retractions into them.
-pub trait TurnstileEstimator: Estimate {
+pub trait TurnstileEstimator: Estimate + SpaceUsage {
     /// Applies the update `V[index] += delta` (`delta` may be
     /// negative).
     fn ingest(&mut self, index: u64, delta: i64);
@@ -152,7 +154,11 @@ pub trait TurnstileEstimator: Estimate {
 /// ingestion. Sampling-based structures (reservoirs inside the heavy
 /// hitters machinery) merge to the correct *distribution* rather than a
 /// bit-identical state, which is documented on the implementation.
-pub trait Mergeable {
+///
+/// [`Snapshot`] is a supertrait: a state the engine merges is also one
+/// it checkpoints, and its `frame_digest` is what every bit-identity
+/// test compares.
+pub trait Mergeable: Snapshot {
     /// Folds `other`'s state into `self`.
     ///
     /// # Panics
@@ -180,6 +186,9 @@ pub trait EstimatorParams {
 
 /// Space accounting in machine words, the unit the paper's theorems are
 /// stated in (each word is `log n` bits).
+///
+/// A supertrait of the three ingestion traits: the paper's claims are
+/// space theorems, so every estimator reports its space.
 pub trait SpaceUsage {
     /// Number of words of state currently held: counters, stored sample
     /// values/indices, sketch cells. Fixed-size configuration scalars
@@ -215,6 +224,12 @@ mod tests {
     impl Estimate for CountAtLeast {
         fn estimate(&self) -> u64 {
             self.count
+        }
+    }
+
+    impl SpaceUsage for CountAtLeast {
+        fn space_words(&self) -> usize {
+            1
         }
     }
 
@@ -255,6 +270,12 @@ mod tests {
         }
     }
 
+    impl SpaceUsage for SumRegister {
+        fn space_words(&self) -> usize {
+            1
+        }
+    }
+
     impl CashRegisterEstimator for SumRegister {
         fn ingest(&mut self, _index: u64, delta: u64) {
             self.total += delta;
@@ -281,6 +302,12 @@ mod tests {
     impl Estimate for SignedSum {
         fn estimate(&self) -> u64 {
             self.total.max(0) as u64
+        }
+    }
+
+    impl SpaceUsage for SignedSum {
+        fn space_words(&self) -> usize {
+            1
         }
     }
 

@@ -23,6 +23,11 @@
 /// assert_eq!(g_index(&[]), 0);
 /// ```
 #[must_use]
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "ranks are at most `values.len()`, so `rank²` and the sum of up to usize::MAX u64 values fit in u128 and `rank` fits in u64"
+)]
 pub fn g_index(values: &[u64]) -> u64 {
     let mut sorted = values.to_vec();
     sorted.sort_unstable_by(|a, b| b.cmp(a));
@@ -52,6 +57,10 @@ pub fn g_index(values: &[u64]) -> u64 {
 /// assert_eq!(alpha_index(&v, 5.0), 2); // need k papers with ≥ 5k citations
 /// ```
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "float-to-int `as` saturates, and a bar at u64::MAX only makes `count` smaller"
+)]
 pub fn alpha_index(values: &[u64], alpha: f64) -> u64 {
     assert!(alpha.is_finite() && alpha > 0.0, "alpha must be positive");
     let n = values.len() as u64;

@@ -82,6 +82,10 @@ impl CashRegisterParams {
 
     /// The number of ℓ₀-sampler instances Theorem 14 asks for.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`ε, δ ∈ (0, 1)` and `scale ≥ 1` make the count a positive float; float-to-int `as` saturates"
+    )]
     pub fn num_samplers(&self) -> usize {
         match *self {
             CashRegisterParams::Additive { epsilon, delta } => {
@@ -172,12 +176,6 @@ impl CashRegisterHIndex {
         }
     }
 
-    /// The configured parameters.
-    #[must_use]
-    pub fn params(&self) -> CashRegisterParams {
-        self.params
-    }
-
     /// Number of ℓ₀-sampler instances in use.
     #[must_use]
     pub fn num_samplers(&self) -> usize {
@@ -255,6 +253,10 @@ impl Snapshot for CashRegisterHIndex {
         w.put_u64(self.max_seen);
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`samplers.first()` matched, so `samplers[1..]` is in bounds"
+    )]
     fn read_payload(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         let params = CashRegisterParams::read_from_payload(r)?;
         let count = r.get_count(FRAME_OVERHEAD)?;
@@ -348,6 +350,12 @@ impl Estimate for CashRegisterHIndex {
 /// ≡ `V[i] += z₁+z₂`), so feeding a bank the steps is state-identical
 /// to feeding it the raw updates one by one, while each sampler is
 /// touched once per distinct index instead of once per update.
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    reason = "`chunk_by` yields non-empty runs; the clamp makes the cast exact and moves `rest` toward 0 by `step`"
+)]
 pub(crate) fn coalesce(updates: impl IntoIterator<Item = (u64, i128)>) -> Vec<(u64, i64)> {
     let mut sorted: Vec<(u64, i128)> = updates.into_iter().filter(|&(_, z)| z != 0).collect();
     sorted.sort_unstable_by_key(|&(i, _)| i);
@@ -369,6 +377,10 @@ pub(crate) fn coalesce(updates: impl IntoIterator<Item = (u64, i128)>) -> Vec<(u
 /// (1+ε)ⁱ(1−ε)`. A sample that is not positive counts among those
 /// drawn (it is a non-zero coordinate) but never toward a threshold.
 /// `0` when nothing was drawn.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "positives are `i64` sample values, so the saturating grid thresholds pass `max_count` long before `level` nears u32::MAX"
+)]
 pub(crate) fn level_scan(
     grid: ExpGrid,
     epsilon: f64,
@@ -401,6 +413,11 @@ pub(crate) fn level_scan(
 }
 
 impl CashRegisterEstimator for CashRegisterHIndex {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_wrap,
+        reason = "`step = min(rest, i64::MAX)`, so the cast is exact and `rest` never wraps"
+    )]
     fn ingest(&mut self, index: u64, delta: u64) {
         if delta == 0 {
             return;
@@ -432,6 +449,7 @@ impl CashRegisterEstimator for CashRegisterHIndex {
     /// to looping [`Self::ingest`]. Real citation batches repeat hot
     /// papers heavily; collapsing them means each of the `x` samplers
     /// is touched once per *distinct* index instead of once per update.
+    #[expect(clippy::indexing_slicing, reason = "`chunk_by` yields non-empty runs")]
     fn ingest_batch(&mut self, updates: &[(u64, u64)]) {
         // `max_seen` tracks the largest *single-update* delta, so take
         // it from the raw deltas before coalescing sums them.
@@ -455,11 +473,20 @@ impl CashRegisterEstimator for CashRegisterHIndex {
 }
 
 impl SpaceUsage for CashRegisterHIndex {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated samplers fit in usize"
+    )]
     fn space_words(&self) -> usize {
         let sampler_words: usize = self.samplers.iter().map(SpaceUsage::space_words).sum();
         sampler_words + self.distinct.space_words() + 1
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`samplers.first()` matched, so `samplers[1..]` is in bounds; word counts of allocated ladders fit in usize"
+    )]
     fn scratch_words(&self) -> usize {
         // The bank shares one power ladder: count the table once, not
         // once per sampler. Samplers that kept their own ladder (old

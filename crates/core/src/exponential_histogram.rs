@@ -73,18 +73,16 @@ impl ExponentialHistogram {
         }
     }
 
-    /// The threshold grid in use.
-    #[must_use]
-    pub fn grid(&self) -> ExpGrid {
-        self.grid
-    }
-
     /// Structural invariants of the lazy bucket vector: it never ends
     /// in a zero bucket (levels materialise only when an element clears
     /// them, and merges of well-formed histograms preserve this), and
     /// the derived suffix counters `c_i` are non-increasing in `i` by
     /// construction. Only compiled under `debug_invariants`.
     #[cfg(feature = "debug_invariants")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`windows(2)` yields slices of exactly two counters"
+    )]
     fn assert_buckets_consistent(&self) {
         assert!(
             self.buckets.last() != Some(&0),
@@ -98,7 +96,7 @@ impl ExponentialHistogram {
     }
 
     /// The paper's counter `c_i` (number of elements `≥ (1+ε)ⁱ`) for
-    /// each level, highest level last.
+    /// each level, highest level last, saturating at `u64::MAX`.
     #[must_use]
     pub fn counters(&self) -> Vec<u64> {
         let mut suffix = 0u64;
@@ -107,7 +105,7 @@ impl ExponentialHistogram {
             .iter()
             .rev()
             .map(|&b| {
-                suffix += b;
+                suffix = suffix.saturating_add(b);
                 suffix
             })
             .collect();
@@ -120,7 +118,10 @@ impl ExponentialHistogram {
 /// levelwise, so the merged estimate equals the estimate over the
 /// concatenated streams. This makes Algorithm 1 embarrassingly
 /// parallel over stream shards. Unlike the randomized estimators, no
-/// shared randomness is needed — only a shared grid.
+/// shared randomness is needed — only a shared grid. A decoded frame
+/// may carry any bucket count, so counts saturate at `u64::MAX`;
+/// saturating sums of non-negative counts are associative, so any
+/// shard split still merges to the serial histogram.
 impl Mergeable for ExponentialHistogram {
     fn merge(&mut self, other: &Self) {
         assert_eq!(self.grid, other.grid, "histograms must share epsilon");
@@ -128,7 +129,7 @@ impl Mergeable for ExponentialHistogram {
             self.buckets.resize(other.buckets.len(), 0);
         }
         for (a, &b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
         #[cfg(feature = "debug_invariants")]
         self.assert_buckets_consistent();
@@ -165,12 +166,16 @@ impl Snapshot for ExponentialHistogram {
 }
 
 impl Estimate for ExponentialHistogram {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a level is at most a few thousand"
+    )]
     fn estimate(&self) -> u64 {
         // Scan levels from the top; the first (highest) level whose
         // suffix count reaches its integer threshold wins.
         let mut suffix = 0u64;
         for (level, &b) in self.buckets.iter().enumerate().rev() {
-            suffix += b;
+            suffix = suffix.saturating_add(b);
             let t = self.grid.int_threshold(level as u32);
             if suffix >= t {
                 return t;
@@ -181,6 +186,11 @@ impl Estimate for ExponentialHistogram {
 }
 
 impl AggregateEstimator for ExponentialHistogram {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`level_of` returns a u32 level, and the buckets are resized to cover it before the increment"
+    )]
     fn ingest(&mut self, value: u64) {
         let Some(level) = self.grid.level_of(value) else {
             return; // zero clears no threshold
@@ -189,7 +199,7 @@ impl AggregateEstimator for ExponentialHistogram {
         if level >= self.buckets.len() {
             self.buckets.resize(level + 1, 0);
         }
-        self.buckets[level] += 1;
+        self.buckets[level] = self.buckets[level].saturating_add(1);
         #[cfg(feature = "debug_invariants")]
         self.assert_buckets_consistent();
     }
@@ -222,6 +232,25 @@ mod tests {
             got as f64 >= (1.0 - e) * h as f64,
             "under-estimate: got {got} truth {h} (eps {e})"
         );
+    }
+
+    // A decoded frame may carry any bucket count. Counts saturate, and a
+    // split stream still merges to the serial histogram.
+    #[test]
+    fn huge_bucket_counts_saturate_and_merge_like_serial() {
+        let mut huge = ExponentialHistogram::new(eps(0.5));
+        huge.buckets = vec![1, u64::MAX];
+        let (mut serial, _) = ExponentialHistogram::read_from(&huge.to_bytes()).unwrap();
+        let mut left = serial.clone();
+        let mut right = ExponentialHistogram::new(eps(0.5));
+        for v in [1, 2, 3] {
+            serial.ingest(v);
+            right.ingest(v);
+        }
+        left.merge(&right);
+        assert_eq!(left.frame_digest(), serial.frame_digest());
+        assert_eq!(serial.counters(), vec![u64::MAX, u64::MAX, 1]);
+        assert_eq!(serial.estimate(), serial.grid.int_threshold(1));
     }
 
     #[test]

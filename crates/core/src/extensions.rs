@@ -43,14 +43,18 @@ impl StreamingGIndex {
     }
 
     /// Suffix aggregates: `(count ≥ t_i, sum of elements ≥ t_i)` per
-    /// level.
+    /// level, saturating.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`out`, `counts` and `sums` all have `counts.len()` entries"
+    )]
     fn suffix(&self) -> Vec<(u64, u128)> {
         let mut out = vec![(0u64, 0u128); self.counts.len()];
         let mut c = 0u64;
         let mut s = 0u128;
         for i in (0..self.counts.len()).rev() {
-            c += self.counts[i];
-            s += self.sums[i];
+            c = c.saturating_add(self.counts[i]);
+            s = s.saturating_add(self.sums[i]);
             out[i] = (c, s);
         }
         out
@@ -58,6 +62,12 @@ impl StreamingGIndex {
 
     /// Lower bound on the sum of the `k` largest elements, from the
     /// level aggregates.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        reason = "`suffix` is non-empty and `m + 1` is checked against its length; `fill ≤ k` and thresholds fit u64, so the u128 product fits; a level is at most a few thousand"
+    )]
     fn top_k_sum_lower(&self, k: u64, suffix: &[(u64, u128)]) -> u128 {
         if suffix.is_empty() || k == 0 {
             return 0;
@@ -84,13 +94,16 @@ impl StreamingGIndex {
             (0, 0)
         };
         let fill = u128::from(k.saturating_sub(above_c));
-        above_s + fill * u128::from(self.grid.int_threshold(m as u32))
+        above_s.saturating_add(fill * u128::from(self.grid.int_threshold(m as u32)))
     }
 }
 
 /// Merges another g-index sketch built with the same ε: level counts,
 /// level sums and the element tally all add, so the merged estimate
 /// equals the estimate over the concatenated streams, deterministically.
+/// A decoded frame may carry any tally, so all three saturate; saturating
+/// sums of non-negative values are associative, so any shard split still
+/// merges to the serial sketch.
 impl Mergeable for StreamingGIndex {
     fn merge(&mut self, other: &Self) {
         assert_eq!(self.grid, other.grid, "sketches must share epsilon");
@@ -99,12 +112,12 @@ impl Mergeable for StreamingGIndex {
             self.sums.resize(other.sums.len(), 0);
         }
         for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
         for (a, &b) in self.sums.iter_mut().zip(&other.sums) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
-        self.n_seen += other.n_seen;
+        self.n_seen = self.n_seen.saturating_add(other.n_seen);
     }
 }
 
@@ -151,6 +164,10 @@ impl Estimate for StreamingGIndex {
     /// Estimates the g-index: the largest grid value `k` whose
     /// (under-approximated) top-k sum reaches `k²`. The result is
     /// `≤ g` and `≥ (1−O(ε))·g`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`k` fits u64, so `k²` fits u128"
+    )]
     fn estimate(&self) -> u64 {
         let suffix = self.suffix();
         let mut best = 0u64;
@@ -165,15 +182,25 @@ impl Estimate for StreamingGIndex {
             if lower >= u128::from(k) * u128::from(k) {
                 best = best.max(k);
             }
-            level += 1;
+            // The saturated threshold is the last candidate (a decoded
+            // `n_seen` of u64::MAX would otherwise never end the loop).
+            match level.checked_add(1) {
+                Some(next) if k < u64::MAX => level = next,
+                _ => break,
+            }
         }
         best
     }
 }
 
 impl AggregateEstimator for StreamingGIndex {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "the levels are resized to cover `level` first"
+    )]
     fn ingest(&mut self, value: u64) {
-        self.n_seen += 1;
+        self.n_seen = self.n_seen.saturating_add(1);
         let Some(level) = self.grid.level_of(value) else {
             return;
         };
@@ -182,12 +209,16 @@ impl AggregateEstimator for StreamingGIndex {
             self.counts.resize(level + 1, 0);
             self.sums.resize(level + 1, 0);
         }
-        self.counts[level] += 1;
-        self.sums[level] += u128::from(value);
+        self.counts[level] = self.counts[level].saturating_add(1);
+        self.sums[level] = self.sums[level].saturating_add(u128::from(value));
     }
 }
 
 impl SpaceUsage for StreamingGIndex {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated levels fit in usize"
+    )]
     fn space_words(&self) -> usize {
         // One count word and two sum words (u128) per level.
         3 * self.counts.len() + 1
@@ -225,6 +256,10 @@ impl StreamingAlphaIndex {
     /// *integer* candidate (rather than the real threshold) keeps the
     /// certificate sound: `k` elements `≥ ⌈α·k⌉` prove the α-index is
     /// at least `k`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates"
+    )]
     fn alpha_threshold(&self, level: u32) -> u64 {
         let t = self.alpha * self.grid.int_threshold(level) as f64;
         let nearest = t.round();
@@ -246,6 +281,11 @@ impl StreamingAlphaIndex {
     }
 
     /// Highest level whose scaled threshold `value` clears, or `None`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "the guess saturates into u32, `level -= 1` stops at level 0 (cleared by every value ≥ 1), and the upward climb stops below the first level whose threshold exceeds u64::MAX"
+    )]
     fn alpha_level_of(&self, value: u64) -> Option<u32> {
         if value == 0 || !self.alpha_clears(value, 0) {
             return None;
@@ -266,6 +306,11 @@ impl StreamingAlphaIndex {
 }
 
 impl Estimate for StreamingAlphaIndex {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "bucket counts count ingested values, so their sums cannot reach 2⁶⁴; a level is at most a few thousand"
+    )]
     fn estimate(&self) -> u64 {
         let mut suffix = 0u64;
         for (level, &b) in self.buckets.iter().enumerate().rev() {
@@ -280,6 +325,11 @@ impl Estimate for StreamingAlphaIndex {
 }
 
 impl AggregateEstimator for StreamingAlphaIndex {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`alpha_level_of` returns a u32 level, and the buckets are resized to cover it before the increment; a bucket counts ingested values"
+    )]
     fn ingest(&mut self, value: u64) {
         let Some(level) = self.alpha_level_of(value) else {
             return;
@@ -320,6 +370,30 @@ mod tests {
             got as f64 >= (1.0 - 2.5 * e) * g as f64,
             "under: got {got} g {g} (eps {e})"
         );
+    }
+
+    // A decoded frame may carry any tally. The tallies saturate, a split
+    // stream still merges to the serial sketch, and the estimate's
+    // candidate loop ends at the saturated threshold.
+    #[test]
+    fn huge_tallies_from_a_frame_saturate() {
+        let mut huge = StreamingGIndex::new(eps(0.5));
+        huge.ingest(1);
+        huge.counts[0] = u64::MAX;
+        huge.sums[0] = u128::MAX;
+        huge.n_seen = u64::MAX;
+        let (mut serial, _) = StreamingGIndex::read_from(&huge.to_bytes()).unwrap();
+        let mut left = serial.clone();
+        let mut right = StreamingGIndex::new(eps(0.5));
+        for v in [1, 2, 3] {
+            serial.ingest(v);
+            right.ingest(v);
+        }
+        left.merge(&right);
+        assert_eq!(left.frame_digest(), serial.frame_digest());
+        let tallies = (serial.counts[0], serial.sums[0], serial.n_seen);
+        assert_eq!(tallies, (u64::MAX, u128::MAX, u64::MAX));
+        assert_eq!(serial.estimate(), left.estimate());
     }
 
     #[test]

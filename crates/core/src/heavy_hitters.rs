@@ -59,6 +59,10 @@ impl HeavyHittersParams {
 
     /// Buckets per row.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`ε, δ ∈ (0, 1)` make the geometry a positive float; float-to-int `as` saturates"
+    )]
     pub fn buckets(&self) -> usize {
         self.buckets_override
             .unwrap_or_else(|| (2.0 / self.epsilon.get().powi(2)).ceil() as usize)
@@ -67,6 +71,10 @@ impl HeavyHittersParams {
 
     /// Number of rows.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`ε, δ ∈ (0, 1)` make the row count a positive float; float-to-int `as` saturates"
+    )]
     pub fn rows(&self) -> usize {
         self.rows_override
             .unwrap_or_else(|| {
@@ -130,6 +138,10 @@ impl HeavyHitters {
     /// Creates the sketch; all randomness (hashes, reservoirs) comes
     /// from `rng`.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`rows × buckets` detectors are allocated, so the product fits"
+    )]
     pub fn new<R: Rng + ?Sized>(params: HeavyHittersParams, rng: &mut R) -> Self {
         let rows = params.rows();
         let buckets = params.buckets();
@@ -148,18 +160,21 @@ impl HeavyHitters {
         }
     }
 
-    /// The configuration in effect.
-    #[must_use]
-    pub fn params(&self) -> HeavyHittersParams {
-        self.params
-    }
-
     /// Feeds one paper tuple: per row, the paper goes to the bucket of
     /// each of its authors.
     pub fn push(&mut self, paper: &Paper) {
-        self.papers_seen += 1;
-        self.total_responses += paper.citations;
+        // A decoded frame may carry any tally. Saturating sums of
+        // non-negative totals are associative, so any shard split still
+        // merges to the serial totals.
+        self.papers_seen = self.papers_seen.saturating_add(1);
+        self.total_responses = self.total_responses.saturating_add(paper.citations);
         let buckets = self.params.buckets() as u64;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            clippy::indexing_slicing,
+            clippy::cast_possible_truncation,
+            reason = "`hash_to_range(_, buckets)` is below `buckets` and `row < rows`, so the detector lies in the `rows × buckets` grid"
+        )]
         for (row, hash) in self.hashes.iter().enumerate() {
             for &author in &paper.authors {
                 let b = hash.hash_to_range(author.0, buckets) as usize;
@@ -169,15 +184,22 @@ impl HeavyHitters {
         }
     }
 
-    /// Exact total responses `R` seen (the intro's heaviness scale).
+    /// Exact total responses `R` seen (the intro's heaviness scale),
+    /// saturating at `u64::MAX`.
     #[must_use]
     pub fn total_responses(&self) -> u64 {
         self.total_responses
     }
 
     /// Sketch-side estimate of the total H-impact `h*(S)`: the maximum
-    /// over rows of the sum of bucket H-index estimates.
+    /// over rows of the sum of bucket H-index estimates, saturating at
+    /// `u64::MAX`.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`row < rows`, so the row's slice lies in the `rows × buckets` grid"
+    )]
     pub fn total_impact_estimate(&self) -> u64 {
         let buckets = self.params.buckets();
         debug_assert!(self.detectors.len() == self.params.rows() * buckets);
@@ -186,7 +208,7 @@ impl HeavyHitters {
                 self.detectors[row * buckets..(row + 1) * buckets]
                     .iter()
                     .map(|d| d.combined_h_estimate().0)
-                    .sum::<u64>()
+                    .fold(0, u64::saturating_add)
             })
             .max()
             // 0 is the honest sentinel for "no rows": with no detector
@@ -199,6 +221,10 @@ impl HeavyHitters {
 
     /// Decodes with the default threshold `ε · total_impact_estimate()`.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates"
+    )]
     pub fn decode(&self) -> Vec<HeavyHitterCandidate> {
         let bar = (self.params.epsilon.get() * self.total_impact_estimate() as f64) as u64;
         self.decode_with_threshold(bar)
@@ -208,6 +234,12 @@ impl HeavyHitters {
     /// least `threshold`. Returns at most `⌈1/ε⌉` candidates, sorted by
     /// descending estimate.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        reason = "`buckets ≥ 1`; every author's list holds at least one entry; float-to-int `as` saturates"
+    )]
     pub fn decode_with_threshold(&self, threshold: u64) -> Vec<HeavyHitterCandidate> {
         let buckets = self.params.buckets();
         let mut per_author: HashMap<AuthorId, Vec<(usize, u64)>> = HashMap::new();
@@ -352,12 +384,16 @@ impl Mergeable for HeavyHitters {
         for (a, b) in self.detectors.iter_mut().zip(&other.detectors) {
             a.merge(b);
         }
-        self.total_responses += other.total_responses;
-        self.papers_seen += other.papers_seen;
+        self.total_responses = self.total_responses.saturating_add(other.total_responses);
+        self.papers_seen = self.papers_seen.saturating_add(other.papers_seen);
     }
 }
 
 impl SpaceUsage for HeavyHitters {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated detectors fit in usize"
+    )]
     fn space_words(&self) -> usize {
         let det_words: usize = self.detectors.iter().map(SpaceUsage::space_words).sum();
         det_words + 2 * self.hashes.len() + 2
@@ -384,6 +420,62 @@ mod tests {
         for p in corpus.papers() {
             hh.push(p);
         }
+    }
+
+    // Response totals saturate in `push` and in `merge`. Frame digests
+    // are not compared: reservoirs merge in distribution,
+    // drawing from the detectors' generators, so only the exact parts
+    // (totals and bucket histograms) must match the serial run.
+    #[test]
+    fn response_total_saturates_and_merges_like_serial() {
+        let papers = [
+            Paper::solo(1, 7, u64::MAX),
+            Paper::solo(2, 7, 5),
+            Paper::solo(3, 8, 4),
+        ];
+        let mut serial = sketch(0.25, 0.1, 3);
+        let (mut left, mut right) = (serial.clone(), serial.clone());
+        papers.iter().for_each(|p| serial.push(p));
+        left.push(&papers[0]);
+        papers[1..].iter().for_each(|p| right.push(p));
+        left.merge(&right);
+        assert_eq!(serial.total_responses(), u64::MAX);
+        assert_eq!(left.total_responses(), u64::MAX);
+        assert_eq!(left.total_impact_estimate(), serial.total_impact_estimate());
+    }
+
+    // A decoded frame may carry any paper tally; it saturates in `push`
+    // and in `merge`.
+    #[test]
+    fn paper_tally_saturates_in_push_and_merge() {
+        let paper = Paper::solo(1, 7, 3);
+        let mut huge = sketch(0.25, 0.1, 3);
+        huge.papers_seen = u64::MAX;
+        let (mut serial, _) = HeavyHitters::read_from(&huge.to_bytes()).unwrap();
+        let mut left = serial.clone();
+        let mut right = sketch(0.25, 0.1, 3);
+        serial.push(&paper);
+        right.push(&paper);
+        left.merge(&right);
+        assert_eq!(serial.papers_seen, u64::MAX);
+        assert_eq!(left.papers_seen, u64::MAX);
+    }
+
+    // Bucket estimates near 2⁶⁴ saturate in the row sums instead of
+    // overflowing. A decoded frame can hold them; here two detectors of
+    // one row are doubled into themselves until their top bucket
+    // saturates.
+    #[test]
+    fn impact_estimate_saturates() {
+        let mut hh = sketch(0.25, 0.1, 3);
+        for det in &mut hh.detectors[..2] {
+            det.push(&Paper::solo(1, 7, u64::MAX));
+            for _ in 0..64 {
+                let copy = det.clone();
+                det.merge(&copy);
+            }
+        }
+        assert_eq!(hh.total_impact_estimate(), u64::MAX);
     }
 
     #[test]

@@ -19,6 +19,22 @@
 //! theorem bounds directly.
 
 #![deny(missing_docs)]
+// Library lint set (docs/ANALYSIS.md): test builds are exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap
+    )
+)]
 
 pub mod cash_register;
 pub mod exponential_histogram;
@@ -41,7 +57,7 @@ pub use random_order::{RandomOrderEstimator, RandomOrderParams};
 pub use shifting_window::ShiftingWindow;
 pub use sliding_window::SlidingHIndex;
 pub use timeline::Timeline;
-pub use tracked_authors::{TrackedAuthorsAggregate, TrackedAuthorsCash};
+pub use tracked_authors::TrackedAuthorsAggregate;
 pub use turnstile::{TurnstileHIndex, TurnstileParams};
 
 /// One-stop imports.
@@ -55,6 +71,6 @@ pub mod prelude {
     pub use crate::shifting_window::ShiftingWindow;
     pub use crate::sliding_window::SlidingHIndex;
     pub use crate::timeline::Timeline;
-    pub use crate::tracked_authors::{TrackedAuthorsAggregate, TrackedAuthorsCash};
+    pub use crate::tracked_authors::TrackedAuthorsAggregate;
     pub use crate::turnstile::{TurnstileHIndex, TurnstileParams};
 }

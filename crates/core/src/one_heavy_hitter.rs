@@ -73,6 +73,10 @@ impl OneHeavyHitter {
     /// `⌈2 log₂(64/δ)⌉` (the paper's `2 log(log n/δ)` with
     /// `log n ≤ 64` for `u64` counts).
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`ε, δ ∈ (0, 1)` make the sample sizes positive floats; float-to-int `as` saturates"
+    )]
     pub fn new<R: Rng + ?Sized>(epsilon: Epsilon, delta: f64, rng: &mut R) -> Self {
         assert!(delta > 0.0 && delta < 1.0, "delta in (0,1)");
         let e = epsilon.get();
@@ -103,8 +107,15 @@ impl OneHeavyHitter {
     /// Feeds one paper given as `(authors, citations)` (used by
     /// Algorithm 8, which routes papers without materializing `Paper`
     /// values per bucket).
+    /// The tally and bucket counts saturate at `u64::MAX`: a decoded
+    /// frame may carry any count.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "the buckets and reservoirs are resized to cover `level` first"
+    )]
     pub(crate) fn push_parts(&mut self, authors: &[AuthorId], citations: u64) {
-        self.papers_seen += 1;
+        self.papers_seen = self.papers_seen.saturating_add(1);
         let Some(level) = self.grid.level_of(citations) else {
             return;
         };
@@ -114,7 +125,7 @@ impl OneHeavyHitter {
             self.reservoirs
                 .resize_with(level + 1, || Reservoir::new(self.sample_size));
         }
-        self.buckets[level] += 1;
+        self.buckets[level] = self.buckets[level].saturating_add(1);
         let shared: Rc<[AuthorId]> = Rc::from(authors);
         for r in &mut self.reservoirs[..=level] {
             r.offer(Rc::clone(&shared), &mut self.rng);
@@ -125,10 +136,14 @@ impl OneHeavyHitter {
     /// H-index (Algorithm 1 embedded in Algorithm 7), together with the
     /// winning level.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a level is at most a few thousand"
+    )]
     pub(crate) fn combined_h_estimate(&self) -> (u64, Option<usize>) {
         let mut suffix = 0u64;
         for (level, &b) in self.buckets.iter().enumerate().rev() {
-            suffix += b;
+            suffix = suffix.saturating_add(b);
             let t = self.grid.int_threshold(level as u32);
             if suffix >= t {
                 return (t, Some(level));
@@ -142,6 +157,11 @@ impl OneHeavyHitter {
     /// author; fully co-authored streams can qualify several, and
     /// Algorithm 8's decode wants them all.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`combined_h_estimate` returns only a level it enumerated, and `reservoirs` has one entry per level; author counts are at most the sample size"
+    )]
     pub(crate) fn decode_candidates(&self) -> Vec<(AuthorId, u64)> {
         let (h_estimate, Some(level)) = self.combined_h_estimate() else {
             return Vec::new();
@@ -193,6 +213,10 @@ impl OneHeavyHitter {
 impl Snapshot for OneHeavyHitter {
     const TAG: u8 = 17;
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`reservoirs` has one entry per bucket level"
+    )]
     fn write_payload(&self, w: &mut Writer<'_>) {
         w.put_f64(self.epsilon);
         w.put_usize(self.sample_size);
@@ -272,7 +296,9 @@ impl Snapshot for OneHeavyHitter {
 /// [`Reservoir::merge_with`], so the merged sample is *distributionally*
 /// a uniform sample of the union — decode outcomes match single-stream
 /// ingestion in distribution, not bit-for-bit. Randomness for the
-/// reservoir merge is drawn from `self`'s internal RNG.
+/// reservoir merge is drawn from `self`'s internal RNG. Counts
+/// saturate, which keeps the histogram merge exact (saturating sums of
+/// non-negative counts are associative).
 impl Mergeable for OneHeavyHitter {
     fn merge(&mut self, other: &Self) {
         assert_eq!(self.grid, other.grid, "detectors must share epsilon");
@@ -286,16 +312,20 @@ impl Mergeable for OneHeavyHitter {
                 .resize_with(other.reservoirs.len(), || Reservoir::new(self.sample_size));
         }
         for (a, &b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
         for (r, o) in self.reservoirs.iter_mut().zip(&other.reservoirs) {
             r.merge_with(o, &mut self.rng);
         }
-        self.papers_seen += other.papers_seen;
+        self.papers_seen = self.papers_seen.saturating_add(other.papers_seen);
     }
 }
 
 impl SpaceUsage for OneHeavyHitter {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated samples fit in usize"
+    )]
     fn space_words(&self) -> usize {
         let sample_words: usize = self
             .reservoirs
@@ -320,6 +350,29 @@ mod tests {
     fn feed(det: &mut OneHeavyHitter, corpus: &Corpus) {
         for p in corpus.papers() {
             det.push(p);
+        }
+    }
+
+    // A decoded frame may carry any tally or bucket count. Both
+    // saturate, in `push` and in `merge`.
+    #[test]
+    fn huge_counts_from_a_frame_saturate() {
+        use hindex_stream::Paper;
+        let paper = Paper::solo(1, 7, 1);
+        let mut huge = detector(0.2, 4);
+        huge.push(&paper);
+        huge.buckets[0] = u64::MAX;
+        huge.papers_seen = u64::MAX;
+        let (mut serial, _) = OneHeavyHitter::read_from(&huge.to_bytes()).unwrap();
+        let mut left = serial.clone();
+        let mut right = detector(0.2, 4);
+        serial.push(&paper);
+        right.push(&paper);
+        left.merge(&right);
+        for det in [&serial, &left] {
+            assert_eq!(det.buckets, vec![u64::MAX]);
+            assert_eq!(det.papers_seen, u64::MAX);
+            assert_eq!(det.combined_h_estimate(), (1, Some(0)));
         }
     }
 

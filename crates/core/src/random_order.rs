@@ -61,6 +61,10 @@ impl RandomOrderParams {
 
     /// The β in effect.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates"
+    )]
     pub(crate) fn beta(&self) -> u64 {
         if let Some(b) = self.beta_override {
             return b.max(1);
@@ -103,6 +107,10 @@ impl RandomOrderEstimator {
     ///
     /// Panics if `params.n == 0`.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates"
+    )]
     pub fn new(params: RandomOrderParams) -> Self {
         assert!(params.n > 0, "the stream length must be known and positive");
         // The small branch must cover everything Algorithm 4 does not,
@@ -126,6 +134,11 @@ impl RandomOrderEstimator {
         est
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        reason = "float-to-int `as` saturates; guess indices count segments, far below i32::MAX"
+    )]
     fn segment_len(&self, i: u32) -> u64 {
         let beta = self.params.beta() as f64;
         let base = self.params.epsilon.base();
@@ -133,6 +146,10 @@ impl RandomOrderEstimator {
     }
 
     /// Guess value `g_i = n/(1+ε)ⁱ`.
+    #[expect(
+        clippy::cast_possible_wrap,
+        reason = "guess indices count segments, far below i32::MAX"
+    )]
     fn guess_value(&self, i: u32) -> f64 {
         self.params.n as f64 / self.params.epsilon.base().powi(i as i32)
     }
@@ -164,6 +181,11 @@ impl Estimate for RandomOrderEstimator {
 }
 
 impl AggregateEstimator for RandomOrderEstimator {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "`c`, `c_next` and `position` count ingested values, `guess` counts segments (each at least β long), and `position + segment_len` stays far below 2⁶⁴ for any stream a run can ingest; float-to-int `as` saturates"
+    )]
     fn ingest(&mut self, value: u64) {
         self.small.ingest(value);
         if !self.active {
@@ -201,6 +223,7 @@ impl AggregateEstimator for RandomOrderEstimator {
 }
 
 impl SpaceUsage for RandomOrderEstimator {
+    #[expect(clippy::arithmetic_side_effects, reason = "a word count")]
     fn space_words(&self) -> usize {
         // Algorithm 4: guess, position, segment_end, c, c_next,
         // accepted — the paper's six words — plus the capped shifting

@@ -74,6 +74,11 @@ impl ShiftingWindow {
         Self::build(epsilon, Some(cap))
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "`ε ∈ (0, 1)` makes the window length a small positive float; float-to-int `as` saturates"
+    )]
     fn build(epsilon: Epsilon, cap: Option<u64>) -> Self {
         let eps_inner = epsilon.third().get();
         let r = ((3.0 / eps_inner).ln() / (1.0 + eps_inner).ln()).ceil() as usize + 2;
@@ -85,6 +90,10 @@ impl ShiftingWindow {
     /// the undercount analysis — this exists for the E12 ablation that
     /// measures exactly how the guarantee degrades.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "a level and the window length are small"
+    )]
     pub fn with_window_len(epsilon: Epsilon, r: usize, cap: Option<u64>) -> Self {
         let eps_inner = epsilon.third().get();
         let grid = ExpGrid::new(eps_inner);
@@ -99,10 +108,20 @@ impl ShiftingWindow {
         }
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "the window holds `r.max(1) + 1 ≥ 2` counters, a small count, and `lo + len − 1` is a grid level"
+    )]
     fn hi(&self) -> u32 {
         self.lo + self.counters.len() as u32 - 1
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "the window holds at least 2 counters (checked by the loop), and `lo` is a grid level"
+    )]
     fn shift_if_due(&mut self) {
         while self.counters.len() >= 2 {
             let next_level = self.lo + 1;
@@ -123,6 +142,12 @@ impl ShiftingWindow {
 }
 
 impl Estimate for ShiftingWindow {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        reason = "`idx < counters.len()`, a small count, and `lo + idx` is a grid level; float-to-int `as` saturates"
+    )]
     fn estimate(&self) -> u64 {
         let slack = 1.0 - self.eps_inner;
         for idx in (0..self.counters.len()).rev() {
@@ -138,6 +163,11 @@ impl Estimate for ShiftingWindow {
 }
 
 impl AggregateEstimator for ShiftingWindow {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`lo ≤ top ≤ hi`, so `j` indexes the window; a counter counts ingested values"
+    )]
     fn ingest(&mut self, value: u64) {
         if self.saturated {
             return;
@@ -164,6 +194,12 @@ impl AggregateEstimator for ShiftingWindow {
     /// shift cascade (and any cap saturation) then runs at the segment
     /// boundary, exactly where the scalar path would have run it, so
     /// the final state is bit-identical.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        reason = "the window holds at least 2 counters; `diff` has one slot past the window, `top_idx ≤ hi − lo`, `hi_idx ≤ counters.len()`, and `seg ≤ values.len() − pos`; `run` counts segment items, so it is non-negative and fits usize"
+    )]
     fn ingest_batch(&mut self, values: &[u64]) {
         // Scratch difference array, zeroed incrementally: only the
         // prefix a segment actually touched is swept and re-cleared,
@@ -215,6 +251,10 @@ impl AggregateEstimator for ShiftingWindow {
 }
 
 impl SpaceUsage for ShiftingWindow {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated counters fit in usize"
+    )]
     fn space_words(&self) -> usize {
         // Window counters plus the bottom-level index.
         self.counters.len() + 1

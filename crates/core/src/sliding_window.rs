@@ -42,6 +42,10 @@ impl SlidingHIndex {
     ///
     /// Panics if `window == 0` or `eps_window ∉ (0, 1)`.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`eps_window ∈ (0, 1)` is asserted; float-to-int `as` saturates"
+    )]
     pub fn new(epsilon: Epsilon, window: u64, eps_window: f64) -> Self {
         assert!(window > 0, "window must be positive");
         assert!(
@@ -57,17 +61,15 @@ impl SlidingHIndex {
             eps_window,
         }
     }
-
-    /// The window length `W`.
-    #[must_use]
-    pub fn window(&self) -> u64 {
-        self.window
-    }
 }
 
 impl Estimate for SlidingHIndex {
     /// Largest grid threshold whose (slack-adjusted) recent count
     /// reaches it.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a level is at most a few thousand; float-to-int `as` saturates"
+    )]
     fn estimate(&self) -> u64 {
         let slack = 1.0 - self.eps_window;
         for (i, c) in self.counters.iter().enumerate().rev() {
@@ -81,6 +83,10 @@ impl Estimate for SlidingHIndex {
 }
 
 impl AggregateEstimator for SlidingHIndex {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`time` counts ingested values and is at least 1 after the increment"
+    )]
     fn ingest(&mut self, value: u64) {
         self.time += 1;
         let level = self.grid.level_of(value);
@@ -108,6 +114,11 @@ impl AggregateEstimator for SlidingHIndex {
     /// `push(false)`, every counter consumes the exact bit sequence of
     /// the scalar path and the final state is bit-identical — at
     /// `O(l+1)` counter touches per item instead of `O(levels)`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`time` counts ingested values and is at least 1 after the increment; no counter is ahead of the shared clock; the counters are extended to cover `l` first"
+    )]
     fn ingest_batch(&mut self, values: &[u64]) {
         for &value in values {
             self.time += 1;
@@ -131,6 +142,10 @@ impl AggregateEstimator for SlidingHIndex {
 }
 
 impl SpaceUsage for SlidingHIndex {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated counters fit in usize"
+    )]
     fn space_words(&self) -> usize {
         self.counters.iter().map(SpaceUsage::space_words).sum::<usize>() + 2
     }

@@ -64,6 +64,11 @@ impl Timeline {
     /// checkpoint). Within `(1+γ)` of the true running maximum at every
     /// observed step.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`binary_search` returns `Ok(i)` with `i < len` and `Err(i)` with `i ≤ len`, and the last arm has `i ≥ 1`"
+    )]
     pub fn value_at(&self, step: u64) -> u64 {
         match self.points.binary_search_by_key(&step, |&(s, _)| s) {
             Ok(i) => self.points[i].1,
@@ -73,19 +78,25 @@ impl Timeline {
     }
 
     /// All checkpoints, oldest first.
+    #[cfg(test)]
     #[must_use]
-    pub fn checkpoints(&self) -> &[(u64, u64)] {
+    pub(crate) fn checkpoints(&self) -> &[(u64, u64)] {
         &self.points
     }
 
     /// Final recorded value.
+    #[cfg(test)]
     #[must_use]
-    pub fn current(&self) -> u64 {
+    pub(crate) fn current(&self) -> u64 {
         self.points.last().map_or(0, |&(_, v)| v)
     }
 }
 
 impl SpaceUsage for Timeline {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated points fit in usize"
+    )]
     fn space_words(&self) -> usize {
         2 * self.points.len() + 1
     }

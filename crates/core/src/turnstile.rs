@@ -41,11 +41,6 @@ pub struct TurnstileParams {
 }
 
 impl TurnstileParams {
-    /// Parameters with the Theorem 14 additive-mode sampler count.
-    #[must_use]
-    pub fn new(epsilon: Epsilon, delta: Delta) -> Self {
-        Self { epsilon, delta, samplers_override: None }
-    }
 }
 
 impl EstimatorParams for TurnstileParams {
@@ -74,6 +69,10 @@ impl TurnstileHIndex {
     /// count (`⌈3ε⁻² ln(2/δ)⌉`); the guarantee is `|ĥ − h*| ≤ ε·D` whp
     /// with `D` the number of non-zero coordinates.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`ε, δ ∈ (0, 1)` make the count a positive float; float-to-int `as` saturates"
+    )]
     pub fn new<R: Rng + ?Sized>(epsilon: Epsilon, delta: Delta, rng: &mut R) -> Self {
         let e = epsilon.get();
         let x = (3.0 / (e * e) * (2.0 / delta.get()).ln()).ceil() as usize;
@@ -200,11 +199,19 @@ impl Mergeable for TurnstileHIndex {
 }
 
 impl SpaceUsage for TurnstileHIndex {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated samplers fit in usize"
+    )]
     fn space_words(&self) -> usize {
         self.samplers.iter().map(SpaceUsage::space_words).sum::<usize>()
             + self.norm.space_words()
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated ladders fit in usize"
+    )]
     fn scratch_words(&self) -> usize {
         self.samplers.iter().map(SpaceUsage::scratch_words).sum::<usize>()
             + self.norm.scratch_words()

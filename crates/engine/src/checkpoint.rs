@@ -62,6 +62,10 @@ impl<E: Mergeable + Clone + Send + Sync> EngineCheckpoint<E> {
     /// merge, which a query or `finish` would run on the caller's
     /// thread. So this merges clones on a scoped thread and harvests
     /// a panic there, as the engine does a worker's.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the geometry check above rejects a checkpoint with no shard states"
+    )]
     pub(crate) fn validate(&self) -> Result<(), EngineError> {
         self.config.validate()?;
         if self.shards.len() != self.config.shards {

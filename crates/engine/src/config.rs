@@ -59,8 +59,9 @@ impl EngineConfig {
     /// This config with `observer` attached (see
     /// [`EngineConfigBuilder::observer`] for the sizing contract,
     /// which [`EngineConfigBuilder::build`] enforces).
+    #[cfg(test)]
     #[must_use]
-    pub fn with_observer(mut self, observer: Arc<EngineObserver>) -> Self {
+    pub(crate) fn with_observer(mut self, observer: Arc<EngineObserver>) -> Self {
         self.observer = Some(observer);
         self
     }

@@ -21,8 +21,8 @@
 //! ([`detonate`]) — the panic *is* the injected fault, delivered on
 //! the worker thread so recovery exercises the real crash path. Both
 //! are explicit, audited exceptions: `wall_clock_seed` carries an
-//! `allow` for the `clippy.toml` wall-clock ban, and the `panic!` a
-//! justified L9 entry in `crates/analysis/baseline.txt`.
+//! `allow` for the `clippy.toml` wall-clock ban, and the `panic!` an
+//! `#[expect(clippy::panic, reason = …)]`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,16 +51,6 @@ impl FaultKind {
             FaultKind::Kill => 1,
             FaultKind::FailSends => 2,
             FaultKind::Stall => 3,
-        }
-    }
-
-    /// Stable lowercase name, the spec grammar's keyword.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::Kill => "kill",
-            FaultKind::FailSends => "fail",
-            FaultKind::Stall => "stall",
         }
     }
 }
@@ -125,6 +115,10 @@ impl FaultPlan {
     /// `[0, horizon)`. Kind is drawn uniformly from kill / fail /
     /// stall; `fail` gets 1–4 sends, `stall` 1–8 ms.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the draw is below `shards`, a usize"
+    )]
     pub fn random(n: usize, shards: usize, horizon: u64, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let shards = shards.max(1);
@@ -244,6 +238,10 @@ impl FaultPlan {
 /// source in the engine, confined to this seam and always echoed back
 /// through [`FaultPlan::seed`] so the run stays replayable.
 #[allow(clippy::disallowed_types)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "any 64 bits of the nanosecond clock serve as a seed"
+)]
 fn wall_clock_seed() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -256,6 +254,10 @@ fn wall_clock_seed() -> u64 {
 /// product here: it must unwind the real worker so the engine's
 /// join/harvest/respawn path is exercised end to end, exactly as a
 /// genuine estimator bug would.
+#[expect(
+    clippy::panic,
+    reason = "the injected kill: it must unwind the real worker so the supervisor's join, harvest and respawn path runs as for a genuine estimator panic"
+)]
 pub(crate) fn detonate(msg: &str) -> ! {
     panic!("injected fault: {msg}")
 }

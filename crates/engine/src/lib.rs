@@ -159,6 +159,22 @@
 //! boundaries.
 
 #![deny(missing_docs)]
+// Library lint set (docs/ANALYSIS.md): test builds are exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap
+    )
+)]
 
 mod checkpoint;
 mod config;
@@ -326,6 +342,10 @@ where
     /// `publish_interval: Some(0)`, or an observer sized for a
     /// different shard count.
     #[must_use]
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the message is built only when `verdict` is an error"
+    )]
     pub fn new(config: EngineConfig, prototype: E) -> Self {
         let verdict = config.validate();
         assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
@@ -474,6 +494,10 @@ where
     /// [`stream_offset`](Engine::stream_offset) items when it completes
     /// — asynchronously; pair with [`ReadHandle::wait_for_epoch`] when
     /// the completed view is needed.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shard` ranges over `0..shards.len()`"
+    )]
     pub fn publish_now(&mut self) -> Option<u64> {
         self.plane.as_ref()?;
         self.flush();
@@ -502,6 +526,10 @@ where
 
     /// The query path: flushes, cuts every shard, and merges the live
     /// ones. `strict` refuses once any shard is dead for good.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`dead_shards` holds a subset of the shard indices"
+    )]
     fn merged(&mut self, strict: bool) -> Result<Degraded<E>, EngineError> {
         self.flush();
         let states = self.cut_states();
@@ -590,6 +618,10 @@ where
     /// Hands every pending partial batch to its shard, and fires due
     /// faults on shards with none pending (so a planned fault fires
     /// even on a shard that gets no further traffic).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shard` ranges over `0..shards.len()`"
+    )]
     fn flush(&mut self) {
         for shard in 0..self.shards.len() {
             if let Some(o) = &self.config.observer {
@@ -695,6 +727,10 @@ where
     E: BatchIngest<T> + Mergeable + Estimate + SpaceUsage + Clone + Send + Sync + 'static,
     T: Routable + Clone + Send + 'static,
 {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the engine allocated every channel slot it counts, so the word count fits usize"
+    )]
     fn space_words(&self) -> usize {
         let replies: Vec<_> = (0..self.shards.len())
             .filter_map(|shard| self.cut(shard, |state: &E| state.space_words()))
@@ -886,6 +922,21 @@ mod tests {
     impl Mergeable for Exploding {
         fn merge(&mut self, other: &Self) {
             self.table.merge(&other.table);
+        }
+    }
+
+    impl Snapshot for Exploding {
+        const TAG: u8 = CashTable::TAG;
+        fn write_payload(&self, w: &mut hindex_common::snapshot::Writer<'_>) {
+            self.table.write_payload(w);
+        }
+        fn read_payload(
+            r: &mut hindex_common::snapshot::Reader<'_>,
+        ) -> Result<Self, hindex_common::SnapshotError> {
+            Ok(Self {
+                table: CashTable::read_payload(r)?,
+                clones: Arc::default(),
+            })
         }
     }
 

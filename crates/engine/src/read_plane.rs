@@ -176,6 +176,10 @@ impl<E: Mergeable + Send + Sync + 'static> ReadPlane<E> {
     /// Begins an epoch at stream offset `tick` and returns its number;
     /// the caller sends the markers. Fired on the router thread, so
     /// the publish sequence is deterministic for a fixed stream.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`issued` counts epochs, one per publish"
+    )]
     pub(crate) fn begin_epoch(&mut self, tick: u64) -> u64 {
         self.issued += 1;
         self.last_publish = tick;
@@ -216,6 +220,11 @@ impl<E> Drop for ReadPlane<E> {
 /// The aggregator loop: collect per-epoch shard views, merge complete
 /// epochs in shard order, install them in epoch order, and discard
 /// epochs a dead shard left incomplete once a newer epoch completes.
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    reason = "workers answer for their own shard index, below `shards`; `got` counts distinct shards"
+)]
 fn aggregate<E: Mergeable>(
     rx: &Receiver<ShardView<E>>,
     cell: &EpochCell<E>,

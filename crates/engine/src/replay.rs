@@ -70,6 +70,10 @@ impl<T: Clone> ReplayLog<T> {
 
     /// Ordinal one past the newest logged batch (= total batches ever
     /// pushed, since ordinals are assigned by push order).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "ordinals count batches, one per dispatch"
+    )]
     pub(crate) fn next(&self) -> u64 {
         self.start + self.entries.len() as u64
     }
@@ -102,6 +106,10 @@ impl<T: Clone> ReplayLog<T> {
     /// Appends the next batch (ordinal [`Self::next`]), evicting from
     /// the front if the budget is exceeded. The freshly pushed entry is
     /// exempt from eviction.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`words` sums the sizes of batches held in memory, and each subtraction removes a batch it added; ordinals and eviction counts step by one per batch"
+    )]
     pub(crate) fn push(&mut self, batch: Vec<T>) -> Evicted {
         self.words += batch.len() * self.item_words;
         self.entries.push_back(LogEntry { batch, delivered: false });
@@ -129,6 +137,10 @@ impl<T: Clone> ReplayLog<T> {
 
     /// Drops every entry with ordinal `< upto` — they are covered by a
     /// recovery base and will never be replayed.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`words` sums the sizes of batches held in memory, and each subtraction removes a batch it added; ordinals step by one per batch"
+    )]
     pub(crate) fn trim_to(&mut self, upto: u64) {
         while self.start < upto {
             let Some(front) = self.entries.pop_front() else { break };
@@ -140,8 +152,12 @@ impl<T: Clone> ReplayLog<T> {
     /// The replay suffix `[from, next)`: `(ordinal, batch clone,
     /// was_delivered)` triples in order. `from` must be `≥ start` —
     /// callers check recoverability first.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "ordinals count batches, one per dispatch"
+    )]
     pub(crate) fn replay_from(&self, from: u64) -> Vec<(u64, Vec<T>, bool)> {
-        let skip = from.saturating_sub(self.start) as usize;
+        let skip = usize::try_from(from.saturating_sub(self.start)).unwrap_or(usize::MAX);
         self.entries
             .iter()
             .enumerate()

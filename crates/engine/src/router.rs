@@ -26,6 +26,11 @@ pub fn mix64(mut x: u64) -> u64 {
 /// Cash-register updates route by paper index: every update to a paper
 /// lands on the same shard.
 impl Routable for (u64, u64) {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "callers pass the engine's validated shard count (≥ 1), and the remainder is below it, so the cast back is exact"
+    )]
     fn route(&self, shards: usize, _tick: u64) -> usize {
         (mix64(self.0) % shards as u64) as usize
     }
@@ -37,6 +42,11 @@ impl Routable for (u64, u64) {
 /// sketches cancel across shards — but keeping a paper's history
 /// together is what lets the batch path collapse it early).
 impl Routable for (u64, i64) {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "callers pass the engine's validated shard count (≥ 1), and the remainder is below it, so the cast back is exact"
+    )]
     fn route(&self, shards: usize, _tick: u64) -> usize {
         (mix64(self.0) % shards as u64) as usize
     }
@@ -44,6 +54,11 @@ impl Routable for (u64, i64) {
 
 /// Aggregate values are independent; round-robin keeps shards balanced.
 impl Routable for u64 {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "callers pass the engine's validated shard count (≥ 1), and the remainder is below it, so the cast back is exact"
+    )]
     fn route(&self, shards: usize, tick: u64) -> usize {
         (tick % shards as u64) as usize
     }
@@ -74,6 +89,11 @@ impl<T: Routable> Router<T> {
 
     /// Routes one item into its shard's pending batch; returns the
     /// full batch (and its shard) when this item completed one.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`route` returns an index below `shards`, the buffer count; `tick` counts routed items"
+    )]
     pub(crate) fn push(&mut self, item: T) -> Option<(usize, Vec<T>)> {
         let shard = item.route(self.shards, self.tick);
         self.tick += 1;

@@ -110,6 +110,10 @@ impl<E: Clone + Send + 'static, T: Clone> Recovery<E, T> {
 
     /// A recovery cut at the log's next ordinal, when one is due: the
     /// lineage has then been handed every batch below that ordinal.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the log hands out ordinals in increasing order, so `ordinal ≥ last`"
+    )]
     fn cut_if_due(&mut self, interval: u64) -> Option<Command<E, T>> {
         let ordinal = self.log.next();
         if self.last_cut.is_some_and(|last| ordinal - last < interval) {
@@ -126,6 +130,10 @@ impl<E: Clone + Send + 'static, T: Clone> Recovery<E, T> {
 
 impl<E: SpaceUsage, T: Clone> Recovery<E, T> {
     /// Words held: the replay log plus the retained base.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated batches and states fit in usize"
+    )]
     pub(crate) fn words(&self) -> usize {
         self.log.words() + self.base.as_ref().map_or(0, |b| b.state.space_words())
     }
@@ -182,6 +190,10 @@ where
     T: Routable + Clone + Send + 'static,
 {
     /// Spawns a worker for `shard` owning `state`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shard < shards.len()`: the router or a loop over the shards computes it"
+    )]
     pub(crate) fn spawn(&mut self, shard: usize, state: E) {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
         let lineage = spawn_worker(self.config.queue_depth, state);
@@ -194,6 +206,10 @@ where
     /// spawn cut, then one every `checkpoint_interval` logged batches.
     /// Call it only after a hand-off, so the lineage holds every logged
     /// batch. A no-op under a zero restart budget.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shard < shards.len()`: the router or a loop over the shards computes it"
+    )]
     pub(crate) fn recovery_cut(&mut self, shard: usize) {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
         let s = &mut self.shards[shard];
@@ -219,6 +235,10 @@ where
     /// batch reaches a worker; a batch that cannot is counted lost, so
     /// flushed-item telemetry never counts updates that no estimator
     /// ingested.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shard < shards.len()`: the router or a loop over the shards computes it"
+    )]
     pub(crate) fn dispatch(&mut self, shard: usize, batch: Vec<T>) {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
         let len = batch.len() as u64;
@@ -250,7 +270,7 @@ where
             // waits in the log, and the eventual heal replays a
             // contiguous suffix (delivering around a dropped batch
             // would fork the shard's stream). Without a log it is lost.
-            s.fail_remaining -= 1;
+            s.fail_remaining = s.fail_remaining.saturating_sub(1);
             self.join_lineage(shard);
             if self.shards[shard].recovery.is_none() {
                 self.lost(shard, len);
@@ -282,6 +302,10 @@ where
 
     /// Fires every not-yet-fired planned fault targeting `shard` whose
     /// tick has arrived. Pure function of (plan, tick): deterministic.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i < plan.len()` by the loop; `shard < shards.len()`: the router computes it"
+    )]
     pub(crate) fn apply_faults(&mut self, shard: usize) {
         let tick = self.router.tick();
         for i in 0..self.plan.len() {
@@ -322,6 +346,10 @@ where
     /// Non-blocking drain of `shard`'s base channel: retain the newest
     /// base and trim the log to its ordinal. Cuts run in FIFO order, so
     /// bases arrive in ordinal order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shard < shards.len()`: the router or a loop over the shards computes it"
+    )]
     fn drain_bases(&mut self, shard: usize) {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
         let Some(r) = &mut self.shards[shard].recovery else { return };
@@ -344,6 +372,10 @@ where
     /// the lineage cut either way. Call it only once the worker has
     /// been told to stop or has provably exited (a send or receive on
     /// its channels failed), so the join cannot block for long.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shard < shards.len()`: the router or a loop over the shards computes it"
+    )]
     pub(crate) fn join_lineage(&mut self, shard: usize) -> Option<E> {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
         let s = &mut self.shards[shard];
@@ -351,7 +383,7 @@ where
         let state = match s.handle.take()?.join() {
             Ok(state) => Some(state),
             Err(payload) => {
-                s.deaths += 1;
+                s.deaths = s.deaths.saturating_add(1);
                 s.last_reason = Some(panic_message(payload.as_ref()));
                 if let Some(o) = &self.config.observer {
                     o.on_shard_panicked(self.router.tick(), shard, s.deaths);
@@ -365,6 +397,10 @@ where
 
     /// Declares `shard` terminally dead and counts its never-delivered
     /// logged updates as lost.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shard < shards.len()`: the router or a loop over the shards computes it"
+    )]
     fn terminal(&mut self, shard: usize, what: &str) {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
         let s = &mut self.shards[shard];
@@ -387,6 +423,10 @@ where
     /// from the budget until the budget, the base, or the log gives
     /// out — the degradation ladder's last rungs. A zero budget goes
     /// terminal at once.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shard < shards.len()`: the router or a loop over the shards computes it"
+    )]
     pub(crate) fn heal(&mut self, shard: usize) -> bool {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
         let sw = Stopwatch::start();
@@ -408,7 +448,7 @@ where
                     return false;
                 }
             };
-            self.shards[shard].restarts += 1;
+            self.shards[shard].restarts = self.shards[shard].restarts.saturating_add(1);
             if self.sup.backoff_ms > 0 {
                 // Exponential backoff, capped at 64× the base.
                 let shift = self.shards[shard].restarts.saturating_sub(1).min(6);
@@ -429,7 +469,7 @@ where
                         died_mid_replay = true;
                         break;
                     }
-                    replayed += 1;
+                    replayed = replayed.saturating_add(1);
                     if !delivered {
                         newly_flushed.push(len);
                     }
@@ -460,6 +500,10 @@ where
 
     /// Brings a down-but-healable lineage back up. Terminal shards stay
     /// down.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shard < shards.len()`: the router or a loop over the shards computes it"
+    )]
     pub(crate) fn ensure_live(&mut self, shard: usize) {
         debug_assert!(shard < self.shards.len(), "shard index computed by the router");
         let s = &self.shards[shard];
@@ -471,6 +515,10 @@ where
     /// Cuts `shard`'s live worker in place: `read` runs on its state
     /// and the result arrives on the returned channel. `None` when the
     /// lineage is down; the channel disconnects if it dies first.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shard < shards.len()`: the router or a loop over the shards computes it"
+    )]
     pub(crate) fn cut<R: Send + 'static>(
         &self,
         shard: usize,
@@ -496,6 +544,10 @@ where
     /// again; each heal spends budget, so every shard ends up answering
     /// or terminal. A reply also means every earlier recovery cut has
     /// run, so its base is drained here.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shard` enumerates `0..shards.len()`"
+    )]
     pub(crate) fn cut_states(&mut self) -> Vec<Option<E>> {
         let replies: Vec<_> = (0..self.shards.len())
             .map(|shard| {
@@ -523,6 +575,10 @@ where
     /// Flushes, closes every channel, and joins every worker for its
     /// final state (shard order, `None` = terminal), healing through
     /// deaths on the last batches while the budget lasts.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shard` enumerates `0..shards.len()`"
+    )]
     pub(crate) fn join_all(&mut self) -> Vec<Option<E>> {
         self.flush();
         for shard in 0..self.shards.len() {

@@ -13,6 +13,11 @@ pub const MERSENNE_P: u64 = (1u64 << 61) - 1;
 /// limbs and add them. Two rounds suffice for any 128-bit input.
 #[inline]
 #[must_use]
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "each fold leaves at most 2⁶¹ + 2⁷, so the sums fit, the cast to u64 is exact and `r -= P` runs only when r ≥ P"
+)]
 pub fn mersenne_reduce(x: u128) -> u64 {
     const P: u128 = MERSENNE_P as u128;
     // First round: fold the top 67 bits onto the bottom 61.
@@ -33,6 +38,10 @@ pub fn mersenne_reduce(x: u128) -> u64 {
 /// Multiplies two residues modulo `p`.
 #[inline]
 #[must_use]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "the product of two u64 values is below 2¹²⁸"
+)]
 pub fn mersenne_mul(a: u64, b: u64) -> u64 {
     mersenne_reduce(u128::from(a) * u128::from(b))
 }
@@ -40,6 +49,10 @@ pub fn mersenne_mul(a: u64, b: u64) -> u64 {
 /// Adds two residues modulo `p`.
 #[inline]
 #[must_use]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "both residues are below 2⁶¹ (asserted above), so the sum fits and `s - P` runs only when s ≥ P"
+)]
 pub fn mersenne_add(a: u64, b: u64) -> u64 {
     debug_assert!(a < MERSENNE_P && b < MERSENNE_P);
     #[cfg(feature = "debug_invariants")]
@@ -72,7 +85,8 @@ pub const fn is_canonical(x: u64) -> bool {
 /// Canonicalizes an arbitrary `u64` into a residue modulo `p`.
 ///
 /// This is the *only* sanctioned way to bring raw machine words into the
-/// field (lint L1 bans open-coded `% MERSENNE_P` outside this module):
+/// field (`tests/source_rules.rs` bans open-coded `% MERSENNE_P`
+/// outside this module):
 /// keeping the entry points here means canonicality assertions guard
 /// every conversion when `debug_invariants` is enabled.
 #[inline]
@@ -94,6 +108,10 @@ pub fn from_u64(x: u64) -> u64 {
 /// the overflow that `-delta` would hit.
 #[inline]
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "`rem_euclid(p)` lies in `0..p`, which fits u64"
+)]
 pub fn from_i64(delta: i64) -> u64 {
     let r = i128::from(delta).rem_euclid(i128::from(MERSENNE_P)) as u64;
     #[cfg(feature = "debug_invariants")]

@@ -60,6 +60,10 @@ impl PolynomialHash {
     /// reduction chain. This is the hash kernel behind the estimators'
     /// `ingest_batch` fast paths (and hence the sharded engine's
     /// per-shard batch loop).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`chunks_exact(4)` yields slices of exactly four keys"
+    )]
     pub fn hash_batch(&self, keys: &[u64], out: &mut Vec<u64>) {
         out.clear();
         out.reserve(keys.len());

@@ -66,6 +66,11 @@ impl PowerLadder {
     /// Costs `8 × 255` field multiplies once; every subsequent
     /// [`PowerLadder::pow`] costs at most 7.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`w < WINDOWS` and `1 ≤ d < WINDOW_SIZE`, so every row and cell lies inside the `WINDOWS × WINDOW_SIZE` table"
+    )]
     pub fn new(base: u64) -> Self {
         let base = from_u64(base);
         let mut table = vec![0u64; WINDOWS * WINDOW_SIZE].into_boxed_slice();
@@ -92,6 +97,11 @@ impl PowerLadder {
     /// [`crate::mersenne_pow`]`(base, exp)`.
     #[inline]
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "a u64 exponent has at most WINDOWS 8-bit digits, so `row + digit` stays below `WINDOWS × WINDOW_SIZE`"
+    )]
     pub fn pow(&self, exp: u64) -> u64 {
         let mut acc = self.table[(exp & 0xFF) as usize];
         let mut rest = exp >> WINDOW_BITS;
@@ -128,6 +138,10 @@ impl PowerLadder {
     /// (see `docs/ALGORITHMS.md`, "Space accounting for derived
     /// scratch").
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "a table length is far below usize::MAX"
+    )]
     pub fn table_words(&self) -> usize {
         self.table.len() + 1 // table entries + the stored base
     }

@@ -25,6 +25,22 @@
 //! to its scalar counterpart — they change cycle counts, never states.
 
 #![deny(missing_docs)]
+// Library lint set (docs/ANALYSIS.md): test builds are exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap
+    )
+)]
 
 pub mod field;
 pub mod kwise;
@@ -56,6 +72,10 @@ pub trait Hasher64 {
     /// The reduction adds a bias of at most `m / domain()`, negligible
     /// for `m ≪ 2⁶¹`; callers needing exactly-uniform buckets should
     /// keep `m` below 2³².
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`m > 0` is asserted first, so `m - 1` cannot wrap and `% m` cannot divide by zero"
+    )]
     fn hash_to_range(&self, key: u64, m: u64) -> u64 {
         assert!(m > 0, "range must be non-empty");
         if m.is_power_of_two() {

@@ -41,12 +41,6 @@ impl PairwiseHash {
         assert!(b < MERSENNE_P, "offset must be reduced");
         Self { a, b }
     }
-
-    /// The offset `b`.
-    #[must_use]
-    pub fn offset(&self) -> u64 {
-        self.b
-    }
 }
 
 impl Hasher64 for PairwiseHash {

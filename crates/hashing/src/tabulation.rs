@@ -39,6 +39,10 @@ impl Hasher64 for TabulationHash {
     }
 
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i` enumerates the 8 bytes of a u64 and `b: u8` indexes a `[u64; 256]` table, so both are in bounds by their types"
+    )]
     fn hash(&self, key: u64) -> u64 {
         let mut out = 0u64;
         let bytes = key.to_le_bytes();

@@ -31,6 +31,22 @@
 //! `LatencyHistogram`s that the determinism tests ignore.
 
 #![deny(missing_docs)]
+// Library lint set (docs/ANALYSIS.md): test builds are exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap
+    )
+)]
 
 pub mod clock;
 pub mod metrics;
@@ -50,7 +66,7 @@ use std::sync::{Mutex, MutexGuard};
 /// Observability state is monotone (counters, ring buffers): a panic
 /// in some other thread holding the lock cannot leave it in a state
 /// worse than "slightly stale", so recovering is always safe and keeps
-/// the no-panic contract of the library stack (lint L9).
+/// the no-panic contract of the library stack.
 pub(crate) fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,

@@ -123,6 +123,11 @@ impl LatencyHistogram {
     }
 
     /// Records one duration.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "`leading_zeros ≤ 64`, and the index is clamped below `LATENCY_BUCKETS`"
+    )]
     pub(crate) fn record(&self, nanos: u64) {
         let idx = (64 - nanos.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
@@ -138,6 +143,11 @@ impl LatencyHistogram {
 
     /// The bucket upper bound at quantile `q ∈ [0, 1]` (0 when empty).
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "bucket counts sum to the recorded sample count; float-to-int `as` saturates"
+    )]
     pub(crate) fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {

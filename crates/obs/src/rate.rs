@@ -67,7 +67,7 @@ impl SpaceUsage for RateMeter {
 #[derive(Debug, Clone)]
 pub(crate) struct BatchStats {
     /// `None` only if the hard-coded ε were invalid, which is
-    /// statically impossible; kept total instead of panicking (L9).
+    /// statically impossible; kept total instead of panicking.
     hist: Option<ExponentialHistogram>,
     max: u64,
     sum: u64,
@@ -90,6 +90,10 @@ impl BatchStats {
     }
 
     /// Records one flushed batch of `len` items.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`sum` adds batch lengths and `count` counts batches, each bounded by the items a run ingests"
+    )]
     pub(crate) fn record(&mut self, len: u64) {
         if let Some(h) = &mut self.hist {
             h.ingest(len);
@@ -125,6 +129,7 @@ impl Default for BatchStats {
 }
 
 impl SpaceUsage for BatchStats {
+    #[expect(clippy::arithmetic_side_effects, reason = "a word count")]
     fn space_words(&self) -> usize {
         self.hist.as_ref().map_or(0, SpaceUsage::space_words) + 3
     }

@@ -133,6 +133,10 @@ impl Tracer {
     }
 
     /// Records one event, evicting the oldest if the ring is full.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "sequence numbers count recorded events, one per call"
+    )]
     pub(crate) fn record(&self, kind: EventKind, tick: u64, shard: Option<u32>, value: u64) {
         let mut ring = lock_or_recover(&self.inner);
         let seq = ring.next_seq;

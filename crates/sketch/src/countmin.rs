@@ -41,6 +41,10 @@ impl CountMin {
     ///
     /// Panics if `width == 0` or `depth == 0`.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`width × depth` counters are allocated, so the product fits"
+    )]
     pub fn new<R: Rng + ?Sized>(width: usize, depth: usize, rng: &mut R) -> Self {
         assert!(width > 0 && depth > 0, "geometry must be positive");
         Self {
@@ -54,6 +58,10 @@ impl CountMin {
     /// Creates a sketch with the standard `(ε, δ)` geometry:
     /// `width = ⌈e/ε⌉`, `depth = ⌈ln(1/δ)⌉`.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`ε, δ ∈ (0, 1)` are asserted, so the ratios are small positive floats; float-to-int `as` saturates"
+    )]
     pub fn for_guarantee<R: Rng + ?Sized>(epsilon: f64, delta: f64, rng: &mut R) -> Self {
         assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon in (0,1)");
         assert!(delta > 0.0 && delta < 1.0, "delta in (0,1)");
@@ -62,18 +70,33 @@ impl CountMin {
         Self::new(width.max(1), depth.max(1), rng)
     }
 
-    /// Adds `count` occurrences of `key`.
+    /// Adds `count` occurrences of `key`. Counts saturate at
+    /// `u64::MAX`, so an estimate stays an overestimate, and merge stays
+    /// exact for any split of the stream.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        reason = "`hash_to_range(_, width)` is below `width` and `row < depth`, so the cell lies in the `depth × width` grid"
+    )]
     pub fn add(&mut self, key: u64, count: u64) {
         for (row, h) in self.hashes.iter().enumerate() {
             let col = h.hash_to_range(key, self.width as u64) as usize;
-            self.counts[row * self.width + col] += count;
+            let cell = &mut self.counts[row * self.width + col];
+            *cell = cell.saturating_add(count);
         }
-        self.total += count;
+        self.total = self.total.saturating_add(count);
     }
 
     /// Point query: an overestimate of the true count of `key`
     /// (`true ≤ estimate ≤ true + ε·total` whp).
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        reason = "`hash_to_range(_, width)` is below `width` and `row < depth`, so the cell lies in the `depth × width` grid"
+    )]
     pub fn query(&self, key: u64) -> u64 {
         self.hashes
             .iter()
@@ -103,13 +126,17 @@ impl CountMin {
         assert_eq!(self.width, other.width, "width mismatch");
         assert_eq!(self.hashes, other.hashes, "sketches must share randomness");
         for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
-        self.total += other.total;
+        self.total = self.total.saturating_add(other.total);
     }
 }
 
 impl SpaceUsage for CountMin {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated counters and hashes fit in usize"
+    )]
     fn space_words(&self) -> usize {
         self.counts.len() + 2 * self.hashes.len() + 1
     }
@@ -120,6 +147,28 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn huge_counts_saturate_and_merge_like_serial() {
+        let proto = CountMin::new(8, 3, &mut StdRng::seed_from_u64(3));
+        let stream = [(1u64, u64::MAX), (1, 5), (2, 4)];
+        let mut serial = proto.clone();
+        for &(k, c) in &stream {
+            serial.add(k, c);
+        }
+        let (mut left, mut right) = (proto.clone(), proto);
+        left.add(1, u64::MAX);
+        right.add(1, 5);
+        right.add(2, 4);
+        left.merge(&right);
+        assert_eq!(serial.query(1), u64::MAX);
+        assert_eq!(serial.total(), u64::MAX);
+        assert_eq!(
+            (left.query(1), left.query(2)),
+            (serial.query(1), serial.query(2))
+        );
+        assert_eq!(left.total(), serial.total());
+    }
 
     #[test]
     fn never_underestimates() {

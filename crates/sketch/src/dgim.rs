@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 /// ```
 /// use hindex_sketch::Dgim;
 ///
-/// let mut d = Dgim::for_epsilon(100, 0.1);
+/// let mut d = Dgim::new(100, 5);
 /// for _ in 0..150 {
 ///     d.push(true);
 /// }
@@ -59,13 +59,6 @@ impl Dgim {
         }
     }
 
-    /// Creates a counter targeting relative error `ε` (`k = ⌈1/(2ε)⌉`).
-    #[must_use]
-    pub fn for_epsilon(window: u64, epsilon: f64) -> Self {
-        assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon in (0,1)");
-        Self::new(window, (0.5 / epsilon).ceil() as usize)
-    }
-
     /// Starts a counter at an already-elapsed time, so lazily created
     /// counters agree with siblings about expiry (all earlier bits are
     /// implicitly 0, which DGIM represents for free).
@@ -88,9 +81,19 @@ impl Dgim {
         self.time
     }
 
-    /// Consumes one bit.
+    /// Consumes one bit. A counter whose clock already reads `u64::MAX`
+    /// (which only [`Self::started_at`] or a decoded frame can claim)
+    /// ignores further bits, so timestamps stay distinct; `k` and bucket
+    /// sizes from a frame saturate.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`second_oldest` came from enumerating `buckets`"
+    )]
     pub fn push(&mut self, bit: bool) {
-        self.time += 1;
+        let Some(time) = self.time.checked_add(1) else {
+            return;
+        };
+        self.time = time;
         self.expire();
         if !bit {
             return;
@@ -102,7 +105,7 @@ impl Dgim {
         let mut size = 1u64;
         loop {
             let count = self.buckets.iter().filter(|&&(_, s)| s == size).count();
-            if count < self.k + 2 {
+            if count < self.k.saturating_add(2) {
                 break;
             }
             // Find the two oldest buckets of this size (largest index =
@@ -115,7 +118,7 @@ impl Dgim {
                 .map(|(i, _)| i)
                 .collect();
             // `count ≥ k + 2 ≥ 2` guarantees both pops succeed; the
-            // let-else keeps the no-panic contract (lint L9) honest if
+            // let-else keeps the no-panic contract honest if
             // that ever stops holding.
             let (Some(oldest), Some(second_oldest)) = (idxs.pop(), idxs.pop()) else {
                 break;
@@ -124,9 +127,9 @@ impl Dgim {
             debug_assert!(second_oldest < self.buckets.len());
             // Merged bucket keeps the newer timestamp of the pair.
             let merged_ts = self.buckets[second_oldest].0;
-            self.buckets[second_oldest] = (merged_ts, size * 2);
+            self.buckets[second_oldest] = (merged_ts, size.saturating_mul(2));
             self.buckets.remove(oldest);
-            size *= 2;
+            size = size.saturating_mul(2);
         }
     }
 
@@ -135,9 +138,10 @@ impl Dgim {
     /// collapses to one time jump plus one expiry sweep —
     /// state-identical to calling [`Self::push`]`(false)` `n` times.
     /// This is what lets batched callers keep per-level counters lazy:
-    /// only the levels an item actually hits pay a real push.
+    /// only the levels an item actually hits pay a real push. The clock
+    /// saturates at `u64::MAX`.
     pub fn push_zeros(&mut self, n: u64) {
-        self.time += n;
+        self.time = self.time.saturating_add(n);
         self.expire();
     }
 
@@ -153,7 +157,8 @@ impl Dgim {
     }
 
     /// Estimate of the number of 1s among the last `window` bits: full
-    /// sizes of all but the oldest bucket, plus half the oldest.
+    /// sizes of all but the oldest bucket, plus half the oldest,
+    /// saturating (a decoded frame may carry any bucket size).
     #[must_use]
     pub fn count(&self) -> u64 {
         let cutoff = self.time.saturating_sub(self.window);
@@ -165,7 +170,9 @@ impl Dgim {
             .collect();
         match live.split_last() {
             None => 0,
-            Some((&oldest, rest)) => rest.iter().sum::<u64>() + oldest.div_ceil(2),
+            Some((&oldest, rest)) => rest
+                .iter()
+                .fold(oldest.div_ceil(2), |sum, &s| sum.saturating_add(s)),
         }
     }
 }
@@ -224,6 +231,10 @@ impl Snapshot for Dgim {
 }
 
 impl SpaceUsage for Dgim {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated buckets fit in usize"
+    )]
     fn space_words(&self) -> usize {
         2 * self.buckets.len() + 2
     }
@@ -235,6 +246,41 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::VecDeque as Window;
+
+    #[test]
+    fn a_clock_at_the_end_of_time_stops_instead_of_wrapping() {
+        let mut d = Dgim::started_at(10, 2, u64::MAX - 1);
+        d.push(true);
+        d.push(true);
+        d.push_zeros(5);
+        assert_eq!(d.time(), u64::MAX);
+        assert_eq!(d.count(), 1);
+        assert_eq!(Dgim::read_from(&d.to_bytes()).map(|(back, _)| back), Ok(d));
+    }
+
+    // A decoded frame may carry any `k` and bucket sizes: the cascade
+    // bound, merged sizes and the count saturate.
+    #[test]
+    fn huge_frame_values_saturate() {
+        // Two buckets of every size 2⁰ … 2⁶³, newest (smallest) first:
+        // one more bit cascades merges up to a size of 2⁶⁴.
+        let buckets = (0..128u64).map(|i| (200 - i, 1 << (i / 2))).collect();
+        let huge = Dgim {
+            window: u64::MAX,
+            k: 1,
+            buckets,
+            time: 200,
+        };
+        let (mut d, _) = Dgim::read_from(&huge.to_bytes()).unwrap();
+        assert_eq!(d.count(), u64::MAX);
+        d.push(true);
+        assert_eq!(d.buckets.back().map(|&(_, size)| size), Some(u64::MAX));
+        assert_eq!(d.count(), u64::MAX);
+        assert_eq!(Dgim::read_from(&d.to_bytes()).map(|(back, _)| back), Ok(d));
+        let mut wide = Dgim::started_at(10, usize::MAX, 0);
+        wide.push(true);
+        assert_eq!(wide.count(), 1);
+    }
 
     #[test]
     fn push_zeros_is_identical_to_repeated_false_pushes() {

@@ -49,6 +49,10 @@ struct BjkstCore {
 }
 
 impl BjkstCore {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`cap` comes from ε and is far below usize::MAX"
+    )]
     fn new<R: Rng + ?Sized>(cap: usize, rng: &mut R) -> Self {
         Self {
             // Pairwise independence suffices for the BJKST analysis.
@@ -59,6 +63,10 @@ impl BjkstCore {
         }
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`z` counts trailing zeros of a 61-bit hash, so it stays at most 62"
+    )]
     fn observe(&mut self, key: u64) {
         let h = self.hash.hash(key);
         if trailing_zeros_61(h) >= self.z {
@@ -77,6 +85,10 @@ impl BjkstCore {
 
     /// Merges a core built with the same hash function: keep the
     /// higher level, take the union, and re-prune to capacity.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`z` counts trailing zeros of a 61-bit hash, so it stays at most 62"
+    )]
     fn merge(&mut self, other: &Self) {
         assert_eq!(self.hash, other.hash, "cores must share randomness");
         self.z = self.z.max(other.z);
@@ -131,6 +143,11 @@ impl Bjkst {
     ///
     /// Panics unless `ε, δ ∈ (0, 1)`.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "`ε, δ ∈ (0, 1)` are asserted, so the ratios are small positive floats; float-to-int `as` saturates"
+    )]
     pub fn new<R: Rng + ?Sized>(epsilon: f64, delta: f64, rng: &mut R) -> Self {
         assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon in (0,1)");
         assert!(delta > 0.0 && delta < 1.0, "delta in (0,1)");
@@ -169,6 +186,10 @@ impl DistinctCounter for Bjkst {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`ests` is non-empty here, so its middle element exists"
+    )]
     fn estimate(&self) -> u64 {
         let mut ests: Vec<u64> = self.copies.iter().map(BjkstCore::estimate).collect();
         ests.sort_unstable();
@@ -191,6 +212,10 @@ impl BjkstCore {
         }
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`len ≤ cap` was checked, and `len` is bounded by the frame's bytes"
+    )]
     fn read_payload(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         let hash = r.get_nested::<PolynomialHash>()?;
         let z = r.get_u32()?;
@@ -248,6 +273,10 @@ impl Snapshot for Bjkst {
 }
 
 impl SpaceUsage for Bjkst {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated buffers and hashes fit in usize"
+    )]
     fn space_words(&self) -> usize {
         self.copies
             .iter()
@@ -288,6 +317,10 @@ impl Kmv {
 
     /// Creates an estimator targeting relative error `ε` (`k = ⌈4/ε²⌉`).
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`ε ∈ (0, 1)` is asserted, so the ratio is a small positive float; float-to-int `as` saturates"
+    )]
     pub fn for_epsilon<R: Rng + ?Sized>(epsilon: f64, rng: &mut R) -> Self {
         assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon in (0,1)");
         Self::new(((4.0 / (epsilon * epsilon)).ceil() as usize).max(2), rng)
@@ -306,13 +339,18 @@ impl DistinctCounter for Kmv {
         }
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "`k ≥ 2` (construction and decode), and float-to-int `as` saturates"
+    )]
     fn estimate(&self) -> u64 {
         if self.mins.len() < self.k {
             // Fewer than k distinct hashes: the count is exact.
             return self.mins.len() as u64;
         }
         // `len() == k ≥ 2` here, so a back element exists; fall back to
-        // the exact count rather than panic (lint L9).
+        // the exact count rather than panic.
         let Some(&kth) = self.mins.iter().next_back() else {
             return self.mins.len() as u64;
         };
@@ -365,6 +403,10 @@ impl Snapshot for Kmv {
 }
 
 impl SpaceUsage for Kmv {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated minima fit in usize"
+    )]
     fn space_words(&self) -> usize {
         // Retained minima plus the 8×256-entry tabulation tables.
         self.mins.len() + 8 * 256

@@ -53,13 +53,22 @@ impl HyperLogLog {
 
     /// Creates a counter targeting relative error `ε`.
     #[must_use]
-    pub fn for_epsilon<R: Rng + ?Sized>(epsilon: f64, rng: &mut R) -> Self {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the float is clamped to 4..=18 right after the saturating cast"
+    )]
+    #[cfg(test)]
+    pub(crate) fn for_epsilon<R: Rng + ?Sized>(epsilon: f64, rng: &mut R) -> Self {
         assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon in (0,1)");
         let m = (1.04 / epsilon).powi(2);
         let precision = (m.log2().ceil() as u32).clamp(4, 18);
         Self::new(precision, rng)
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`m` is a register count, 2⁴..=2¹⁸, so the cast is exact"
+    )]
     fn alpha(m: f64) -> f64 {
         // Flajolet et al.'s bias constants.
         match m as u64 {
@@ -71,7 +80,8 @@ impl HyperLogLog {
     }
 
     /// Merges a same-randomness clone by registerwise max.
-    pub fn merge(&mut self, other: &Self) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &Self) {
         assert_eq!(self.precision, other.precision, "precision mismatch");
         for (a, &b) in self.registers.iter_mut().zip(&other.registers) {
             *a = (*a).max(b);
@@ -80,6 +90,12 @@ impl HyperLogLog {
 }
 
 impl DistinctCounter for HyperLogLog {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        reason = "`precision ∈ 4..=18`, so `h >> (64 − precision)` is below `2^precision`, the register count, and the rank is at most 61"
+    )]
     fn observe(&mut self, key: u64) {
         let h = self.hash.hash(key);
         let idx = (h >> (64 - self.precision)) as usize;
@@ -91,6 +107,11 @@ impl DistinctCounter for HyperLogLog {
         }
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "a register holds a rank of at most 61, so its negation fits i32; float-to-int `as` saturates"
+    )]
     fn estimate(&self) -> u64 {
         let m = self.registers.len() as f64;
         let sum: f64 = self.registers.iter().map(|&r| 2f64.powi(-i32::from(r))).sum();
@@ -107,6 +128,10 @@ impl DistinctCounter for HyperLogLog {
 }
 
 impl SpaceUsage for HyperLogLog {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated registers fit in usize"
+    )]
     fn space_words(&self) -> usize {
         // 6-bit registers, 8 to a word, plus the tabulation tables.
         self.registers.len() / 8 + 8 * 256

@@ -56,6 +56,11 @@ impl L0SamplerParams {
     /// Sets `sparsity = max(8, ⌈4·log₂(1/δ)⌉)` and
     /// `rows = max(6, ⌈log₂(1/δ)⌉ + 2)`.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "`delta ∈ (0, 1)` makes `lg` a small positive float; float-to-int `as` saturates"
+    )]
     pub fn for_failure_probability(delta: f64) -> Self {
         assert!((0.0..1.0).contains(&delta) && delta > 0.0, "delta in (0,1)");
         let lg = (1.0 / delta).log2();
@@ -193,6 +198,10 @@ impl L0Sampler {
     /// so one hardware divide and a leading-zero count replace the f64
     /// divide + libm `log2` on the per-update hot path. `Pr[level ≥ j]
     /// = 2⁻ʲ` exactly as before.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`levels` is never empty (construction and decode both require 1..=64 levels), and `h ≠ 0` before the divide"
+    )]
     fn level_from_hash(&self, h: u64) -> usize {
         if h == 0 {
             return self.levels.len() - 1;
@@ -202,6 +211,10 @@ impl L0Sampler {
     }
 
     /// Applies the update `x[index] += delta`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`level_of` returns at most `levels.len() − 1`"
+    )]
     pub fn update(&mut self, index: u64, delta: i64) {
         let top = self.level_of(index);
         // All levels share one fingerprint point: one ladder pow
@@ -219,6 +232,10 @@ impl L0Sampler {
     /// scalar path — runs through the batched kernel
     /// [`PolynomialHash::hash_batch`], which keeps four reduction
     /// chains in flight instead of one.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`level_from_hash` returns at most `levels.len() − 1`"
+    )]
     pub fn update_batch(&mut self, updates: &[(u64, i64)]) {
         if updates.is_empty() {
             return;
@@ -322,6 +339,10 @@ impl Snapshot for L0Sampler {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`count ∈ 1..=64` is checked first, so `levels[0]` exists"
+    )]
     fn read_payload(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         let level_hash = r.get_nested::<PolynomialHash>()?;
         let count = r.get_usize()?;
@@ -366,6 +387,11 @@ impl L0Norm {
     ///
     /// Panics unless `ε, δ ∈ (0, 1)`.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "`ε, δ ∈ (0, 1)` are asserted, so the logarithms and ratios are small positive floats; float-to-int `as` saturates"
+    )]
     pub fn new<R: Rng + ?Sized>(epsilon: f64, delta: f64, rng: &mut R) -> Self {
         assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon in (0,1)");
         assert!(delta > 0.0 && delta < 1.0, "delta in (0,1)");
@@ -404,6 +430,10 @@ impl L0Norm {
 
     /// Median estimate of the number of non-zero coordinates.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`ests` is non-empty here, so its middle element exists"
+    )]
     pub fn estimate(&self) -> u64 {
         let mut ests: Vec<u64> = self.cores.iter().filter_map(L0Sampler::l0_estimate).collect();
         if ests.is_empty() {
@@ -454,6 +484,10 @@ impl SpaceUsage for L0Norm {
 }
 
 impl SpaceUsage for L0Sampler {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated levels and hash coefficients fit in usize"
+    )]
     fn space_words(&self) -> usize {
         let level_words: usize = self.levels.iter().map(SpaceUsage::space_words).sum();
         level_words + self.level_hash.independence()

@@ -29,6 +29,22 @@
 //! words via [`hindex_common::SpaceUsage`].
 
 #![deny(missing_docs)]
+// Library lint set (docs/ANALYSIS.md): test builds are exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap
+    )
+)]
 
 pub mod countmin;
 pub mod dgim;

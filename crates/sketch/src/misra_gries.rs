@@ -35,14 +35,18 @@ impl MisraGries {
         }
     }
 
-    /// Adds `count` occurrences of `key`.
+    /// Adds `count` occurrences of `key`; counts saturate at `u64::MAX`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`k ≥ 2` is asserted in `new`, and each decrement is at most the smallest live counter (`dec ≤ min_live`, `dec2 ≤ remaining`)"
+    )]
     pub fn add(&mut self, key: u64, count: u64) {
         if count == 0 {
             return;
         }
-        self.total += count;
+        self.total = self.total.saturating_add(count);
         if let Some(c) = self.counters.get_mut(&key) {
-            *c += count;
+            *c = c.saturating_add(count);
             return;
         }
         if self.counters.len() < self.k - 1 {
@@ -80,8 +84,9 @@ impl MisraGries {
 
     /// Lower-bound estimate of `key`'s count (0 if not retained);
     /// `true − total/k ≤ estimate ≤ true`.
+    #[cfg(test)]
     #[must_use]
-    pub fn query(&self, key: u64) -> u64 {
+    pub(crate) fn query(&self, key: u64) -> u64 {
         self.counters.get(&key).copied().unwrap_or(0)
     }
 
@@ -95,13 +100,18 @@ impl MisraGries {
     }
 
     /// Total mass added.
+    #[cfg(test)]
     #[must_use]
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.total
     }
 }
 
 impl SpaceUsage for MisraGries {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated counters fit in usize"
+    )]
     fn space_words(&self) -> usize {
         2 * self.counters.len() + 2
     }
@@ -110,6 +120,16 @@ impl SpaceUsage for MisraGries {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn huge_counts_saturate() {
+        let mut mg = MisraGries::new(3);
+        mg.add(1, u64::MAX);
+        mg.add(1, 5);
+        mg.add(2, 4);
+        assert_eq!(mg.query(1), u64::MAX);
+        assert_eq!(mg.total(), u64::MAX);
+    }
 
     #[test]
     fn retains_majority_element() {

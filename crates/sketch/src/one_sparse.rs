@@ -105,6 +105,18 @@ impl OneSparseRecovery {
         self.update_with_term(index, delta, mersenne_mul(from_i64(delta), r_pow_index));
     }
 
+    /// Applies `V[index] -= value`. Unlike `update_with_power(index,
+    /// -value, …)` this also retracts `i64::MIN`, whose negation does not
+    /// fit an `i64`: it is retracted as `i64::MAX`, then 1.
+    pub(crate) fn retract_with_power(&mut self, index: u64, value: i64, r_pow_index: u64) {
+        if let Some(neg) = value.checked_neg() {
+            self.update_with_power(index, neg, r_pow_index);
+        } else {
+            self.update_with_power(index, i64::MAX, r_pow_index);
+            self.update_with_power(index, 1, r_pow_index);
+        }
+    }
+
     /// Like [`Self::update_with_power`] but with the whole fingerprint
     /// increment `term = (δ mod p)·rⁱ mod p` supplied. The term depends
     /// only on `(index, delta, r)`, so a structure fanning one update
@@ -184,8 +196,13 @@ impl OneSparseRecovery {
         // and ℓ = −1 with z = i128::MIN, whose quotient 2¹²⁷ lies
         // outside the field anyway. Neither state is 1-sparse.
         if self.z.checked_rem(self.ell) == Some(0) {
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "`checked_rem` returned `Some`, so `z / ell` neither divides by zero nor overflows"
+            )]
             let index = self.z / self.ell;
             if (0..=i128::from(MAX_INDEX)).contains(&index) {
+                #[expect(clippy::cast_possible_truncation, reason = "`index ∈ 0..=MAX_INDEX`")]
                 let index = index as u64;
                 if let Ok(value) = i64::try_from(self.ell) {
                     if mersenne_mul(from_i64(value), pow(index)) == self.fingerprint {

@@ -47,15 +47,17 @@ impl<T> Reservoir<T> {
     }
 
     /// Offers one item; it is retained with probability
-    /// `capacity / seen`.
+    /// `capacity / seen`. `seen` saturates: `from_parts` takes it from
+    /// the caller (a decoded frame), so it may already be `u64::MAX`.
     pub fn offer<R: Rng + ?Sized>(&mut self, item: T, rng: &mut R) {
-        self.seen += 1;
+        self.seen = self.seen.saturating_add(1);
         if self.items.len() < self.capacity {
             self.items.push(item);
         } else {
+            // `items` is full here, so `get_mut` is the `j < capacity` test.
             let j = rng.random_range(0..self.seen);
-            if (j as usize) < self.capacity {
-                self.items[j as usize] = item;
+            if let Some(slot) = usize::try_from(j).ok().and_then(|j| self.items.get_mut(j)) {
+                *slot = item;
             }
         }
     }
@@ -75,6 +77,11 @@ impl<T> Reservoir<T> {
     /// # Panics
     ///
     /// Panics if the capacities differ.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "`k ≤ capacity` fits usize, draws decrement only a non-zero remainder, and the draw ranges are at most the items' lengths"
+    )]
     pub fn merge_with<R: Rng + ?Sized>(&mut self, other: &Self, rng: &mut R)
     where
         T: Clone,
@@ -83,12 +90,13 @@ impl<T> Reservoir<T> {
         if other.seen == 0 {
             return;
         }
-        let total = self.seen + other.seen;
+        // `seen` is caller data (`from_parts`), so the sums saturate.
+        let total = self.seen.saturating_add(other.seen);
         let k = (self.capacity as u64).min(total) as usize;
         let (mut rem_a, mut rem_b) = (self.seen, other.seen);
         let (mut take_a, mut take_b) = (0usize, 0usize);
         for _ in 0..k {
-            if rng.random_range(0..rem_a + rem_b) < rem_a {
+            if rng.random_range(0..rem_a.saturating_add(rem_b)) < rem_a {
                 take_a += 1;
                 rem_a -= 1;
             } else {
@@ -140,20 +148,19 @@ impl<T> Reservoir<T> {
         self.seen
     }
 
-    /// The configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Whether the reservoir has filled to capacity.
+    #[cfg(test)]
     #[must_use]
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.items.len() == self.capacity
     }
 }
 
 impl<T> SpaceUsage for Reservoir<T> {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated items fit in usize"
+    )]
     fn space_words(&self) -> usize {
         // One word per retained item (items in this workspace are ids or
         // id pairs; multi-word items are counted by their holders) plus
@@ -167,6 +174,25 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn offering_past_a_huge_seen_count_saturates() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut r = Reservoir::from_parts(2, vec![1u64, 2], u64::MAX).unwrap();
+        r.offer(3, &mut rng);
+        assert_eq!(r.seen(), u64::MAX);
+        assert_eq!(r.items().len(), 2);
+    }
+
+    #[test]
+    fn merging_huge_seen_counts_saturates() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut a = Reservoir::from_parts(2, vec![1u64, 2], u64::MAX).unwrap();
+        let b = Reservoir::from_parts(2, vec![3u64], 1).unwrap();
+        a.merge_with(&b, &mut rng);
+        assert_eq!(a.seen(), u64::MAX);
+        assert_eq!(a.items().len(), 2);
+    }
 
     #[test]
     fn fills_then_caps() {

@@ -86,6 +86,10 @@ impl SparseRecovery {
     /// Panics if `s == 0`, `rows == 0`, or the ladder base is outside
     /// `[1, p)`.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`s` is a sparsity parameter far below usize::MAX / 2"
+    )]
     pub fn with_shared_ladder<R: Rng + ?Sized>(
         s: usize,
         rows: usize,
@@ -109,6 +113,10 @@ impl SparseRecovery {
 
     /// Materialises the zero grid (all randomness was drawn in `new`,
     /// so this is deterministic and clone/merge-compatible).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`rows × cols` cells are allocated, so the product fits"
+    )]
     fn ensure_cells(&mut self) {
         if self.cells.is_empty() {
             let point = self.checksum.point();
@@ -150,6 +158,12 @@ impl SparseRecovery {
     ///
     /// Panics if `index` is outside the field domain; debug builds also
     /// verify `term` against the fingerprint point.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        reason = "`hash_to_range(_, cols)` is below `cols` (so the cast is exact) and `row < rows`, so the cell lies in the `rows × cols` grid"
+    )]
     pub(crate) fn update_with_term(&mut self, index: u64, delta: i64, term: u64) {
         self.ensure_cells();
         self.checksum.update_with_term(index, delta, term);
@@ -233,6 +247,12 @@ impl SparseRecovery {
     /// The returned slice (sorted by index, exact values) borrows from
     /// `scratch` and is valid until its next use.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        reason = "`hash_to_range(_, cols)` is below `cols` and `row < rows`, so the cell lies in the `rows × cols` grid; `found` and `newly` hold at most one entry per grid cell"
+    )]
     pub(crate) fn decode_with<'a>(&self, scratch: &'a mut DecodeScratch) -> Option<&'a [(u64, i64)]> {
         scratch.found.clear();
         if self.cells.is_empty() {
@@ -277,10 +297,10 @@ impl SparseRecovery {
             }
             for &(index, value) in newly.iter() {
                 let r_pow = self.ladder.pow(index);
-                checksum.update_with_power(index, -value, r_pow);
+                checksum.retract_with_power(index, value, r_pow);
                 for (row, h) in self.hashes.iter().enumerate() {
                     let col = h.hash_to_range(index, self.cols as u64) as usize;
-                    cells[row * self.cols + col].update_with_power(index, -value, r_pow);
+                    cells[row * self.cols + col].retract_with_power(index, value, r_pow);
                 }
                 found.push((index, value));
             }
@@ -337,6 +357,10 @@ impl Snapshot for SparseRecovery {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`k < total` is checked before the store, and `cells` holds `total` cells"
+    )]
     fn read_payload(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         let s = r.get_usize()?;
         let rows = r.get_usize()?;
@@ -425,6 +449,10 @@ impl SparseRecovery {
     /// checksum's fingerprint point, which in turn is the ladder base
     /// (merge compatibility and decode verification both hinge on
     /// this). Only compiled under `debug_invariants`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`rows × cols` cells are allocated, so the product fits"
+    )]
     fn assert_grid_consistent(&self) {
         assert!(
             self.cells.is_empty() || self.cells.len() == self.hashes.len() * self.cols,
@@ -462,6 +490,10 @@ pub(crate) struct DecodeScratch {
 }
 
 impl SpaceUsage for SparseRecovery {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "word counts of allocated cells and hashes fit in usize"
+    )]
     fn space_words(&self) -> usize {
         // Report the full-grid capacity whether or not the lazy grid is
         // materialised yet: space bounds quote the worst case.
@@ -532,6 +564,18 @@ mod tests {
         s.update(1, -5);
         s.update(2, -5); // back down to three
         assert_eq!(s.decode(), Some(vec![(3, 5), (4, 5), (5, 5)]));
+    }
+
+    // Peeling retracts each recovered value; `i64::MIN` has no `i64`
+    // negation, and must still cancel its cells exactly.
+    #[test]
+    fn recovers_i64_min_values() {
+        let mut s = sketch(3, 4);
+        let items = [(7u64, i64::MIN), (8, 2), (9, i64::MIN)];
+        for &(i, v) in &items {
+            s.update(i, v);
+        }
+        assert_eq!(s.decode(), Some(items.to_vec()));
     }
 
     #[test]

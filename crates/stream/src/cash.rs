@@ -53,6 +53,10 @@ impl Unaggregator {
     ///
     /// Panics if `max_batch == 0`.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`delta ≤ remaining` by the draw range"
+    )]
     pub fn stream<R: Rng + ?Sized>(&self, corpus: &Corpus, rng: &mut R) -> Vec<CashUpdate> {
         assert!(self.max_batch >= 1, "batch size must be positive");
         let mut updates = Vec::new();

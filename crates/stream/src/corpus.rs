@@ -31,7 +31,7 @@ pub struct GroundTruth {
     /// Number of papers with at least one citation (the ℓ₀ scale of
     /// Algorithm 6's additive guarantee).
     pub distinct_cited: u64,
-    /// Total citations over all papers.
+    /// Total citations over all papers, saturating at `u64::MAX`.
     pub total_citations: u64,
 }
 
@@ -94,6 +94,10 @@ impl Corpus {
     /// Computes all exact statistics in one pass plus one
     /// H-index computation per author.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "counts papers, which cannot reach 2⁶⁴"
+    )]
     pub fn ground_truth(&self) -> GroundTruth {
         let mut by_author: HashMap<AuthorId, Vec<u64>> = HashMap::new();
         let mut distinct_cited = 0u64;
@@ -102,7 +106,7 @@ impl Corpus {
             if p.citations > 0 {
                 distinct_cited += 1;
             }
-            total_citations += p.citations;
+            total_citations = total_citations.saturating_add(p.citations);
             for &a in &p.authors {
                 by_author.entry(a).or_default().push(p.citations);
             }
@@ -186,6 +190,12 @@ mod tests {
         assert_eq!(gt.n_papers, 5);
         assert_eq!(gt.distinct_cited, 5);
         assert_eq!(gt.total_citations, 25);
+    }
+
+    #[test]
+    fn total_citations_saturate() {
+        let c = Corpus::solo_from_counts(&[u64::MAX, 5]);
+        assert_eq!(c.ground_truth().total_citations, u64::MAX);
     }
 
     #[test]

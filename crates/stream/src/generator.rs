@@ -54,6 +54,10 @@ pub enum CitationDist {
 
 impl CitationDist {
     /// Samples one citation count.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates, and the result is capped at `max`"
+    )]
     pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         match *self {
             CitationDist::Constant(k) => k,
@@ -78,6 +82,10 @@ impl CitationDist {
 /// # Panics
 ///
 /// Panics unless `a > 1` and `max ≥ 1`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "`x` is finite and at least 1; float-to-int `as` saturates, and values above `max` are rejected"
+)]
 pub fn sample_zipf<R: Rng + ?Sized>(a: f64, max: u64, rng: &mut R) -> u64 {
     assert!(a > 1.0, "zipf exponent must exceed 1 (got {a})");
     assert!(max >= 1, "zipf needs a non-empty support");
@@ -167,6 +175,10 @@ impl Default for CorpusGenerator {
 impl CorpusGenerator {
     /// Generates the corpus. Paper ids are dense `0..n_papers`.
     #[must_use]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`paper_id` counts generated papers, which cannot reach 2⁶⁴"
+    )]
     pub fn generate(&self) -> Corpus {
         assert!(self.n_authors >= 1, "need at least one author");
         assert!(self.max_coauthors >= 1, "papers need at least one author");
@@ -208,6 +220,10 @@ impl CorpusGenerator {
 ///
 /// Panics if `h > n_papers as u64`.
 #[must_use]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "`h ≤ n_papers`, a corpus size held in memory, so `3h` fits"
+)]
 pub fn planted_h_corpus(h: u64, n_papers: usize, seed: u64) -> Corpus {
     assert!(h <= n_papers as u64, "cannot plant h = {h} in {n_papers} papers");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -230,6 +246,10 @@ pub fn planted_h_corpus(h: u64, n_papers: usize, seed: u64) -> Corpus {
 /// uniform in `[0, noise_max]`. Author ids: heavy authors are
 /// `0..heavy_h.len()`, noise authors follow.
 #[must_use]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "planted H-indices and author and paper counts are corpus sizes held in memory, so `3h`, ids and `base + a` fit"
+)]
 pub fn planted_heavy_hitters(
     heavy_h: &[u64],
     n_noise: u64,

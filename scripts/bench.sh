@@ -35,8 +35,8 @@
 # Pass --quick to run only the kernels group at reduced scale (smoke
 # mode, used by scripts/check.sh). Pass `bank` to run only the
 # `cash_update` group (the Alg 6 ℓ₀-bank ingest paths) at full size —
-# the quick way to re-measure Alg 6's `ingest_batch` against the
-# recorded baseline.
+# the quick way to re-measure Alg 6's `ingest_batch` (scripts/check.sh
+# compares that group against the base commit).
 #
 # Full runs (no --quick / bank) also regenerate the complete
 # experiments log under target/experiments_output.txt — it is build

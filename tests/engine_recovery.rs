@@ -30,7 +30,7 @@ fn sketch_proto(seed: u64) -> CashRegisterHIndex {
 /// uninterrupted and the recovered final states.
 fn crash_and_recover<E>(proto: E, shards: usize, updates: &[(u64, u64)]) -> (E, E)
 where
-    E: BatchIngest<(u64, u64)> + Clone + Mergeable + Snapshot + Estimate + SpaceUsage + Send + Sync + 'static,
+    E: BatchIngest<(u64, u64)> + Clone + Mergeable + Estimate + SpaceUsage + Send + Sync + 'static,
 {
     // Reference: one engine sees the whole stream, never interrupted.
     let mut reference = ShardedEngine::new(config(shards), proto.clone());

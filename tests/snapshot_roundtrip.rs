@@ -11,8 +11,8 @@
 //!    [`SnapshotError`], never a panic and never an unbounded
 //!    allocation.
 //!
-//! Lint L11 (`hindex-analysis`) checks that every `Mergeable`
-//! implementor appears here by name: `CashTable`,
+//! `tests/source_rules.rs` checks that every `Mergeable` implementor
+//! appears here by name: `CashTable`,
 //! `ExponentialHistogram`, `OneHeavyHitter`, `HeavyHitters`,
 //! `TurnstileHIndex`, `StreamingGIndex`, `CashRegisterHIndex`.
 

@@ -243,15 +243,21 @@ fn extension_estimators_space_value_range_bounded() {
 #[test]
 fn baselines_pay_linear_space() {
     use hindex_baseline::{CashTable, FullStore};
-    use hindex_common::{AggregateEstimator as _, CashRegisterEstimator as _};
+    use hindex_common::{AggregateEstimator as _, CashRegisterEstimator as _, IncrementalHIndex};
     let mut full = FullStore::new();
     let mut table = CashTable::new();
+    let mut incremental = IncrementalHIndex::new();
     for i in 0..10_000u64 {
         full.ingest(i);
         table.ingest(i, 1);
+        incremental.ingest(i);
     }
     assert!(full.space_words() >= 10_000);
     assert!(table.space_words() >= 10_000);
+    // The online exact tracker pays Θ(h): one word per H-support value
+    // plus its length counter.
+    assert_eq!(incremental.h_index(), 5_000);
+    assert_eq!(incremental.space_words(), 5_001);
 }
 
 /// Kernel-layer accounting policy (`docs/ALGORITHMS.md`, "Space
