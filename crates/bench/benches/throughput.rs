@@ -20,12 +20,7 @@
 //!   (`mersenne_pow` vs the windowed [`PowerLadder`]), Horner hashing
 //!   (per-key vs batched), 1-sparse (square-and-multiply vs ladder)
 //!   and s-sparse updates, the ℓ₀ update paths (scalar vs batched),
-//!   the turnstile batch path, and the turnstile sharded engine at
-//!   1/2/4/8 shards;
-//! * `engine_scaling` — the sharded ingestion engine at 1/2/4/8 shards
-//!   on the `cash_update` workload, reporting speedup over one shard;
-//! * `engine_overheads` — the engine's fixed per-run costs (clone,
-//!   merge fan-in, spawn + join) at 8 shards;
+//!   and the turnstile batch path;
 //! * `obs_overhead` — the same engine workload with and without an
 //!   attached [`EngineObserver`], reporting the instrumentation
 //!   overhead (the observability layer's contract is < 5%);
@@ -34,6 +29,10 @@
 //!   (the contract is that readers never cut ingest throughput by
 //!   more than ~10%), plus single-reader query latency on a live
 //!   published view.
+//!
+//! Engine throughput, set-up, clone and merge costs are perfbench's
+//! (`perfbench/README.md`), which times the whole `hindex engine` path
+//! layer by layer.
 //!
 //! Each benchmark runs a fixed number of timed repetitions after a
 //! warm-up pass and reports the *median* wall time, ns per element,
@@ -44,12 +43,9 @@
 //! ```
 //!
 //! Flags (after `--`): `--quick` runs a reduced `kernels`-only smoke
-//! pass (CI); `--only GROUP` runs a single group at full size (the
-//! perf-regression gate in `scripts/check.sh` uses
-//! `--only cash_update`); `--json PATH` writes every recorded
-//! measurement plus derived shard-scaling ratios as JSON (schema
-//! documented in `scripts/bench.sh`). Unrecognized flags (e.g. the
-//! `--bench` cargo injects) are ignored.
+//! pass (`scripts/check.sh`); `--only GROUP` runs a single group at
+//! full size. Unrecognized flags (e.g. the `--bench` cargo injects) are
+//! ignored.
 
 // A throughput harness times with the wall clock by definition; nothing it
 // measures reaches estimator state (see clippy.toml).
@@ -72,20 +68,9 @@ use hindex_sketch::{Bjkst, L0Sampler, L0SamplerParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const N: u64 = 100_000;
-
-/// Every [`report`]ed measurement, for `--json` output.
-struct Entry {
-    group: String,
-    name: String,
-    elems: u64,
-    median_ns: u128,
-}
-
-static RECORD: Mutex<Vec<Entry>> = Mutex::new(Vec::new());
 
 /// Times `f` (whose result is black-boxed) `runs` times after one
 /// warm-up pass and returns the median duration.
@@ -145,71 +130,6 @@ fn report(group: &str, name: &str, elems: u64, med: Duration) {
         med,
         rate / 1e6,
     );
-    RECORD.lock().unwrap().push(Entry {
-        group: group.to_string(),
-        name: name.to_string(),
-        elems,
-        median_ns: med.as_nanos(),
-    });
-}
-
-/// Writes the recorded measurements as JSON (schema: see the header of
-/// `scripts/bench.sh`). Hand-rolled — no serde offline — which is fine
-/// because every field is a number or a `[A-Za-z0-9_/]` identifier.
-fn write_json(path: &str) {
-    let record = RECORD.lock().unwrap();
-    let mut out = String::from("{\n  \"schema\": \"hindex-bench/v1\",\n  \"entries\": [\n");
-    for (k, e) in record.iter().enumerate() {
-        let secs = e.median_ns as f64 / 1e9;
-        let ns_per = e.median_ns as f64 / e.elems as f64;
-        let rate = e.elems as f64 / secs;
-        out.push_str(&format!(
-            "    {{\"group\": \"{}\", \"name\": \"{}\", \"elems\": {}, \
-             \"median_ns\": {}, \"ns_per_elem\": {:.3}, \"items_per_sec\": {:.1}}}{}\n",
-            e.group,
-            e.name,
-            e.elems,
-            e.median_ns,
-            ns_per,
-            rate,
-            if k + 1 < record.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"shard_scaling\": [\n");
-    // Derived ratios: for every `<base>_shards_<k>` family, speedup of
-    // each shard count over its own 1-shard run.
-    let mut families: Vec<(String, String)> = Vec::new();
-    for e in record.iter() {
-        if let Some((base, _)) = e.name.rsplit_once("_shards_") {
-            let fam = (e.group.clone(), base.to_string());
-            if !families.contains(&fam) {
-                families.push(fam);
-            }
-        }
-    }
-    let mut lines: Vec<String> = Vec::new();
-    for (group, base) in &families {
-        let one = record.iter().find(|e| {
-            &e.group == group && e.name == format!("{base}_shards_1")
-        });
-        let Some(one) = one else { continue };
-        for e in record.iter() {
-            let prefix = format!("{base}_shards_");
-            if &e.group == group {
-                if let Some(k) = e.name.strip_prefix(&prefix) {
-                    let speedup = one.median_ns as f64 / e.median_ns as f64;
-                    lines.push(format!(
-                        "    {{\"group\": \"{group}\", \"base\": \"{base}\", \
-                         \"shards\": {k}, \"speedup_vs_1shard\": {speedup:.3}}}",
-                    ));
-                }
-            }
-        }
-    }
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    std::fs::write(path, out).expect("write bench json");
-    println!("wrote {path}");
 }
 
 fn aggregate_push() {
@@ -264,14 +184,9 @@ fn aggregate_query() {
     bench("aggregate_query", "alg2_estimate", 1, 101, || win.estimate());
 }
 
-/// The cash-register workload shared with `engine_scaling`: 10k unit
-/// increments cycling over 700 papers.
-fn cash_updates() -> Vec<(u64, u64)> {
-    (0..10_000u64).map(|i| (i % 700, 1)).collect()
-}
-
+/// 10k unit increments cycling over 700 papers.
 fn cash_update() {
-    let updates = cash_updates();
+    let updates: Vec<(u64, u64)> = (0..10_000u64).map(|i| (i % 700, 1)).collect();
     let n = updates.len() as u64;
     let params = CashRegisterParams::Additive {
         epsilon: Epsilon::new(0.3).unwrap(),
@@ -544,103 +459,6 @@ fn kernels(quick: bool) {
         est.ingest_batch(black_box(&tn_updates));
         est.estimate()
     });
-
-    // Turnstile sharded engine: per-shard batch coalescing + whatever
-    // thread parallelism the host offers, 1/2/4/8 shards.
-    for shards in [1usize, 2, 4, 8] {
-        let setup = || {
-            ShardedEngine::new(
-                EngineConfig::builder()
-                    .shards(shards)
-                    .batch(1024)
-                    .queue_depth(4)
-                    .build()
-                    .unwrap(),
-                tn_proto.clone(),
-            )
-        };
-        bench_with_setup(
-            "kernels",
-            &format!("turnstile_shards_{shards}"),
-            tn_reps,
-            runs.min(3),
-            setup,
-            |mut engine: ShardedEngine<TurnstileHIndex, (u64, i64)>| {
-                engine.ingest_batch(&tn_updates);
-                engine.finish().unwrap().estimate()
-            },
-        );
-    }
-}
-
-/// Sharded-engine scaling on the `cash_update` workload. Shard-by-paper
-/// routing concentrates each paper's updates on one worker, so
-/// per-batch coalescing collapses more duplicate keys per shard; the
-/// speedup comes from that reduced sampler work plus whatever thread
-/// parallelism the host offers.
-fn engine_scaling() {
-    let updates = cash_updates();
-    let n = updates.len() as u64;
-    let params = CashRegisterParams::Additive {
-        epsilon: Epsilon::new(0.3).unwrap(),
-        delta: Delta::new(0.2).unwrap(),
-    };
-    let prototype = CashRegisterHIndex::new(params, &mut StdRng::seed_from_u64(3));
-    let mut baseline: Option<Duration> = None;
-    let mut reference: Option<u64> = None;
-    for shards in [1usize, 2, 4, 8] {
-        // Setup (estimator clones + worker spawn) is untimed, as with
-        // the other groups; the measurement covers push + drain +
-        // merge. The query is a constant post-ingest cost shared by
-        // every shard count.
-        let setup = || ShardedEngine::new(EngineConfig::with_shards(shards), prototype.clone());
-        let ingest = |mut engine: ShardedEngine<CashRegisterHIndex, (u64, u64)>| {
-            engine.ingest_batch(&updates);
-            engine.finish().unwrap()
-        };
-        // Shared prototype + linear sketches: every shard count must
-        // report the identical estimate.
-        let estimate = ingest(setup()).estimate();
-        match reference {
-            None => reference = Some(estimate),
-            Some(r) => assert_eq!(r, estimate, "shards {shards} diverged"),
-        }
-        let med =
-            bench_with_setup("engine_scaling", &format!("alg6_shards_{shards}"), n, 5, setup, ingest);
-        match baseline {
-            None => baseline = Some(med),
-            Some(one) => {
-                let speedup = one.as_secs_f64() / med.as_secs_f64();
-                println!("{:<18} {:<24} {speedup:>11.2}x vs 1 shard", "", "");
-            }
-        }
-    }
-}
-
-/// Fixed per-run engine overheads at 8 shards, for interpreting the
-/// scaling numbers: estimator cloning, the merge fan-in, and worker
-/// spawn + join with an empty stream.
-fn engine_overheads() {
-    use hindex_common::Mergeable;
-    let params = CashRegisterParams::Additive {
-        epsilon: Epsilon::new(0.3).unwrap(),
-        delta: Delta::new(0.2).unwrap(),
-    };
-    let prototype = CashRegisterHIndex::new(params, &mut StdRng::seed_from_u64(3));
-    bench("engine_overheads", "clone_x8", 1, 5, || {
-        (0..8).map(|_| prototype.clone()).collect::<Vec<_>>()
-    });
-    bench("engine_overheads", "merge_x7", 1, 5, || {
-        let mut acc = prototype.clone();
-        for _ in 0..7 {
-            acc.merge(&prototype);
-        }
-        acc
-    });
-    bench("engine_overheads", "spawn_join_empty_8", 1, 5, || {
-        let engine = ShardedEngine::new(EngineConfig::with_shards(8), prototype.clone());
-        engine.finish().unwrap()
-    });
 }
 
 /// Instrumented-vs-plain engine on the `cash_update` workload: the
@@ -774,11 +592,6 @@ fn read_plane() {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let json = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
     let only = args
         .iter()
         .position(|a| a == "--only")
@@ -792,8 +605,7 @@ fn main() {
         // CI smoke: the kernel comparisons only, at ~10× reduced sizes.
         kernels(true);
     } else if let Some(group) = only {
-        // One group at full size, for targeted runs (`--only cash_update`
-        // backs the perf-regression gate in `scripts/check.sh`).
+        // One group at full size, for targeted runs.
         match group.as_str() {
             "aggregate_push" => aggregate_push(),
             "aggregate_query" => aggregate_query(),
@@ -802,8 +614,6 @@ fn main() {
             "substrates" => substrates(),
             "extensions" => extensions(),
             "kernels" => kernels(false),
-            "engine_scaling" => engine_scaling(),
-            "engine_overheads" => engine_overheads(),
             "obs_overhead" => obs_overhead(),
             "read_plane" => read_plane(),
             other => {
@@ -819,12 +629,7 @@ fn main() {
         substrates();
         extensions();
         kernels(false);
-        engine_scaling();
-        engine_overheads();
         obs_overhead();
         read_plane();
-    }
-    if let Some(path) = json {
-        write_json(&path);
     }
 }

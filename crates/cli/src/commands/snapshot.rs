@@ -2,7 +2,8 @@
 //!
 //! `snapshot` ingests a prefix of a cash-register stream into a
 //! sharded engine, takes a checkpoint, and writes the versioned binary
-//! frame to a file. `restore` reads the frame back, respawns the
+//! frame to a file. `restore` reads the frame back, takes the
+//! estimator kind from the shard frames' type tag, respawns the
 //! engine, replays the *same* stream from the recorded offset, and
 //! prints the final answer — which is bit-identical to a run that was
 //! never interrupted (same seed, same routing).
@@ -10,7 +11,7 @@
 use crate::args::Parsed;
 use crate::io::read_cash_register;
 use hindex_baseline::CashTable;
-use hindex_common::snapshot::Snapshot;
+use hindex_common::snapshot::{Snapshot, SnapshotError};
 use hindex_common::{
     CashRegisterEstimator, Delta, Engine, Epsilon, Estimate, Mergeable, SpaceUsage,
 };
@@ -116,7 +117,9 @@ where
 
 /// Runs the `restore` subcommand: decode `--in`, respawn the engine,
 /// replay the piped stream from the recorded offset, and print the
-/// final H-index.
+/// final H-index. The shard frames' type tag names the estimator, so
+/// an exact checkpoint fails the sketch decode on its tag alone and is
+/// decoded as one; a frame of neither kind is a typed decode error.
 ///
 /// # Errors
 ///
@@ -124,30 +127,35 @@ where
 /// are reported, never panics), or a stream shorter than the offset.
 pub(crate) fn run_restore(parsed: &Parsed, input: &mut dyn Read) -> Result<String, String> {
     let in_path = parsed.str_required("in")?.to_string();
-    let algorithm = parsed.str_or("algorithm", "sketch").to_string();
     let bytes =
         std::fs::read(&in_path).map_err(|e| format!("cannot read `{in_path}`: {e}"))?;
     let updates = read_cash_register(input, "restore")?;
 
-    let (estimate, offset, replayed, shards) = match algorithm.as_str() {
-        "sketch" => restore_and_replay::<CashRegisterHIndex>(&bytes, &updates)?,
-        "exact" => restore_and_replay::<CashTable>(&bytes, &updates)?,
-        other => return Err(format!("unknown --algorithm `{other}` (sketch|exact)")),
-    };
+    let corrupt = |e: SnapshotError| format!("corrupt checkpoint: {e}");
+    let (algorithm, (estimate, offset, replayed, shards)) =
+        match EngineCheckpoint::<CashRegisterHIndex>::read_from(&bytes) {
+            Ok((sketch, _)) => ("sketch", replay(sketch, &updates)?),
+            Err(SnapshotError::WrongTag { .. }) => {
+                let (exact, _) =
+                    EngineCheckpoint::<CashTable>::read_from(&bytes).map_err(corrupt)?;
+                ("exact", replay(exact, &updates)?)
+            }
+            Err(e) => return Err(corrupt(e)),
+        };
     Ok(format!(
         "algorithm : {algorithm}\nresumed at: {offset}\nreplayed  : {replayed} updates\n\
          shards    : {shards}\nh-index   : {estimate}\n",
     ))
 }
 
-/// Decodes a checkpoint, replays the stream suffix, and returns
-/// `(estimate, offset, replayed, shards)`.
+/// Respawns a decoded checkpoint, replays the stream suffix, and
+/// returns `(estimate, offset, replayed, shards)`.
 #[expect(
     clippy::indexing_slicing,
     reason = "`skip ≤ updates.len()` is checked above"
 )]
-fn restore_and_replay<E>(
-    bytes: &[u8],
+fn replay<E>(
+    checkpoint: EngineCheckpoint<E>,
     updates: &[(u64, u64)],
 ) -> Result<(u64, u64, usize, usize), String>
 where
@@ -159,10 +167,6 @@ where
         + Sync
         + 'static,
 {
-    let sw = Stopwatch::start();
-    let (checkpoint, _) = EngineCheckpoint::<E>::read_from(bytes)
-        .map_err(|e| format!("corrupt checkpoint: {e}"))?;
-    let decode_ns = sw.elapsed_nanos();
     let offset = checkpoint.stream_offset();
     let skip = usize::try_from(offset).map_err(|_| "checkpoint offset overflows usize")?;
     if skip > updates.len() {
@@ -173,12 +177,7 @@ where
         ));
     }
     let shards = checkpoint.config().shards;
-    // Observers are never serialised; re-attach a fresh one so the
-    // decode timing and the replay both land in instrumented state.
-    let observer = Arc::new(EngineObserver::new(shards));
-    observer.on_snapshot_decode(offset, bytes.len() as u64, decode_ns);
-    let mut engine =
-        ShardedEngine::restore(checkpoint.with_observer(observer)).map_err(|e| e.to_string())?;
+    let mut engine = ShardedEngine::restore(checkpoint).map_err(|e| e.to_string())?;
     let suffix = &updates[skip..];
     engine.ingest_batch(suffix);
     let merged = engine.finish().map_err(|e| e.to_string())?;
@@ -222,11 +221,9 @@ mod tests {
             .unwrap();
             assert!(snap.contains("offset    : 150"), "{snap}");
 
-            let restored = run_str(
-                &["restore", "--algorithm", algorithm, "--in", &path],
-                &stream,
-            )
-            .unwrap();
+            // The kind comes from the checkpoint's frames, not a flag.
+            let restored = run_str(&["restore", "--in", &path], &stream).unwrap();
+            assert!(restored.contains(&format!("algorithm : {algorithm}")), "{restored}");
             assert!(restored.contains("resumed at: 150"), "{restored}");
             assert!(restored.contains("replayed  : 150"), "{restored}");
             let got = restored
@@ -252,26 +249,35 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        let err = run_str(&["restore", "--algorithm", "exact", "--in", &path], stream)
-            .unwrap_err();
+        let err = run_str(&["restore", "--in", &path], stream).unwrap_err();
         assert!(err.contains("corrupt checkpoint"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn wrong_algorithm_tag_rejected() {
-        let path = scratch("mismatch.ckpt");
-        let stream = "1 5\n2 4\n3 3\n";
-        run_str(
-            &["snapshot", "--algorithm", "exact", "--out", &path],
-            stream,
-        )
-        .unwrap();
-        // The exact checkpoint holds CashTable frames; decoding them as
-        // sketch states must fail with a tag error, not a panic.
-        let err = run_str(&["restore", "--algorithm", "sketch", "--in", &path], stream)
-            .unwrap_err();
-        assert!(err.contains("corrupt checkpoint"), "{err}");
+    fn shard_frames_of_neither_kind_rejected() {
+        use hindex_common::snapshot::Snapshot;
+        use hindex_common::{Delta, Engine, Epsilon};
+        use hindex_core::TurnstileHIndex;
+        use hindex_engine::{EngineConfig, ShardedEngine};
+        use rand::{rngs::StdRng, SeedableRng};
+        // A turnstile engine's checkpoint is well-formed, but its shard
+        // frames are neither sketch nor exact states: a tag error, not
+        // a panic.
+        let eps = Epsilon::new(0.5).unwrap();
+        let prototype =
+            TurnstileHIndex::new(eps, Delta::new(0.5).unwrap(), &mut StdRng::seed_from_u64(1));
+        let mut engine = ShardedEngine::new(EngineConfig::with_shards(2), prototype);
+        engine.ingest_batch(&[(1u64, 5i64), (2, -1)]);
+        let bytes = engine.checkpoint().unwrap().to_bytes();
+        engine.finish().unwrap();
+        let path = scratch("turnstile.ckpt");
+        std::fs::write(&path, bytes).unwrap();
+        let err = run_str(&["restore", "--in", &path], "1 5\n").unwrap_err();
+        assert!(
+            err.contains("corrupt checkpoint: snapshot type tag mismatch"),
+            "{err}"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -299,8 +305,7 @@ mod tests {
             "1 5\n2 4\n3 3\n",
         )
         .unwrap();
-        let err = run_str(&["restore", "--algorithm", "exact", "--in", &path], "1 5\n")
-            .unwrap_err();
+        let err = run_str(&["restore", "--in", &path], "1 5\n").unwrap_err();
         assert!(err.contains("only 1 updates"), "{err}");
         let _ = std::fs::remove_file(&path);
     }

@@ -7,7 +7,7 @@
 //! hindex metrics [--shards 4] [--batch 64] [--n 10000] [--trace K] [< updates.txt]
 //! hindex hh    [--eps 0.2] [--delta 0.1] [--seed S] [--threshold T] < papers.txt
 //! hindex snapshot --out ckpt.bin [--cut K] [--shards 4] [--batch 1024] [--eps 0.2] [--delta 0.1] [--algorithm sketch|exact] [--seed S] < updates.txt
-//! hindex restore  --in ckpt.bin [--algorithm sketch|exact] < updates.txt
+//! hindex restore  --in ckpt.bin < updates.txt
 //! hindex gen   --kind zipf|planted|heavy [--n N] [--h H] [--exponent A] [--seed S]
 //! ```
 //!
@@ -98,7 +98,7 @@ fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
         "metrics" => &["shards", "batch", "n", "trace"],
         "hh" => &["eps", "delta", "seed", "threshold"],
         "snapshot" => &["out", "cut", "shards", "batch", "eps", "delta", "algorithm", "seed"],
-        "restore" => &["in", "algorithm"],
+        "restore" => &["in"],
         "gen" => &["kind", "n", "h", "exponent", "seed"],
         _ => return None,
     })
@@ -134,7 +134,7 @@ pub(crate) fn usage() -> &'static str {
               --out FILE  --cut K (whole stream)  --shards S (4)  --batch B (1024)\n\
               --eps E (0.2)  --delta D (0.1)  --algorithm sketch|exact (sketch)  --seed S (0)\n\
        restore   resume from a checkpoint, replay the stream from its offset\n\
-              --in FILE  --algorithm sketch|exact (sketch)\n\
+              --in FILE (the estimator kind is read from the checkpoint)\n\
        gen    generate synthetic streams\n\
               --kind zipf|planted|heavy  --n N (1000)  --h H (100)\n\
               --exponent A (2.0)  --seed S (0)\n\
@@ -203,7 +203,7 @@ mod tests {
         for argv in [
             &["engine", "--algorithm", "exact"][..],
             &["snapshot", "--algorithm", "exact", "--out", "/dev/null"],
-            &["restore", "--algorithm", "exact", "--in", "/dev/null"],
+            &["restore", "--in", "/dev/null"],
             &["metrics"],
         ] {
             let err = run_str(argv, "1 5\n2 -1\n3 2\n").unwrap_err();

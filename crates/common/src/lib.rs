@@ -57,6 +57,5 @@ pub use params::{Delta, Epsilon};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use telemetry::BankCounters;
 pub use traits::{
-    AggregateEstimator, CashRegisterEstimator, Estimate, EstimatorParams, Mergeable, SpaceUsage,
-    TurnstileEstimator,
+    AggregateEstimator, CashRegisterEstimator, Estimate, Mergeable, SpaceUsage, TurnstileEstimator,
 };

@@ -44,12 +44,6 @@
 //!   estimator of the concatenated stream. Every linear sketch in the
 //!   workspace satisfies it; the engine relies on it to answer anytime
 //!   queries across shards.
-//!
-//! [`EstimatorParams`] unifies construction: a parameter struct knows
-//! how to `build` its estimator from a caller-supplied RNG, which is
-//! what lets the engine clone one seeded prototype per shard.
-
-use rand::Rng;
 
 use crate::snapshot::Snapshot;
 
@@ -167,21 +161,6 @@ pub trait Mergeable: Snapshot {
     /// incompatible (different grid, different width), since silently
     /// combining them would corrupt estimates.
     fn merge(&mut self, other: &Self);
-}
-
-/// Unified construction: a parameter object that builds its estimator
-/// from a caller-supplied RNG.
-///
-/// This is the seam the sharded engine builds on: construct one
-/// prototype with a seeded RNG, clone it per shard, and the shards
-/// share randomness — the precondition of [`Mergeable`].
-pub trait EstimatorParams {
-    /// The estimator this parameter set configures.
-    type Output;
-
-    /// Draws whatever randomness the estimator needs from `rng` and
-    /// returns the configured estimator.
-    fn build<R: Rng + ?Sized>(&self, rng: &mut R) -> Self::Output;
 }
 
 /// Space accounting in machine words, the unit the paper's theorems are

@@ -28,8 +28,7 @@
 
 use hindex_common::snapshot::{Reader, Snapshot, SnapshotError, Writer, FRAME_OVERHEAD};
 use hindex_common::{
-    BankCounters, CashRegisterEstimator, Delta, Epsilon, Estimate, EstimatorParams, ExpGrid,
-    Mergeable, SpaceUsage,
+    BankCounters, CashRegisterEstimator, Delta, Epsilon, Estimate, ExpGrid, Mergeable, SpaceUsage,
 };
 use hindex_sketch::distinct::DistinctCounter;
 use hindex_sketch::{Bjkst, L0Sampler, L0SamplerParams};
@@ -316,14 +315,6 @@ impl Mergeable for CashRegisterHIndex {
         // Telemetry sums across shards so a merged estimator reports
         // the whole run's bank totals.
         self.counters.absorb(&other.counters);
-    }
-}
-
-impl EstimatorParams for CashRegisterParams {
-    type Output = CashRegisterHIndex;
-
-    fn build<R: Rng + ?Sized>(&self, rng: &mut R) -> CashRegisterHIndex {
-        CashRegisterHIndex::new(*self, rng)
     }
 }
 
@@ -749,15 +740,6 @@ mod tests {
         }
         assert_eq!(batched.frame_digest(), looped.frame_digest());
         assert_eq!(batched.estimate(), looped.estimate());
-    }
-
-    #[test]
-    fn params_build_matches_new() {
-        let params = additive(0.3, 0.2);
-        let via_trait = params.build(&mut StdRng::seed_from_u64(9));
-        let via_new = CashRegisterHIndex::new(params, &mut StdRng::seed_from_u64(9));
-        assert_eq!(via_trait.num_samplers(), via_new.num_samplers());
-        assert_eq!(via_trait.space_words(), via_new.space_words());
     }
 
     #[test]

@@ -18,28 +18,7 @@
 //!   `n` in advance while counting exactly the same quantities.
 
 use hindex_common::snapshot::{Reader, Snapshot, SnapshotError, Writer};
-use hindex_common::{
-    AggregateEstimator, Epsilon, Estimate, EstimatorParams, ExpGrid, Mergeable, SpaceUsage,
-};
-use rand::Rng;
-
-/// Parameters for [`ExponentialHistogram`], usable with
-/// [`EstimatorParams::build`]. The algorithm is deterministic, so
-/// `build` ignores the RNG — the impl exists so Algorithm 1 plugs into
-/// the same construction seam as the randomized estimators.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExponentialHistogramParams {
-    /// Accuracy `ε`.
-    pub epsilon: Epsilon,
-}
-
-impl EstimatorParams for ExponentialHistogramParams {
-    type Output = ExponentialHistogram;
-
-    fn build<R: Rng + ?Sized>(&self, _rng: &mut R) -> ExponentialHistogram {
-        ExponentialHistogram::new(self.epsilon)
-    }
-}
+use hindex_common::{AggregateEstimator, Epsilon, Estimate, ExpGrid, Mergeable, SpaceUsage};
 
 /// Deterministic `(1−ε)`-approximate streaming H-index over aggregate
 /// streams (Algorithm 1).

@@ -26,7 +26,7 @@
 
 use crate::one_heavy_hitter::OneHeavyHitter;
 use hindex_common::snapshot::{Reader, Snapshot, SnapshotError, Writer, FRAME_OVERHEAD};
-use hindex_common::{Delta, Epsilon, EstimatorParams, Mergeable, SpaceUsage};
+use hindex_common::{Delta, Epsilon, Mergeable, SpaceUsage};
 use hindex_hashing::{Hasher64, PairwiseHash};
 use hindex_stream::{AuthorId, Paper};
 use rand::Rng;
@@ -355,14 +355,6 @@ impl Snapshot for HeavyHitters {
             total_responses,
             papers_seen,
         })
-    }
-}
-
-impl EstimatorParams for HeavyHittersParams {
-    type Output = HeavyHitters;
-
-    fn build<R: Rng + ?Sized>(&self, rng: &mut R) -> HeavyHitters {
-        HeavyHitters::new(*self, rng)
     }
 }
 

@@ -49,7 +49,7 @@ pub mod tracked_authors;
 pub mod turnstile;
 
 pub use cash_register::{CashRegisterHIndex, CashRegisterParams};
-pub use exponential_histogram::{ExponentialHistogram, ExponentialHistogramParams};
+pub use exponential_histogram::ExponentialHistogram;
 pub use extensions::{StreamingAlphaIndex, StreamingGIndex};
 pub use heavy_hitters::{HeavyHitterCandidate, HeavyHitters, HeavyHittersParams};
 pub use one_heavy_hitter::{OneHeavyHitter, OneHeavyHitterOutcome};
@@ -58,12 +58,12 @@ pub use shifting_window::ShiftingWindow;
 pub use sliding_window::SlidingHIndex;
 pub use timeline::Timeline;
 pub use tracked_authors::TrackedAuthorsAggregate;
-pub use turnstile::{TurnstileHIndex, TurnstileParams};
+pub use turnstile::TurnstileHIndex;
 
 /// One-stop imports.
 pub mod prelude {
     pub use crate::cash_register::{CashRegisterHIndex, CashRegisterParams};
-    pub use crate::exponential_histogram::{ExponentialHistogram, ExponentialHistogramParams};
+    pub use crate::exponential_histogram::ExponentialHistogram;
     pub use crate::extensions::{StreamingAlphaIndex, StreamingGIndex};
     pub use crate::heavy_hitters::{HeavyHitterCandidate, HeavyHitters, HeavyHittersParams};
     pub use crate::one_heavy_hitter::{OneHeavyHitter, OneHeavyHitterOutcome};
@@ -72,5 +72,5 @@ pub mod prelude {
     pub use crate::sliding_window::SlidingHIndex;
     pub use crate::timeline::Timeline;
     pub use crate::tracked_authors::TrackedAuthorsAggregate;
-    pub use crate::turnstile::{TurnstileHIndex, TurnstileParams};
+    pub use crate::turnstile::TurnstileHIndex;
 }

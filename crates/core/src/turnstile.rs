@@ -21,38 +21,9 @@
 
 use crate::cash_register::{coalesce, level_scan};
 use hindex_common::snapshot::{Reader, Snapshot, SnapshotError, Writer, FRAME_OVERHEAD};
-use hindex_common::{
-    Delta, Epsilon, Estimate, EstimatorParams, ExpGrid, Mergeable, SpaceUsage,
-    TurnstileEstimator,
-};
+use hindex_common::{Delta, Epsilon, Estimate, ExpGrid, Mergeable, SpaceUsage, TurnstileEstimator};
 use hindex_sketch::{L0Norm, L0Sampler, L0SamplerParams};
 use rand::Rng;
-
-/// Parameters for [`TurnstileHIndex`], usable with
-/// [`EstimatorParams::build`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TurnstileParams {
-    /// Accuracy `ε`.
-    pub epsilon: Epsilon,
-    /// Failure probability `δ`.
-    pub delta: Delta,
-    /// Overrides the Theorem 14 sampler count when set.
-    pub samplers_override: Option<usize>,
-}
-
-impl TurnstileParams {
-}
-
-impl EstimatorParams for TurnstileParams {
-    type Output = TurnstileHIndex;
-
-    fn build<R: Rng + ?Sized>(&self, rng: &mut R) -> TurnstileHIndex {
-        match self.samplers_override {
-            Some(x) => TurnstileHIndex::with_sampler_count(self.epsilon, self.delta, x, rng),
-            None => TurnstileHIndex::new(self.epsilon, self.delta, rng),
-        }
-    }
-}
 
 /// Streaming H-index estimator under turnstile updates
 /// (`V[p] += δ`, `δ` possibly negative).

@@ -330,9 +330,8 @@ where
     /// under a restart budget of zero.
     ///
     /// The prototype carries the randomness every shard shares — build
-    /// it once from a seeded RNG (e.g. via
-    /// [`EstimatorParams::build`](hindex_common::EstimatorParams::build))
-    /// and hand it over.
+    /// it once from a seeded RNG (e.g. `CashRegisterHIndex::new(params,
+    /// &mut rng)`) and hand it over.
     ///
     /// # Panics
     ///

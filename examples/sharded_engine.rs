@@ -45,7 +45,7 @@ fn main() {
         epsilon: Epsilon::new(0.2).unwrap(),
         delta: Delta::new(0.1).unwrap(),
     };
-    let prototype = params.build(&mut StdRng::seed_from_u64(7));
+    let prototype = CashRegisterHIndex::new(params, &mut StdRng::seed_from_u64(7));
 
     // Serial reference: one estimator consuming events one at a time,
     // the way they arrive.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full local gate: offline build, tests, lints, benches compile.
-# Mirrors what CI would run; everything works with no network access.
+# Full local gate: offline build, tests, lints, bench smokes, and a perf
+# gate against the base commit. Everything works with no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -123,9 +123,6 @@ else
     echo "    thread sanitizer unavailable (needs nightly + rust-src); skipping"
 fi
 
-echo "==> benches compile"
-cargo bench -p hindex-bench --offline --no-run
-
 echo "==> benchmark harness (perfbench smoke test)"
 # perfbench is its own cargo workspace with path dependencies on
 # crates/*, so nothing above builds it: an engine API change that
@@ -133,26 +130,34 @@ echo "==> benchmark harness (perfbench smoke test)"
 CARGO_TARGET_DIR=.bench_build \
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> bench smoke (kernels group, reduced scale)"
-scripts/bench.sh /tmp/bench_smoke.json --quick
+echo "==> bench smoke (throughput kernels group, reduced scale)"
+cargo bench -q -p hindex-bench --offline --bench throughput -- --quick
 
-echo "==> perf gate (cash_update group: this change vs its base commit)"
-# Times the change and its base commit on the same host in the same
-# minutes, so host speed steps cancel. The base is HEAD when the working
-# tree has uncommitted changes, else HEAD's parent. Its tree is exported
-# with `git archive` under target/perf_base and its throughput bench is
-# built there, offline (about 20 s cold on a 2-core host; a rerun against
-# the same base reuses it). Four runs per round in ABBA order; an entry
-# fails when its median change/base ratio over the rounds exceeds 1.25.
-# An entry whose base-vs-base spread (median |A2/A1 − 1| within a round)
-# exceeds the same bound cannot be told from noise here: it is printed as
-# ungated, with its spread. When the change edits the bench itself
-# (crates/bench/benches/throughput.rs), the two sides time different
-# work, so the whole stage is printed as ungated and nothing runs.
+echo "==> perf gate (perfbench: this change vs its base commit)"
+# Runs perfbench, unchanged, on the change and on its base commit on
+# the same host in the same minutes, so host speed steps cancel. The
+# base is HEAD when the working tree has uncommitted changes, else
+# HEAD's parent. Its tree is exported with `git archive` under
+# target/perf_base and its perfbench is built there, offline (about
+# 30 s cold on a 2-core host; a rerun against the same base reuses it).
+# Each round runs every BENCHMARK.json workload four times in ABBA
+# order (base, change, change, base) on the round's seed. Every
+# end-to-end metric is judged by BENCHMARK.json's `better` and `bound`
+# on its worse-direction ratio (change/base when lower is better,
+# base/change when higher is): a pairing fails when the median ratio
+# over the rounds exceeds 1 + bound. A pairing whose base-vs-base
+# spread (median |A2/A1 - 1| within a round) exceeds its bound cannot
+# be told from noise here: it prints as unresolved, with its spread.
+# The stage also fails when a change run reports `"correct": false`,
+# which any larger failed share than the base's implies. When the
+# change edits perfbench/ or BENCHMARK.json, the two sides run
+# different benchmarks, so the stage prints UNGATED and runs nothing.
 if git diff --quiet HEAD --; then base=$(git rev-parse HEAD~1); else base=$(git rev-parse HEAD); fi
-if ! git diff --quiet "${base}" -- crates/bench/benches/throughput.rs; then
-    echo "    UNGATED: crates/bench/benches/throughput.rs differs from the base ${base:0:12}, so the sides time different work"
+if ! git diff --quiet "${base}" -- perfbench BENCHMARK.json; then
+    echo "    UNGATED: perfbench/ or BENCHMARK.json differs from the base ${base:0:12}, so the sides run different benchmarks"
 else
+    rounds=3 seconds=3 # round r runs every leg on seed r
+    stage_start=$(date +%s)
     base_dir=target/perf_base
     if [ "$(cat "${base_dir}/commit" 2>/dev/null)" != "${base}" ]; then
         rm -rf "${base_dir}/src"
@@ -160,57 +165,90 @@ else
         git archive "${base}" | tar -x -C "${base_dir}/src"
         echo "${base}" > "${base_dir}/commit"
     fi
-    bench_exe() { # <manifest dir> <target dir>: builds the bench, prints its path
-        (cd "$1" && CARGO_TARGET_DIR="$2" cargo bench -q -p hindex-bench --offline \
-            --bench throughput --no-run --message-format=json) \
-            | grep -o '"executable":"[^"]*throughput[^"]*"' | tail -1 | cut -d'"' -f4
-    }
-    build_start=$(date +%s)
-    base_exe=$(bench_exe "${base_dir}/src" "$(pwd)/${base_dir}/target")
-    echo "    base ${base:0:12} built in $(( $(date +%s) - build_start )) s"
-    change_exe=$(bench_exe . "$(pwd)/target")
-    runs_dir=$(mktemp -d)
-    rounds=9
-    for r in $(seq 1 "${rounds}"); do
-        for leg in A1 B1 B2 A2; do
-            case "${leg}" in A*) exe="${base_exe}" ;; *) exe="${change_exe}" ;; esac
-            "${exe}" --only cash_update --json "${runs_dir}/${r}_${leg}.json" > /dev/null
+    CARGO_TARGET_DIR="${base_dir}/target" \
+        cargo build -q --release --offline --manifest-path "${base_dir}/src/perfbench/Cargo.toml"
+    CARGO_TARGET_DIR=.bench_build \
+        cargo build -q --release --offline --manifest-path perfbench/Cargo.toml
+    echo "    base ${base:0:12} and change built in $(( $(date +%s) - stage_start )) s"
+    workloads=$(grep -o '"name": "[a-z_]*", "why"' BENCHMARK.json | cut -d'"' -f4)
+    gates=$(grep -o '"name": "[a-z0-9_]*", "unit": "[^"]*", "better": "[a-z]*", "bound": [0-9.]*' BENCHMARK.json \
+        | awk -F'"' '{ print $4, $12, substr($15, 3) }')
+    runs=$(mktemp)
+    for round in $(seq 1 "${rounds}"); do
+        for workload in ${workloads}; do
+            for leg in A1 B1 B2 A2; do
+                case "${leg}" in
+                    A*) exe="${base_dir}/target/release/hindex-perfbench" ;;
+                    *) exe=.bench_build/release/hindex-perfbench ;;
+                esac
+                result=$("${exe}" --workload "${workload}" --seed "${round}" \
+                    --seconds "${seconds}" --trace 0 | tail -n 1)
+                echo "${workload} ${round} ${leg} ${result}" >> "${runs}"
+            done
         done
     done
-    entries=$(grep -o '"group": "cash_update", "name": "[a-z0-9_]*"' "${runs_dir}/1_A1.json" | cut -d'"' -f8)
     gate_failed=0
-    for entry in ${entries}; do
-        for f in "${runs_dir}"/*.json; do
-            ns=$(grep -o "\"group\": \"cash_update\", \"name\": \"${entry}\"[^}]*" "${f}" \
-                | grep -o '"ns_per_elem": [0-9.]*' | grep -o '[0-9.]*$')
-            echo "$(basename "${f}" .json) ${ns}"
-        done | awk -v entry="${entry}" -v rounds="${rounds}" '
-            function median(v, n,   i, j, t) {
-                for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j-1] > v[j]; j--) {
-                    t = v[j]; v[j] = v[j-1]; v[j-1] = t }
-                return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+    awk -v gates="${gates}" -v rounds="${rounds}" '
+        function median(v, n,   i, j, t) {
+            for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j-1] > v[j]; j--) {
+                t = v[j]; v[j] = v[j-1]; v[j-1] = t }
+            return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+        }
+        function ratio(a, b) { return a == b ? 1 : b > 0 ? a / b : 1e9 }
+        function worse(better, change, base) {
+            return better == "lower" ? ratio(change, base) : ratio(base, change)
+        }
+        {
+            if (!($1 in seen)) { seen[$1]; order[++nw] = $1 }
+            if ($3 ~ /^B/ && $0 ~ /"correct": false/) {
+                printf "    %s round %d %s: change run reports \"correct\": false\n", $1, $2, $3
+                failed = 1
             }
-            { split($1, k, "_"); ns[k[1], k[2]] = $2 }
-            END {
+            for (i = 1; i <= ng; i++) {
+                if (match($0, "\"" name[i] "\": {\"value\": [^,}]*")) {
+                    v = substr($0, RSTART, RLENGTH); sub(/.*: /, "", v)
+                    value[$1, name[i], $2, $3] = v
+                }
+            }
+        }
+        BEGIN {
+            ng = split(gates, line, "\n")
+            for (i = 1; i <= ng; i++) { split(line[i], f, " "); name[i] = f[1]; better[i] = f[2]; bound[i] = f[3] }
+            split("A1 B1 B2 A2", legs, " ")
+        }
+        END {
+            for (k = 1; k <= nw; k++) for (i = 1; i <= ng; i++) {
+                w = order[k]; m = name[i]; nr = 0; missing = 0
                 for (r = 1; r <= rounds; r++) {
-                    ratio[++nr] = ns[r, "B1"] / ns[r, "A1"]
-                    ratio[++nr] = ns[r, "B2"] / ns[r, "A2"]
-                    d = ns[r, "A2"] / ns[r, "A1"] - 1
+                    for (l = 1; l <= 4; l++) {
+                        x[legs[l]] = value[w, m, r, legs[l]]
+                        if (x[legs[l]] == "" || x[legs[l]] == "null") missing = 1
+                    }
+                    if (missing) break
+                    ratios[++nr] = worse(better[i], x["B1"] + 0, x["A1"] + 0)
+                    ratios[++nr] = worse(better[i], x["B2"] + 0, x["A2"] + 0)
+                    d = ratio(x["A2"] + 0, x["A1"] + 0) - 1
                     spread[r] = d < 0 ? -d : d
                 }
-                m = median(ratio, nr); s = median(spread, rounds)
-                if (s > 0.25) {
-                    printf "    %-18s change/base %.3f  UNGATED: base-vs-base spread %.1f%% > 25%%\n", entry, m, s * 100
-                } else if (m > 1.25) {
-                    printf "    %-18s change/base %.3f  FAIL (> 1.25; base spread %.1f%%)\n", entry, m, s * 100
-                    exit 1
-                } else {
-                    printf "    %-18s change/base %.3f  ok (base spread %.1f%%)\n", entry, m, s * 100
+                if (missing) {
+                    printf "    %-16s %-18s no value: unresolved\n", w, m
+                    continue
                 }
-            }' || gate_failed=1
-    done
-    rm -rf "${runs_dir}"
-    [ "${gate_failed}" = 0 ] || { echo "    FAIL: an entry regressed more than 25% against the base"; exit 1; }
+                q = median(ratios, nr); s = median(spread, rounds)
+                if (s > bound[i]) {
+                    printf "    %-16s %-18s %.3f  unresolved: base spread %.1f%% > %g%%\n", w, m, q, s * 100, bound[i] * 100
+                } else if (q > 1 + bound[i]) {
+                    printf "    %-16s %-18s %.3f  FAIL (> %g; base spread %.1f%%)\n", w, m, q, 1 + bound[i], s * 100
+                    failed = 1
+                } else {
+                    printf "    %-16s %-18s %.3f  ok (base spread %.1f%%)\n", w, m, q, s * 100
+                }
+            }
+            exit failed
+        }' "${runs}" || gate_failed=1
+    rm -f "${runs}"
+    echo "    ${rounds} ABBA rounds in $(( $(date +%s) - stage_start )) s"
+    [ "${gate_failed}" = 0 ] || { echo "    FAIL: the change is worse than the base beyond a BENCHMARK.json bound"; exit 1; }
 fi
 
 echo "All checks passed."

@@ -63,7 +63,7 @@ pub use hindex_stream as stream;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use hindex_common::{AggregateEstimator, CashRegisterEstimator, Delta, Epsilon, Estimate, EstimatorParams, IncrementalHIndex, Mergeable, SpaceUsage, TurnstileEstimator, h_index, h_support};
+    pub use hindex_common::{AggregateEstimator, CashRegisterEstimator, Delta, Epsilon, Estimate, IncrementalHIndex, Mergeable, SpaceUsage, TurnstileEstimator, h_index, h_support};
     pub use hindex_core::prelude::*;
     pub use hindex_engine::{
         BatchIngest, Degraded, Engine, EngineCheckpoint, EngineConfig, EngineError, FaultKind,

@@ -22,7 +22,7 @@ fn sketch_prototype(seed: u64) -> CashRegisterHIndex {
         epsilon: Epsilon::new(0.25).unwrap(),
         delta: Delta::new(0.1).unwrap(),
     };
-    params.build(&mut StdRng::seed_from_u64(seed))
+    CashRegisterHIndex::new(params, &mut StdRng::seed_from_u64(seed))
 }
 
 #[test]
@@ -51,7 +51,7 @@ fn sketch_sharded_state_identical_to_serial() {
     for &(p, z) in &updates {
         serial.ingest(p, z);
     }
-    for shards in [1, 2, 4] {
+    for shards in [1, 2, 4, 8] {
         let config = EngineConfig::builder().shards(shards).batch(512).build().unwrap();
         let mut engine = ShardedEngine::new(config, prototype.clone());
         engine.ingest_batch(&updates);
